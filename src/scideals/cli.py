@@ -230,14 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: SCIDEALS_WORKERS or 1)")
+                   help="worker threads (default: SCIDEALS_WORKERS, "
+                        "else the CPU count)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("graph", help="export the flip graph")
     add_common(p)
     p.add_argument("--format", choices=("dot", "json", "csv"),
                    default="dot")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker threads for --format csv (default: "
+                        "SCIDEALS_WORKERS, else the CPU count)")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("extremal", help="named construction ideals")

@@ -23,12 +23,30 @@ for ``r = 1..6``.
 
 Enumeration
 -----------
-``enumerate_ideals`` runs a breadth-first closure of the class seed
-under flips; that the flip graph is connected for each class is
-exercised against the closed-form counts by the verification suites.
-``oracle_enumerate`` is the slow reference: a depth-first scan over all
-downward-closed sets (in rank order, each element may join only when
-its lower covers already have), optionally filtered by class.
+``enumerate_ideals`` and ``enumerate_count`` run a graded flip closure
+of the class seed ``S``.  A vertex ``J`` is keyed by ``|S \\ J|``
+(divided by 3 for cssc and tssc), which by the distance formula is its
+flip distance from ``S``.  ``S`` is self-complementary (and symmetric
+for cssc and tssc), so a flip either moves out members of ``S`` and
+raises the key by its weight, or moves in members of ``S`` and lowers
+the key by its weight.  Along a geodesic from ``J`` back to ``S`` the
+key falls strictly, so every vertex but the seed is one forward flip
+away from a vertex of smaller key.  The closure therefore expands the
+keys in increasing order, one bucket (a set of masks) per key, and
+applies only the forward flips: the kernels take the seed as their
+``allowed`` mask.  No global visited set is needed, only the buckets
+up to two keys ahead are kept, and ``enumerate_count`` sums bucket
+sizes without holding the whole class.
+
+Completeness leans on the distance formula, but a count check does
+not: the kernels map members to members, so the closure yields
+distinct members of the class, and when their number equals the
+closed-form count they are the whole class.  That certificate is the
+same as for a two-way search over all flips, and the verification
+suites check it at scale.  ``oracle_enumerate`` is the slow reference:
+a depth-first scan over all downward-closed sets (in rank order, each
+element may join only when its lower covers already have), optionally
+filtered by class.
 """
 
 from __future__ import annotations
@@ -37,10 +55,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .ideal import CLASSES, CSSC, SC, TSSC, Ideal
-from .poset import ChainProduct, ShapeError
+from .poset import CYCLIC, FULL, ChainProduct, ShapeError
 
 BFS_FLIP = "bfs_flip"
 ORACLE_DFS = "oracle_dfs"
@@ -249,36 +267,36 @@ def _check_guard(
         )
 
 
-def _bfs_masks(
-    p: ChainProduct,
-    cls: str,
-    start: int,
-    cap: int | None,
-) -> set[int]:
+def _graded_closure(
+    p: ChainProduct, cls: str, start: int
+) -> Iterator[set[int]]:
+    """The class, one key bucket at a time, in increasing key.
+
+    The key of a vertex ``J`` is its distance ``|start \\ J|`` (divided
+    by 3 for cssc and tssc) from the seed, and a bucket holds every
+    vertex of one key.  Only forward flips, those moving out members
+    of the seed, are generated: each raises the key by its weight, 1
+    or 2.  A bucket is therefore complete once every bucket below it
+    has been expanded; it is yielded before it is expanded itself.
+    """
     from . import metric  # deferred: metric imports this module's types
 
-    if cls == SC:
-        neighbors = metric.sc_flip_masks
-    else:
-        group_neighbors = metric.orbit_flip_masks
-        group = "cyclic" if cls == CSSC else "full"
-
-        def neighbors(p: ChainProduct, m: int) -> list[int]:
-            return [nm for nm, _w in group_neighbors(p, m, group)]
-
-    visited = {start}
-    frontier = [start]
-    while frontier:
-        fresh: list[int] = []
-        for m in frontier:
-            for nm in neighbors(p, m):
-                if nm not in visited:
-                    visited.add(nm)
-                    fresh.append(nm)
-        if cap is not None and len(visited) > cap:
-            raise PartialEnumerationError(len(visited), cap)
-        frontier = fresh
-    return visited
+    sc_kernel = metric.sc_flip_masks
+    orbit_kernel = metric.orbit_flip_masks
+    group = CYCLIC if cls == CSSC else FULL
+    # the buckets at keys k, k + 1 and k + 2
+    level, ahead = {start}, (set(), set())
+    while level or ahead[0] or ahead[1]:
+        if level:
+            yield level
+            if cls == SC:
+                for m in level:
+                    ahead[0].update(sc_kernel(p, m, allowed=start))
+            else:
+                for m in level:
+                    for nm, w in orbit_kernel(p, m, group, allowed=start):
+                        ahead[w - 1].add(nm)
+        level, ahead = ahead[0], (ahead[1], set())
 
 
 def enumerate_ideals(
@@ -287,13 +305,23 @@ def enumerate_ideals(
     cap: int | None = None,
     force: bool = False,
 ) -> EnumerationResult:
-    """Breadth-first flip closure of the class seed, canonically sorted."""
+    """Flip closure of the class seed, canonically sorted.
+
+    ``cap`` is checked after each finished key bucket, so the error
+    reports the vertices of every bucket reached so far.
+    """
     dims = tuple(int(l) for l in dims)
     _check_guard(dims, cls, force)
     start = seed(dims, cls)
-    masks = _bfs_masks(start.poset, cls, start.mask, cap)
-    vertices = tuple(Ideal(start.poset, m) for m in sorted(masks))
-    return EnumerationResult(start.poset, cls, vertices, BFS_FLIP)
+    p = start.poset
+    masks: list[int] = []
+    for bucket in _graded_closure(p, cls, start.mask):
+        masks.extend(bucket)
+        if cap is not None and len(masks) > cap:
+            raise PartialEnumerationError(len(masks), cap)
+    masks.sort()
+    vertices = tuple(Ideal(p, m) for m in masks)
+    return EnumerationResult(p, cls, vertices, BFS_FLIP)
 
 
 def enumerate_count(
@@ -301,11 +329,11 @@ def enumerate_count(
     cls: str = SC,
     force: bool = False,
 ) -> int:
-    """Vertex count by flip closure, without materializing the class."""
+    """Vertex count by flip closure, holding only the live buckets."""
     dims = tuple(int(l) for l in dims)
     _check_guard(dims, cls, force)
     start = seed(dims, cls)
-    return len(_bfs_masks(start.poset, cls, start.mask, None))
+    return sum(len(b) for b in _graded_closure(start.poset, cls, start.mask))
 
 
 # ----------------------------------------------------------------------

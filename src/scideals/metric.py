@@ -17,11 +17,15 @@ to popcounts of ``mask_u & ~mask_v``, which `metric_report` evaluates
 in bulk over numpy uint64 limbs instead of walking the graph.  The
 graph itself (adjacency, Dijkstra) is kept as the slow cross-check.
 
-The sc flip kernel is bit-parallel: for a self-complementary mask the
+The flip kernels are bit-parallel: for a self-complementary mask the
 dual image equals the complement, so "every lower cover of the incoming
-dual is already present" becomes a shifted-complement test, and the
-only sharp corner is the element one step below its own dual, which can
-never flip (its dual's cover would be the removed element itself).
+dual is already present" becomes a shifted-complement test, which for a
+maximal member always holds.  The only sharp corners are the elements
+one step below their own dual (sc), or below an element whose dual lies
+in their own orbit (cssc, tssc); these never flip, because the needed
+cover would be removed by the flip itself.  Each kernel takes an
+``allowed`` mask of the members it may move out, so the flip closure
+in `enumeration` can ask for the forward flips only.
 """
 
 from __future__ import annotations
@@ -50,71 +54,56 @@ _SWEEP_BLOCK_BYTES = 32 << 20
 # flip kernels
 
 
-def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:
+def sc_flip_masks(
+    p: ChainProduct, mask: int, allowed: int = -1
+) -> list[int]:
     """Masks one sc flip away from ``mask`` (which must be sc).
 
     A maximal member ``a`` is flippable iff for every axis ``k`` along
     which the dual ``b`` has a lower cover, that cover lies in
-    ``I minus a``.  With ``comp`` the complement (= dual image) of the
-    mask, "``b - s_k`` is a member" reads ``ra in comp >> s_k``; the
-    excluded corner is ``2 ra = V - 1 - s_k``, where the needed cover
-    is ``a`` itself.  A self-dual central element (odd volume) never
-    flips, but odd volume admits no sc ideals anyway.
+    ``I minus a``.  That cover is the dual of ``a + e_k``, and for a
+    self-complementary mask it is a member exactly when ``a + e_k`` is
+    not: the cover test is maximality itself, save at the corners of
+    ``p.sc_movable``, where the needed cover is ``a``.  Only flips
+    moving out a member of ``allowed`` (default: all) are returned.
     """
-    V = p.volume
-    comp = p.full_mask & ~mask
-    flip = p.maximal_mask(mask)
-    if V % 2:
-        flip &= ~(1 << ((V - 1) // 2))
-    for k in range(p.d):
-        s = p.strides[k]
-        cond = comp >> s
-        t = V - 1 - s
-        if t % 2 == 0:
-            cond &= ~(1 << (t // 2))
-        flip &= ~p.up_masks[k] | cond
+    flip = p.maximal_mask(mask) & p.sc_movable & allowed
     out = []
-    v1 = V - 1
+    v1 = p.volume - 1
     while flip:
         low = flip & -flip
         flip ^= low
-        ra = low.bit_length() - 1
-        out.append(mask ^ low ^ (1 << (v1 - ra)))
+        out.append(mask ^ low ^ (1 << (v1 - low.bit_length() + 1)))
     return out
 
 
 def orbit_flip_masks(
-    p: ChainProduct, mask: int, group: str
+    p: ChainProduct, mask: int, group: str, allowed: int = -1
 ) -> list[tuple[int, int]]:
     """(mask, weight) pairs one orbit flip away (cyclic or full group).
 
     An orbit is flippable iff all its elements are maximal members and
     replacing it by its dual orbit stays downward closed.  Orbit
     elements share their coordinate sum, hence are incomparable, so
-    removing a whole orbit of maximal elements is always safe; only the
-    incoming duals need the closure check.  Diagonal points (singleton
-    orbits) never flip.
+    removing a whole orbit of maximal elements is always safe.  The
+    incoming dual of ``a`` needs the lower covers ``dual(a + e_k)``: as
+    in `sc_flip_masks` they are members when ``a`` is maximal, and they
+    stay members unless they lie in the outgoing orbit.  Orbits of
+    such corners, and diagonal points (singleton orbits), are left out
+    of ``p.orbit_flips(group).movable``.  Only orbits inside
+    ``allowed`` are flipped.
     """
-    orbits, orbit_of = p.orbit_structure(group)
-    maximal = p.maximal_mask(mask)
+    tables = p.orbit_flips(group)
+    ok = p.maximal_mask(mask) & tables.movable & allowed
+    reps = ok & tables.reps
+    swaps = tables.swaps
     out = []
-    seen: set[int] = set()
-    m = maximal
-    while m:
-        low = m & -m
-        m ^= low
-        oi = orbit_of[low.bit_length() - 1]
-        if oi in seen:
-            continue
-        seen.add(oi)
-        ob = orbits[oi]
-        if ob.size == 1:
-            continue
-        if ob.mask & maximal != ob.mask:
-            continue
-        j = (mask & ~ob.mask) | ob.dual_mask
-        if p.is_downward_closed(j):
-            out.append((j, ob.weight))
+    while reps:
+        low = reps & -reps
+        reps ^= low
+        ob, swap, weight = swaps[low.bit_length() - 1]
+        if ok & ob == ob:
+            out.append((mask ^ swap, weight))
     return out
 
 

@@ -63,6 +63,24 @@ class Orbit:
 
 
 @dataclass(frozen=True)
+class OrbitFlips:
+    """The tables of the bit-parallel orbit flip kernel for one group.
+
+    ``movable`` is the union of the orbits that may ever flip: not a
+    fixed (diagonal) point, and not an orbit of corners, elements ``a``
+    with an upper cover ``a + e_k`` whose dual lies in the orbit of
+    ``a`` (the incoming dual orbit would need, as a lower cover, an
+    element the flip removes).  ``reps`` marks the smallest rank of
+    each movable orbit, and ``swaps[rep]`` holds ``(orbit mask, orbit
+    mask | dual orbit mask, weight)`` (None at other ranks).
+    """
+
+    movable: int
+    reps: int
+    swaps: list[tuple[int, int, int] | None]
+
+
+@dataclass(frozen=True)
 class ChainProduct:
     """The poset [l_1] x ... x [l_d] with all l_k >= 1."""
 
@@ -211,12 +229,34 @@ class ChainProduct:
                 return False
         return True
 
+    @cached_property
+    def cover_axes(self) -> tuple[tuple[int, int], ...]:
+        """Per axis k: (stride, up mask), the pairs `maximal_mask` walks."""
+        return tuple(zip(self.strides, self.up_masks))
+
     def maximal_mask(self, mask: int) -> int:
         """Mask of members with no member strictly above them."""
         covered = 0
-        for k in range(self.d):
-            covered |= self.up_masks[k] & (mask >> self.strides[k])
+        for s, up in self.cover_axes:
+            covered |= up & (mask >> s)
         return mask & ~covered
+
+    @cached_property
+    def sc_movable(self) -> int:
+        """Ranks an sc flip may ever move out: all but the corners.
+
+        A corner lies one step below its own dual along some axis,
+        ``2 r = V - 1 - s_k``: flipping it would add the dual without
+        that dual's lower cover, the corner itself.  The self-dual
+        centre of an odd volume never flips either.
+        """
+        V = self.volume
+        stuck = 1 << (V // 2) if V % 2 else 0
+        for s, up in self.cover_axes:
+            t = V - 1 - s
+            if t % 2 == 0:
+                stuck |= up & (1 << (t // 2))
+        return self.full_mask & ~stuck
 
     def minimal_nonmember_mask(self, mask: int) -> int:
         """Mask of non-members all of whose lower covers are members."""
@@ -291,39 +331,44 @@ class ChainProduct:
         """Rank images under the rotation (x,y,z)->(y,z,x) and the swap
         (x,y,z)->(x,z,y); together they generate S3 on coordinates."""
         self._require_cube()
-        rot = [0] * self.volume
-        swp = [0] * self.volume
-        for r in range(self.volume):
-            x, y, z = self.unrank(r)
-            rot[r] = self.rank((y, z, x))
-            swp[r] = self.rank((x, z, y))
+        l = self.dims[0]
+        ll = l * l
+        rot: list[int] = []
+        swp: list[int] = []
+        for x, y, z in itertools.product(range(l), repeat=3):
+            rot.append(y * ll + z * l + x)
+            swp.append(x * ll + z * l + y)
         return rot, swp
 
     def _orbit_structure(self, group: str) -> tuple[list[Orbit], list[int]]:
-        rot, swp = self._perm_tables
+        """Orbits in order of their smallest rank, from coordinates.
+
+        With zero-based coordinates the rank of ``(x, y, z)`` is
+        ``x l^2 + y l + z``; ranks are visited in order, so the first
+        element seen of each orbit is its smallest.
+        """
+        self._require_cube()
+        if group == CYCLIC:
+            perms = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        elif group == FULL:
+            perms = tuple(itertools.permutations(range(3)))
+        else:
+            raise ValueError(f"unknown symmetry group {group!r}")
+        l = self.dims[0]
+        ll = l * l
+        v1 = self.volume - 1
         orbit_of = [-1] * self.volume
         orbits: list[Orbit] = []
-        v1 = self.volume - 1
-        for r in range(self.volume):
+        for r, a in enumerate(itertools.product(range(l), repeat=3)):
             if orbit_of[r] >= 0:
                 continue
-            ranks = {r}
-            frontier = [r]
-            while frontier:
-                x = frontier.pop()
-                images = (rot[x],) if group == CYCLIC else (rot[x], swp[x])
-                for y in images:
-                    if y not in ranks:
-                        ranks.add(y)
-                        frontier.append(y)
-            idx = len(orbits)
-            mask = 0
-            dmask = 0
+            ranks = sorted({a[i] * ll + a[j] * l + a[k] for i, j, k in perms})
+            mask = dmask = 0
             for x in ranks:
-                orbit_of[x] = idx
+                orbit_of[x] = len(orbits)
                 mask |= 1 << x
                 dmask |= 1 << (v1 - x)
-            orbits.append(Orbit(tuple(sorted(ranks)), mask, dmask))
+            orbits.append(Orbit(tuple(ranks), mask, dmask))
         return orbits, orbit_of
 
     @cached_property
@@ -341,6 +386,45 @@ class ChainProduct:
             return self.cyclic_orbits
         if group == FULL:
             return self.full_orbits
+        raise ValueError(f"unknown symmetry group {group!r}")
+
+    def _orbit_flips(self, group: str) -> OrbitFlips:
+        # a corner's images under the group are corners along the
+        # permuted axes, so testing each orbit's smallest rank suffices
+        orbits, orbit_of = self.orbit_structure(group)
+        l = self.dims[0]
+        ll = l * l
+        v1 = self.volume - 1
+        movable = reps = 0
+        swaps: list[tuple[int, int, int] | None] = [None] * self.volume
+        for o, ob in enumerate(orbits):
+            r = ob.ranks[0]
+            x, rest = divmod(r, ll)
+            if ob.size == 1 or any(
+                c < l - 1 and orbit_of[v1 - r - s] == o
+                for c, s in zip((x, *divmod(rest, l)), (ll, l, 1))
+            ):
+                continue
+            movable |= ob.mask
+            reps |= 1 << r
+            swaps[r] = (ob.mask, ob.mask | ob.dual_mask, ob.weight)
+        return OrbitFlips(movable, reps, swaps)
+
+    @cached_property
+    def cyclic_flips(self) -> OrbitFlips:
+        """Orbit flip tables under coordinate rotations."""
+        return self._orbit_flips(CYCLIC)
+
+    @cached_property
+    def full_flips(self) -> OrbitFlips:
+        """Orbit flip tables under all coordinate permutations."""
+        return self._orbit_flips(FULL)
+
+    def orbit_flips(self, group: str) -> OrbitFlips:
+        if group == CYCLIC:
+            return self.cyclic_flips
+        if group == FULL:
+            return self.full_flips
         raise ValueError(f"unknown symmetry group {group!r}")
 
     # ------------------------------------------------------------------

@@ -1,0 +1,107 @@
+"""Slow, independent references for the flip kernels and the flip closure.
+
+These are the straightforward forms the fast code in ``scideals`` must
+agree with: the sc kernel as an explicit per-axis shifted-complement
+test, the orbit kernel as a loop over orbits with a whole-mask closure
+check, orbits found from ``unrank``/``rank`` and coordinate
+permutations, and the closure as a two-way breadth-first search with a
+global visited set.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from scideals.ideal import CSSC, SC
+from scideals.poset import CYCLIC, FULL, ChainProduct
+
+
+def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:
+    """Masks one sc flip away: maximal members passing the cover test.
+
+    ``a`` may flip iff along every axis where its dual ``b`` has a
+    lower cover, that cover is a member of ``I minus a``; with ``comp``
+    the complement (the dual image), the cover of axis ``k`` is a
+    member iff rank ``ra`` is set in ``comp >> s_k``, except at the
+    corner ``2 ra = V - 1 - s_k`` where the cover is ``a`` itself.
+    """
+    V = p.volume
+    comp = p.full_mask & ~mask
+    flip = p.maximal_mask(mask)
+    if V % 2:
+        flip &= ~(1 << ((V - 1) // 2))
+    for k in range(p.d):
+        s = p.strides[k]
+        cond = comp >> s
+        t = V - 1 - s
+        if t % 2 == 0:
+            cond &= ~(1 << (t // 2))
+        flip &= ~p.up_masks[k] | cond
+    out = []
+    v1 = V - 1
+    while flip:
+        low = flip & -flip
+        flip ^= low
+        ra = low.bit_length() - 1
+        out.append(mask ^ low ^ (1 << (v1 - ra)))
+    return out
+
+
+def orbits(p: ChainProduct, group: str) -> list[tuple[int, ...]]:
+    """Every orbit as sorted ranks, by permuting unranked coordinates."""
+    perms = (
+        [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        if group == CYCLIC
+        else list(itertools.permutations(range(3)))
+    )
+    out = set()
+    for r in range(p.volume):
+        a = p.unrank(r)
+        out.add(tuple(sorted({p.rank(tuple(a[i] for i in g)) for g in perms})))
+    return sorted(out)
+
+
+def orbit_flip_masks(
+    p: ChainProduct, mask: int, group: str, orbit_list=None
+) -> list[tuple[int, int]]:
+    """(mask, weight) pairs: swap each orbit of maximal members for its
+    dual orbit and keep the result if it is downward closed."""
+    maximal = p.maximal_mask(mask)
+    v1 = p.volume - 1
+    out = []
+    for ranks in orbit_list or orbits(p, group):
+        if len(ranks) == 1:
+            continue
+        ob = sum(1 << r for r in ranks)
+        if ob & maximal != ob:
+            continue
+        dual = sum(1 << (v1 - r) for r in ranks)
+        j = (mask & ~ob) | dual
+        if p.is_downward_closed(j):
+            out.append((j, len(ranks) // 3))
+    return out
+
+
+def bfs_masks(p: ChainProduct, cls: str, start: int) -> set[int]:
+    """Closure of ``start`` under all flips, with a global visited set."""
+    if cls == SC:
+        def neighbors(m):
+            return sc_flip_masks(p, m)
+    else:
+        group = CYCLIC if cls == CSSC else FULL
+        orbit_list = orbits(p, group)
+
+        def neighbors(m):
+            return [nm for nm, _ in orbit_flip_masks(p, m, group, orbit_list)]
+
+    visited = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for nm in neighbors(m):
+                if nm not in visited:
+                    visited.add(nm)
+                    fresh.append(nm)
+        frontier = fresh
+    return visited

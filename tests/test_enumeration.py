@@ -2,6 +2,7 @@
 
 import pytest
 
+from scideals import cli
 from scideals.enumeration import (
     EmptyClassError,
     EnumerationGuardError,
@@ -117,8 +118,20 @@ def test_oracle_volume_guard():
 
 
 def test_partial_enumeration_cap():
-    with pytest.raises(PartialEnumerationError):
+    # the cap is checked after each finished key bucket, so the error
+    # reports more vertices than the cap
+    with pytest.raises(PartialEnumerationError) as info:
         enumerate_ideals((2, 3, 4), SC, cap=5)
+    assert info.value.cap == 5
+    assert info.value.visited > info.value.cap
+    assert enumerate_ideals((2, 3, 4), SC, cap=18).masks == (
+        enumerate_ideals((2, 3, 4), SC).masks
+    )
+    with pytest.raises(
+        PartialEnumerationError,
+        match=r"^enumeration exceeded cap=5 \(\d+ vertices reached\)$",
+    ):
+        cli.main(["enumerate", "--dims", "2,3,4", "--cap", "5"])
 
 
 def test_empty_class_guard_for_symmetric_odd():
