@@ -3,144 +3,9 @@
 Enumeration of the self-complementary (sc), cyclically symmetric (cssc)
 and totally symmetric (tssc) ideal classes, exact flip-graph metrics,
 the extremal constructions behind them, and verification suites that
-re-check every statement at desk scale.
+re-check every statement at desk scale.  The names live in the
+submodules (`poset`, `ideal`, `enumeration`, `metric`, `constructions`,
+`chvatal`, `verify`); importing the package loads none of them.
 """
 
 __version__ = "0.1.0"
-
-from .chvatal import (
-    ALL_SMALL,
-    NEAR_HALF,
-    audit_blocks,
-    instance_bound,
-    instance_family,
-    is_intersecting,
-    is_uniform,
-    max_intersecting,
-    occurrence_cap,
-    verified_family,
-    verify_conjecture,
-)
-from .constructions import (
-    CONSTRUCTION_NAMES,
-    NamedIdeal,
-    build_named,
-    compose_shell,
-    cssc_diameter_value,
-    cssc_radius_value,
-    halfspace,
-    hypercube_center,
-    majority_ideal,
-    mod4_center,
-    octant_ideal_cssc,
-    partitioned_center,
-    pyramid_ideal,
-    sc_diameter_pair,
-    sc_diameter_value,
-    sc_radius_bound,
-    shell_ideal,
-    staircase_c2r,
-    tssc_diameter_value,
-    tssc_extremes,
-    tssc_mandatory,
-)
-from .enumeration import (
-    EmptyClassError,
-    EnumerationGuardError,
-    EnumerationResult,
-    count_closed,
-    enumerate_count,
-    enumerate_ideals,
-    oracle_enumerate,
-    seed,
-)
-from .ideal import (
-    CLASSES,
-    CSSC,
-    SC,
-    TSSC,
-    Ideal,
-    SymmetryError,
-    from_heights,
-    from_members,
-    symmetry_group,
-)
-from .metric import (
-    FlipGraph,
-    MetricReport,
-    build_graph,
-    distance,
-    distances_from,
-    flip_neighbors,
-    metric_report,
-    shortest_path_oracle,
-)
-from .poset import ChainProduct, ShapeError, cube
-from .verify import SUITES, SuiteReport, run_all, run_suite
-
-__all__ = [
-    "ALL_SMALL",
-    "CLASSES",
-    "CONSTRUCTION_NAMES",
-    "CSSC",
-    "ChainProduct",
-    "EmptyClassError",
-    "EnumerationGuardError",
-    "EnumerationResult",
-    "FlipGraph",
-    "Ideal",
-    "MetricReport",
-    "NEAR_HALF",
-    "NamedIdeal",
-    "SC",
-    "SUITES",
-    "ShapeError",
-    "SuiteReport",
-    "SymmetryError",
-    "TSSC",
-    "audit_blocks",
-    "build_graph",
-    "build_named",
-    "compose_shell",
-    "count_closed",
-    "cssc_diameter_value",
-    "cssc_radius_value",
-    "cube",
-    "distance",
-    "distances_from",
-    "enumerate_count",
-    "enumerate_ideals",
-    "flip_neighbors",
-    "from_heights",
-    "from_members",
-    "halfspace",
-    "hypercube_center",
-    "instance_bound",
-    "instance_family",
-    "is_intersecting",
-    "is_uniform",
-    "majority_ideal",
-    "max_intersecting",
-    "metric_report",
-    "mod4_center",
-    "occurrence_cap",
-    "octant_ideal_cssc",
-    "oracle_enumerate",
-    "partitioned_center",
-    "pyramid_ideal",
-    "run_all",
-    "run_suite",
-    "sc_diameter_pair",
-    "sc_diameter_value",
-    "sc_radius_bound",
-    "seed",
-    "shell_ideal",
-    "shortest_path_oracle",
-    "staircase_c2r",
-    "symmetry_group",
-    "tssc_diameter_value",
-    "tssc_extremes",
-    "tssc_mandatory",
-    "verified_family",
-    "verify_conjecture",
-]

@@ -28,6 +28,7 @@ from .constructions import CONSTRUCTION_NAMES, build_named
 from .enumeration import (
     EmptyClassError,
     EnumerationGuardError,
+    PartialEnumerationError,
     count_closed,
     enumerate_count,
     enumerate_ideals,
@@ -279,8 +280,8 @@ def main(argv=None) -> int:
         args.suite = ["all"]
     try:
         return args.func(args, parser)
-    except (EmptyClassError, EnumerationGuardError, ShapeError,
-            ValueError) as err:
+    except (EmptyClassError, EnumerationGuardError, PartialEnumerationError,
+            ShapeError, ValueError) as err:
         print(f"scideals: error: {err}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import EmptyClassError, _halfspace, _staircase
@@ -128,7 +128,7 @@ def tssc_diameter_value(r: int) -> int:
 def halfspace(dims, axis: int) -> Ideal:
     """The sc ideal a_axis <= l_axis / 2."""
     p = dims if isinstance(dims, ChainProduct) else ChainProduct(tuple(dims))
-    return _halfspace(p, axis)
+    return Ideal(p, _halfspace(p, axis))
 
 
 def sc_diameter_pair(dims) -> tuple[Ideal, Ideal]:
@@ -147,7 +147,7 @@ def sc_diameter_pair(dims) -> tuple[Ideal, Ideal]:
     if not evens:
         raise EmptyClassError(f"{dims} has odd volume: no sc ideals")
     if len(evens) >= 2:
-        return _halfspace(p, evens[0]), _halfspace(p, evens[1])
+        return halfspace(p, evens[0]), halfspace(p, evens[1])
     k = evens[0]
     odd_axes = [i for i in range(p.d) if i != k]
     mids = tuple((dims[i] + 1) // 2 for i in odd_axes)
@@ -161,7 +161,7 @@ def sc_diameter_pair(dims) -> tuple[Ideal, Ideal]:
         if rest < mids or (rest == mids and a[k] <= half_k):
             mask |= 1 << rank
     first = Ideal(p, mask)
-    second = _halfspace(p, k)
+    second = halfspace(p, k)
     assert first.validate(SC) and second.validate(SC)
     return first, second
 
@@ -377,7 +377,8 @@ def staircase_c2r(r: int) -> Ideal:
     """The staircase a1 + a2 + a3 <= 3r + 1: tssc, and the cssc center."""
     if r < 1:
         raise ShapeError("r must be >= 1")
-    return _staircase(cube(2 * r), r)
+    p = cube(2 * r)
+    return Ideal(p, _staircase(p, r))
 
 
 def octant_ideal_cssc(r: int) -> Ideal:
@@ -580,15 +581,8 @@ def tssc_extremes(r: int) -> tuple[Ideal, Ideal]:
     mand = tssc_mandatory(r).mask
     om = p.octant_masks
     high2 = om[1, 1, 0] | om[1, 0, 1] | om[0, 1, 1]
-    add = 0
-    v1 = p.volume - 1
-    m = high2
-    while m:
-        low = m & -m
-        m ^= low
-        rank = low.bit_length() - 1
-        if not mand >> (v1 - rank) & 1:
-            add |= low
+    # the high points whose dual low point is not mandatory
+    add = high2 & ~p.reverse_mask(mand)
     least = Ideal(p, mand | add)
     assert least.validate(TSSC), "mandatory completion failed"
     greatest = octant_ideal_cssc(r)

@@ -38,6 +38,11 @@ applies only the forward flips: the kernels take the seed as their
 up to two keys ahead are kept, and ``enumerate_count`` sums bucket
 sizes without holding the whole class.
 
+An `EnumerationResult` holds the class as its sorted member masks.
+Everything computed over a class (the vertex index, the metric sweep,
+the flip graph, the exports) reads the masks; the `Ideal` views in
+``vertices`` are built only when first asked for.
+
 Completeness leans on the distance formula, but a count check does
 not: the kernels map members to members, so the closure yields
 distinct members of the class, and when their number equals the
@@ -52,12 +57,13 @@ filtered by class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .ideal import CLASSES, CSSC, SC, TSSC, Ideal
+from . import metric
+from .ideal import CLASSES, CSSC, SC, TSSC, Ideal, validate_mask
 from .poset import CYCLIC, FULL, ChainProduct, ShapeError
 
 BFS_FLIP = "bfs_flip"
@@ -178,23 +184,25 @@ def seed(dims: Sequence[int], cls: str = SC) -> Ideal:
     classes use the staircase ideal ``a_1 + a_2 + a_3 <= 3r + 1``,
     which is totally symmetric hence a member of all three classes.
     """
-    dims = tuple(int(l) for l in dims)
-    p = ChainProduct(dims)
+    p = ChainProduct(tuple(int(l) for l in dims))
+    return Ideal(p, _seed_mask(p, cls))
+
+
+def _seed_mask(p: ChainProduct, cls: str) -> int:
     if cls not in CLASSES:
         raise ValueError(f"unknown ideal class {cls!r}")
     if cls in (CSSC, TSSC):
-        r = _symmetric_cube_r(dims, cls)
-        return _staircase(p, r)
-    evens = [i for i, l in enumerate(dims) if l % 2 == 0]
+        return _staircase(p, _symmetric_cube_r(p.dims, cls))
+    evens = [i for i, l in enumerate(p.dims) if l % 2 == 0]
     if not evens:
         raise EmptyClassError(
-            f"{dims} has odd volume, hence no self-complementary ideals"
+            f"{p.dims} has odd volume, hence no self-complementary ideals"
         )
     return _halfspace(p, evens[0])
 
 
-def _halfspace(p: ChainProduct, axis: int) -> Ideal:
-    """The sc ideal a_axis <= l_axis / 2 (axis must be even)."""
+def _halfspace(p: ChainProduct, axis: int) -> int:
+    """Mask of the sc ideal a_axis <= l_axis / 2 (axis must be even)."""
     l = p.dims[axis]
     if l % 2:
         raise ShapeError(f"halfspace needs an even axis, got l = {l}")
@@ -203,16 +211,17 @@ def _halfspace(p: ChainProduct, axis: int) -> Ideal:
     mask = 0
     for start in range(0, p.volume, l * s):
         mask |= unit << start
-    return Ideal(p, mask)
+    return mask
 
 
-def _staircase(p: ChainProduct, r: int) -> Ideal:
+def _staircase(p: ChainProduct, r: int) -> int:
+    """Mask of the ideal a_1 + a_2 + a_3 <= 3r + 1."""
     bound = 3 * r + 1
     mask = 0
     for rank, a in enumerate(p.elements()):
         if sum(a) <= bound:
             mask |= 1 << rank
-    return Ideal(p, mask)
+    return mask
 
 
 # ----------------------------------------------------------------------
@@ -221,16 +230,20 @@ def _staircase(p: ChainProduct, r: int) -> Ideal:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """A fully enumerated vertex class, in canonical (ascending-mask) order."""
+    """A fully enumerated vertex class, in canonical (ascending-mask) order.
+
+    The member masks are the data; ``vertices`` wraps them as `Ideal`
+    views on first use, indexable by vertex id like ``masks``.
+    """
 
     poset: ChainProduct
     symmetry: str | None
-    vertices: tuple[Ideal, ...]
+    masks: tuple[int, ...]
     method: str
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(v.mask for v in self.vertices)
+    def vertices(self) -> tuple[Ideal, ...]:
+        return tuple(Ideal(self.poset, m) for m in self.masks)
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -238,7 +251,7 @@ class EnumerationResult:
         return {m: i for i, m in enumerate(self.masks)}
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.masks)
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +292,6 @@ def _graded_closure(
     or 2.  A bucket is therefore complete once every bucket below it
     has been expanded; it is yielded before it is expanded itself.
     """
-    from . import metric  # deferred: metric imports this module's types
-
     sc_kernel = metric.sc_flip_masks
     orbit_kernel = metric.orbit_flip_masks
     group = CYCLIC if cls == CSSC else FULL
@@ -312,16 +323,14 @@ def enumerate_ideals(
     """
     dims = tuple(int(l) for l in dims)
     _check_guard(dims, cls, force)
-    start = seed(dims, cls)
-    p = start.poset
+    p = ChainProduct(dims)
     masks: list[int] = []
-    for bucket in _graded_closure(p, cls, start.mask):
+    for bucket in _graded_closure(p, cls, _seed_mask(p, cls)):
         masks.extend(bucket)
         if cap is not None and len(masks) > cap:
             raise PartialEnumerationError(len(masks), cap)
     masks.sort()
-    vertices = tuple(Ideal(p, m) for m in masks)
-    return EnumerationResult(p, cls, vertices, BFS_FLIP)
+    return EnumerationResult(p, cls, tuple(masks), BFS_FLIP)
 
 
 def enumerate_count(
@@ -332,8 +341,8 @@ def enumerate_count(
     """Vertex count by flip closure, holding only the live buckets."""
     dims = tuple(int(l) for l in dims)
     _check_guard(dims, cls, force)
-    start = seed(dims, cls)
-    return sum(len(b) for b in _graded_closure(start.poset, cls, start.mask))
+    p = ChainProduct(dims)
+    return sum(len(b) for b in _graded_closure(p, cls, _seed_mask(p, cls)))
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +396,7 @@ def oracle_enumerate(
             f"oracle scan of {dims} (volume {p.volume}) exceeds the "
             f"default guard of {guard} elements; pass force=True to insist"
         )
-    masks = oracle_ideal_masks(p)
-    ideals = (Ideal(p, m) for m in sorted(masks))
+    masks = sorted(oracle_ideal_masks(p))
     if cls is not None:
-        vertices = tuple(i for i in ideals if i.validate(cls))
-    else:
-        vertices = tuple(ideals)
-    return EnumerationResult(p, cls, vertices, ORACLE_DFS)
+        masks = [m for m in masks if validate_mask(p, m, cls)]
+    return EnumerationResult(p, cls, tuple(masks), ORACLE_DFS)

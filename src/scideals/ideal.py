@@ -1,7 +1,10 @@
 """Order ideals of chain products and their symmetry classes.
 
 An ideal is a downward-closed member set, stored as a bit mask over the
-poset's rank order.  The three symmetry classes build on each other:
+poset's rank order.  The mask is the data: an enumerated class is a
+tuple of masks, and `validate_mask` checks one mask without wrapping
+it.  `Ideal` is a view of one mask, for printing, records and the
+per-ideal algebra.  The three symmetry classes build on each other:
 
 * ``sc``    self-complementary: ``a`` is a member iff its dual is not,
             so the mask's bit reversal equals its complement and the
@@ -19,13 +22,19 @@ record round-trips.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .poset import CYCLIC, FULL, ChainProduct, Coords, ShapeError
+from .poset import (
+    CYCLIC,
+    FULL,
+    ChainProduct,
+    Coords,
+    ShapeError,
+    map_ranks,
+    ranks,
+)
 
 SC = "sc"
 CSSC = "cssc"
@@ -65,13 +74,7 @@ class Ideal:
         return [self.poset.unrank(r) for r in self.member_ranks()]
 
     def member_ranks(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return list(ranks(self.mask))
 
     @property
     def density(self) -> Fraction:
@@ -85,39 +88,8 @@ class Ideal:
         return self.poset.is_downward_closed(self.mask)
 
     def validate(self, cls: str | None = None) -> bool:
-        """Check downward closure plus the symmetry of ``cls``.
-
-        ``None`` checks closure only.  The classes nest, so a tssc
-        ideal validates for cssc and sc as well.
-        """
-        if not self.poset.is_downward_closed(self.mask):
-            return False
-        if cls is None:
-            return True
-        if cls not in CLASSES:
-            raise ValueError(f"unknown ideal class {cls!r}")
-        p = self.poset
-        if p.reverse_mask(self.mask) != p.full_mask & ~self.mask:
-            return False
-        if cls == SC:
-            return True
-        if not (p.is_cube() and p.dims[0] % 2 == 0):
-            raise ShapeError(
-                f"{cls} ideals live on even cubes [2r]^3, not {p.dims}"
-            )
-        if p.permute_mask(self.mask) != self.mask:
-            return False
-        if cls == CSSC:
-            return True
-        # full S3 invariance = cyclic invariance + one transposition
-        swp = p._perm_tables[1]
-        out = 0
-        m = self.mask
-        while m:
-            low = m & -m
-            out |= 1 << swp[low.bit_length() - 1]
-            m ^= low
-        return out == self.mask
+        """Check downward closure plus the symmetry of ``cls``."""
+        return validate_mask(self.poset, self.mask, cls)
 
     def maximal_elements(self) -> list[Coords]:
         """Members with no member above them, in rank order."""
@@ -230,11 +202,38 @@ class Ideal:
             }
         raise ValueError(f"unknown ideal record format {fmt!r}")
 
-    def to_json(self, fmt: str = "members") -> str:
-        return json.dumps(self.to_record(fmt))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Ideal(dims={self.poset.dims}, size={self.size})"
+
+
+def validate_mask(
+    p: ChainProduct, mask: int, cls: str | None = None
+) -> bool:
+    """Check downward closure plus the symmetry of ``cls``.
+
+    ``None`` checks closure only.  The classes nest, so a tssc mask
+    validates for cssc and sc as well.
+    """
+    if not p.is_downward_closed(mask):
+        return False
+    if cls is None:
+        return True
+    if cls not in CLASSES:
+        raise ValueError(f"unknown ideal class {cls!r}")
+    if p.reverse_mask(mask) != p.full_mask & ~mask:
+        return False
+    if cls == SC:
+        return True
+    if not (p.is_cube() and p.dims[0] % 2 == 0):
+        raise ShapeError(
+            f"{cls} ideals live on even cubes [2r]^3, not {p.dims}"
+        )
+    if p.permute_mask(mask) != mask:
+        return False
+    if cls == CSSC:
+        return True
+    # full S3 invariance = cyclic invariance + one transposition
+    return map_ranks(mask, p._perm_tables[1]) == mask
 
 
 # ----------------------------------------------------------------------

@@ -37,12 +37,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .enumeration import EnumerationResult
 from .ideal import CSSC, SC, TSSC, Ideal
-from .poset import CYCLIC, FULL, ChainProduct
+from .poset import CYCLIC, FULL, ChainProduct, ranks
+
+if TYPE_CHECKING:
+    from .enumeration import EnumerationResult
 
 WORKERS_ENV = "SCIDEALS_WORKERS"
 
@@ -397,7 +400,7 @@ def export(graph: FlipGraph, fmt: str, report: MetricReport | None = None) -> st
         payload = {
             "dims": list(enum.poset.dims),
             "class": enum.symmetry,
-            "vertices": [v.member_ranks() for v in enum.vertices],
+            "vertices": [list(ranks(m)) for m in enum.masks],
             "edges": [list(e) for e in graph.edges],
             "report": report.to_record(),
         }

@@ -5,7 +5,9 @@ A chain product is the coordinatewise partial order on tuples
 identified with its mixed-radix rank (coordinate 1 most significant),
 and that rank fixes a bit position: subsets of the poset are plain
 Python integers throughout the package, with bit ``r`` set iff the
-element of rank ``r`` belongs to the subset.
+element of rank ``r`` belongs to the subset.  `ranks` walks the set
+bits of a mask in ascending order, and `map_ranks` sends them through a
+rank table such as a coordinate permutation.
 
 The order-reversing involution ``phi(a) = (l_1+1-a_1, ..., l_d+1-a_d)``
 sends rank ``r`` to ``V-1-r`` where ``V`` is the number of elements, so
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 Coords = tuple[int, ...]
 
@@ -164,25 +166,15 @@ class ChainProduct:
         return self.volume - 1 - r
 
     def reverse_mask(self, mask: int) -> int:
-        """Image of a member mask under the order-reversing involution."""
-        v1 = self.volume - 1
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << (v1 - low.bit_length() + 1)
-            mask ^= low
-        return out
+        """Image of a member mask under the order-reversing involution.
+
+        Rank ``r`` goes to ``V-1-r``: the bit reversal of the mask
+        written out in ``V`` binary digits.
+        """
+        return int(format(mask, f"0{self.volume}b")[::-1], 2)
 
     # ------------------------------------------------------------------
     # covers
-
-    def lower_covers(self, a: Coords) -> list[Coords]:
-        a = self.check_element(a)
-        out = []
-        for k, c in enumerate(a):
-            if c > 1:
-                out.append(a[:k] + (c - 1,) + a[k + 1 :])
-        return out
 
     def upper_covers(self, a: Coords) -> list[Coords]:
         a = self.check_element(a)
@@ -258,33 +250,17 @@ class ChainProduct:
                 stuck |= up & (1 << (t // 2))
         return self.full_mask & ~stuck
 
-    def minimal_nonmember_mask(self, mask: int) -> int:
-        """Mask of non-members all of whose lower covers are members."""
-        comp = self.full_mask & ~mask
-        blocked = 0
-        for k in range(self.d):
-            # x is blocked if its lower cover along axis k is a non-member
-            blocked |= self.down_masks[k] & (comp << self.strides[k])
-        return comp & ~blocked
-
     # ------------------------------------------------------------------
     # octants (all dims even)
 
-    def octant(self, a: Coords) -> Coords:
-        """Which half of each axis the element sits in (0 = lower).
+    @cached_property
+    def octant_masks(self) -> dict[Coords, int]:
+        """Member mask of each octant, keyed by the 0/1 half-tuple.
 
         Only defined when every dimension is even, so the two halves
         are genuine halves and the involution swaps octant t with its
         complement 1-t coordinatewise.
         """
-        a = self.check_element(a)
-        if any(l % 2 for l in self.dims):
-            raise ShapeError("octants need every dimension even")
-        return tuple(int(c > l // 2) for c, l in zip(a, self.dims))
-
-    @cached_property
-    def octant_masks(self) -> dict[Coords, int]:
-        """Member mask of each octant, keyed by the 0/1 half-tuple."""
         if any(l % 2 for l in self.dims):
             raise ShapeError("octants need every dimension even")
         masks: dict[Coords, int] = {
@@ -304,27 +280,9 @@ class ChainProduct:
                 f"coordinate symmetry needs a cube [l]^3, got {self.dims}"
             )
 
-    def orbit(self, a: Coords, group: str = CYCLIC) -> set[Coords]:
-        """Orbit of an element under coordinate rotations or all of S3."""
-        self._require_cube()
-        a = self.check_element(a)
-        x, y, z = a
-        if group == CYCLIC:
-            return {(x, y, z), (y, z, x), (z, x, y)}
-        if group == FULL:
-            return set(itertools.permutations(a))
-        raise ValueError(f"unknown symmetry group {group!r}")
-
-    def permute_mask(self, mask: int, group: str = CYCLIC) -> int:
+    def permute_mask(self, mask: int) -> int:
         """Image of a mask under one generator rotation (x,y,z)->(y,z,x)."""
-        self._require_cube()
-        perm = self._perm_tables[0]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << perm[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return map_ranks(mask, self._perm_tables[0])
 
     @cached_property
     def _perm_tables(self) -> tuple[list[int], list[int]]:
@@ -436,3 +394,19 @@ class ChainProduct:
 def cube(side: int) -> ChainProduct:
     """The cube [side]^3, home of the symmetric ideal classes."""
     return ChainProduct((side, side, side))
+
+
+def ranks(mask: int) -> Iterator[int]:
+    """The set-bit positions of a mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def map_ranks(mask: int, table: Sequence[int]) -> int:
+    """The mask with bit ``table[r]`` set for every set bit ``r``."""
+    out = 0
+    for r in ranks(mask):
+        out |= 1 << table[r]
+    return out

@@ -76,7 +76,7 @@ from .metric import (
     metric_report,
     single_source_lengths,
 )
-from .poset import ShapeError
+from .poset import ShapeError, ranks
 
 SWEEP_MAX_VOLUME = 216
 ALL_PAIRS_LIMIT = 3000
@@ -619,11 +619,12 @@ def _suite_cssc(slow: bool) -> SuiteReport:
             conjectural=True,
             note="center membership proven; uniqueness only observed",
         )
-        must = cssc_must_include_points(r)
-        w1, w2 = cssc_witness_pair(r)
+        must = [enum.poset.rank(a) for a in cssc_must_include_points(r)]
+        w1, w2 = (enum.poset.rank(a) for a in cssc_witness_pair(r))
         bad = [
-            v.mask for v in enum.vertices
-            if not (all(m in v for m in must) and (w1 in v or w2 in v))
+            m for m in enum.masks
+            if not all(m >> i & 1 for i in must)
+            or not (m >> w1 | m >> w2) & 1
         ]
         s.check(
             f"r={r}: mandatory diagonal points and witness pair "
@@ -663,7 +664,7 @@ def _suite_cssc(slow: bool) -> SuiteReport:
         p_enum, _pc, p_f = _cssc_furthest(r - 1)
         prev_furthest: dict[int, int] = {}
         if r - 1 == 1:
-            prev_furthest = {p_enum.vertices[i].mask: 1 for i in p_f}
+            prev_furthest = {p_enum.masks[i]: 1 for i in p_f}
         else:
             prev_shells = {
                 shell_ideal(k, r - 1).members: k
@@ -671,7 +672,7 @@ def _suite_cssc(slow: bool) -> SuiteReport:
             }
             for i in p_f:
                 _core, sh = p_enum.vertices[i].core_shell()
-                prev_furthest[p_enum.vertices[i].mask] = prev_shells[
+                prev_furthest[p_enum.masks[i]] = prev_shells[
                     tuple(sorted(sh))
                 ]
         decompose_ok = True
@@ -688,7 +689,7 @@ def _suite_cssc(slow: bool) -> SuiteReport:
                 break
             observed.add((core.mask, shells[key]))
             rebuilt = compose_shell(core, sh)
-            decompose_ok = decompose_ok and rebuilt.mask == enum.vertices[i].mask
+            decompose_ok = decompose_ok and rebuilt.mask == enum.masks[i]
         s.check(
             f"r={r}: furthest = furthest core + shell, composing back",
             decompose_ok,
@@ -757,7 +758,7 @@ def _suite_tssc(slow: bool) -> SuiteReport:
         )
         enum = _enum(dims, TSSC)
         mand = tssc_mandatory(r).mask
-        bad = sum(1 for v in enum.vertices if mand & ~v.mask)
+        bad = sum(1 for m in enum.masks if mand & ~m)
         s.check(
             f"r={r}: mandatory region inside all {len(enum)} vertices",
             bad == 0,
@@ -771,11 +772,7 @@ def _suite_tssc(slow: bool) -> SuiteReport:
                 moved = enum.masks[u] & ~enum.masks[v]
                 if moved.bit_count() != 3 * w:
                     audit_ok = False
-                coords = [
-                    enum.poset.unrank(i)
-                    for i in range(enum.poset.volume)
-                    if moved >> i & 1
-                ]
+                coords = [enum.poset.unrank(i) for i in ranks(moved)]
                 distinct = all(len(set(a)) == 3 for a in coords)
                 repeated = all(len(set(a)) < 3 for a in coords)
                 if w == 2 and not distinct:

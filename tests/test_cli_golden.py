@@ -1,0 +1,53 @@
+"""Byte-identical CLI stdout: SHA-256 digests of a fixed command set.
+
+The digests pin the exact bytes each command writes, so any refactor
+that changes the output, even by whitespace or key order, fails here.
+They were recorded before the masks-first refactor of `enumeration`
+and must only change together with a deliberate change to the output.
+"""
+
+import hashlib
+
+import pytest
+
+from scideals import cli
+
+GOLDEN = {
+    "count --dims 2,3,4":
+        "cc69474df7d7065e99ecec87ccc59bf30ad7b77dd8050062ff85851382fcbdb9",
+    "count --dims 6,6,6 --class tssc --format text":
+        "10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58",
+    "enumerate --dims 2,3,4":
+        "b770e73ef8f0ccadb901f355eac395771985a92a65da857fb0f788aef11264ee",
+    "enumerate --dims 4,4":
+        "792df5ec0603393ee0bd1467bb9a1d5f26b7a77d3738565df4503c26358ec650",
+    "enumerate --dims 4,4,4 --class cssc --format heights":
+        "21eeb1642be4f0100eb89d772a598496b86777e69ab18eaa9960098001c71a59",
+    "enumerate --dims 6,6,6 --class tssc --format heights":
+        "ea8833cfbd5ae1674414c781966baf9fd8836f0487c62d5e530c9516146e9e98",
+    "stats --dims 2,3,4":
+        "cc1b7a40e133a4a5db68a21e8b303706d1395f0f050aa78f96390e4a0400e349",
+    "stats --dims 4,4 --format text":
+        "9d9f77b8be29d92c3f657adebeba1cdcaa1d12b5ceda1e05100b11cfe848f97f",
+    "stats --dims 6,6,6 --class tssc --format text":
+        "f310f8055a77dff388ac9d5eeb3a3d0ad875255da276bc089fc36cd3f80bf33e",
+    "stats --dims 4,4,4 --class cssc":
+        "26e6bf1fa72fbf3469e59ba6ae9a2d902caec09b5d11b96f22f7e111c98d4f8e",
+    "graph --dims 2,3,4":
+        "ec5b0ad88cb46aca9aaa49fdb325f545332aea15a4fd05d1e730ebeb92f73feb",
+    "graph --dims 4,4 --format json":
+        "e046de8e683bc26b916be0fc65a90b71f06dcc07537869b324ecb507008723f7",
+    "graph --dims 4,4,4 --class cssc --format json":
+        "170816f61c607b60094aa3be4f44c7545de1797330f045e298efaa542171bf76",
+    "graph --dims 6,6,6 --class tssc --format csv":
+        "5c95a5b3548d2c5ab9eb768e705f761b5b039c67bc8838c8d4e288c0d0205fb3",
+    "graph --dims 6,6,6 --class tssc --format dot":
+        "8361a6b9a4a98cbbcc3bf086c0da5cd0e49e6263acb26ac34bababd87d9e596b",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_digest(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -13,7 +13,7 @@ from scideals.enumeration import (
     oracle_enumerate,
     seed,
 )
-from scideals.ideal import CSSC, SC, TSSC
+from scideals.ideal import CSSC, SC, TSSC, Ideal
 from scideals.poset import ShapeError
 
 
@@ -89,6 +89,16 @@ def test_enumeration_is_canonically_sorted():
     assert enum.index[enum.masks[5]] == 5
 
 
+def test_enumerations_hold_masks_and_build_views_on_demand(monkeypatch):
+    built = []
+    monkeypatch.setattr(Ideal, "__post_init__", lambda v: built.append(v))
+    enum = enumerate_ideals((2, 3, 4), SC)
+    assert oracle_enumerate((2, 3, 4), SC).masks == enum.masks
+    assert built == []
+    assert [v.mask for v in enum.vertices] == list(enum.masks)
+    assert len(built) == len(enum) == 18
+
+
 def test_flip_closure_matches_oracle_scan():
     for dims, cls in (((2, 3), SC), ((4, 4), SC), ((2, 3, 4), SC),
                       ((4, 4, 4), CSSC), ((4, 4, 4), TSSC)):
@@ -117,7 +127,7 @@ def test_oracle_volume_guard():
         oracle_enumerate((4, 4, 4), CSSC)
 
 
-def test_partial_enumeration_cap():
+def test_partial_enumeration_cap(capsys):
     # the cap is checked after each finished key bucket, so the error
     # reports more vertices than the cap
     with pytest.raises(PartialEnumerationError) as info:
@@ -127,11 +137,14 @@ def test_partial_enumeration_cap():
     assert enumerate_ideals((2, 3, 4), SC, cap=18).masks == (
         enumerate_ideals((2, 3, 4), SC).masks
     )
-    with pytest.raises(
-        PartialEnumerationError,
-        match=r"^enumeration exceeded cap=5 \(\d+ vertices reached\)$",
-    ):
-        cli.main(["enumerate", "--dims", "2,3,4", "--cap", "5"])
+    # the CLI reports it as a library error, not a traceback
+    assert cli.main(["enumerate", "--dims", "2,3,4", "--cap", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"scideals: error: enumeration exceeded cap=5 "
+        f"({info.value.visited} vertices reached)\n"
+    )
 
 
 def test_empty_class_guard_for_symmetric_odd():

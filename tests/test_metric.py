@@ -5,7 +5,7 @@ import json
 import pytest
 
 from scideals.enumeration import enumerate_ideals
-from scideals.ideal import CSSC, SC, TSSC, from_heights
+from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights
 from scideals.metric import (
     build_graph,
     distance,
@@ -104,12 +104,11 @@ def test_symmetric_distance_divides_by_orbit():
     assert distance(a, b, TSSC) * 3 == a.difference_size(b)
     with pytest.raises(ValueError):
         # mixing classes produces a non-divisible difference
+        # the first such sc vertex in canonical order, found on the
+        # masks and wrapped as an Ideal only once found
         sc = enumerate_ideals((6, 6, 6), SC, force=True)
-        bad = next(
-            v for v in sc.vertices
-            if v.difference_size(a) % 3
-        )
-        distance(a, bad, TSSC)
+        bad = next(m for m in sc.masks if (m & ~a.mask).bit_count() % 3)
+        distance(a, Ideal(sc.poset, bad), TSSC)
 
 
 def test_dijkstra_agrees_with_formula_on_weighted_graph():

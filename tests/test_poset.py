@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from scideals.poset import ChainProduct, ShapeError, cube
+from scideals.poset import CYCLIC, ChainProduct, ShapeError, cube
 
 
 def test_rank_unrank_roundtrip():
@@ -120,7 +120,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         _ = cube(3).octant_masks
     with pytest.raises(ShapeError):
-        ChainProduct((2, 3)).orbit((1, 1))  # symmetry needs a cube
+        ChainProduct((2, 3)).orbit_structure(CYCLIC)  # symmetry needs a cube
 
 
 def test_volume_and_strides():
