@@ -34,13 +34,7 @@ from .enumeration import (
     enumerate_ideals,
 )
 from .ideal import CLASSES, SC
-from .metric import (
-    build_graph,
-    eccentricity_csv,
-    export,
-    metric_report,
-    resolve_workers,
-)
+from .metric import build_graph, eccentricity_csv, export, metric_report
 from .poset import ShapeError
 from .verify import SUITES, junit_xml, overall_status, run_all
 
@@ -116,7 +110,7 @@ def _cmd_enumerate(args, parser) -> int:
 
 def _cmd_stats(args, parser) -> int:
     enum = enumerate_ideals(args.dims, args.cls, force=args.force)
-    report = metric_report(enum, workers=resolve_workers(args.workers))
+    report = metric_report(enum)
     if args.format == "text":
         lines = [
             f"class {args.cls} on {'x'.join(map(str, args.dims))}",
@@ -138,7 +132,7 @@ def _cmd_graph(args, parser) -> int:
     enum = enumerate_ideals(args.dims, args.cls, force=args.force)
     graph = build_graph(enum)
     if args.format == "csv":
-        report = metric_report(enum, workers=resolve_workers(args.workers))
+        report = metric_report(enum)
         _emit(args, eccentricity_csv(report))
     elif args.format == "dot":
         _emit(args, export(graph, "dot"))
@@ -230,18 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="diameter, radius, center, perimeter")
     add_common(p)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: SCIDEALS_WORKERS, "
-                        "else the CPU count)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("graph", help="export the flip graph")
     add_common(p)
     p.add_argument("--format", choices=("dot", "json", "csv"),
                    default="dot")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads for --format csv (default: "
-                        "SCIDEALS_WORKERS, else the CPU count)")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("extremal", help="named construction ideals")

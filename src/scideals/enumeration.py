@@ -39,7 +39,7 @@ up to two keys ahead are kept, and ``enumerate_count`` sums bucket
 sizes without holding the whole class.
 
 An `EnumerationResult` holds the class as its sorted member masks.
-Everything computed over a class (the vertex index, the metric sweep,
+Everything computed over a class (the vertex index, the metric report,
 the flip graph, the exports) reads the masks; the `Ideal` views in
 ``vertices`` are built only when first asked for.
 

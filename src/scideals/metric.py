@@ -12,10 +12,17 @@ Vertices are the ideals of one class on one poset.  Edges:
 The key fact driving everything here is that the geodesic distance has
 a closed form: ``|I \\ J|`` for sc, and ``|I \\ J| / 3`` for the two
 symmetric classes (the difference set is a union of non-diagonal
-orbits, so the division is exact).  All-pairs metrics therefore reduce
-to popcounts of ``mask_u & ~mask_v``, which `metric_report` evaluates
-in bulk over numpy uint64 limbs instead of walking the graph.  The
-graph itself (adjacency, Dijkstra) is kept as the slow cross-check.
+orbits, so the division is exact).  One row of distances is therefore
+one popcount of ``masks & ~mask_v`` over numpy uint64 limbs.  Every
+member of a class has the same size, so ``|I \\ J| = |J \\ I|`` and
+the distance is a metric; `metric_report` uses that to get every
+eccentricity exactly from a few rows, by the lower and upper bounds of
+Takes and Kosters (*Determining the diameter of small world networks*,
+CIKM 2011; *Computing the eccentricity distribution of large graphs*,
+Algorithms 2013), instead of all n.  For cssc and tssc it first checks,
+in O(n V), that the masks are closed under the symmetry, so every
+division by 3 is exact.  The graph itself (adjacency, Dijkstra) is
+kept as the slow cross-check.
 
 The flip kernels are bit-parallel: for a self-complementary mask the
 dual image equals the complement, so "every lower cover of the incoming
@@ -33,9 +40,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -46,12 +51,6 @@ from .poset import CYCLIC, FULL, ChainProduct, ranks
 
 if TYPE_CHECKING:
     from .enumeration import EnumerationResult
-
-WORKERS_ENV = "SCIDEALS_WORKERS"
-
-#: soft bound (bytes) on one worker's pairwise block in the metric sweep
-_SWEEP_BLOCK_BYTES = 32 << 20
-
 
 # ----------------------------------------------------------------------
 # flip kernels
@@ -239,10 +238,12 @@ def shortest_path_oracle(graph: FlipGraph, u: int, v: int) -> int:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Exact flip-graph metrics, all derived from one eccentricity sweep.
+    """Exact flip-graph metrics, all derived from the eccentricities.
 
     An empty class reports zero diameter and radius with empty center
     and perimeter; a single vertex is both central and peripheral.
+    ``rows`` is the number of distance rows computed: bookkeeping only,
+    so it takes no part in equality and stays out of the record.
     """
 
     dims: tuple[int, ...]
@@ -252,6 +253,7 @@ class MetricReport:
     radius: int
     center: tuple[int, ...]
     perimeter: tuple[int, ...]
+    rows: int = field(default=0, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -270,86 +272,114 @@ class MetricReport:
         }
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the environment override, else cpu count."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        workers = int(env) if env else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+#: soft bound (bytes) on the bits unpacked at once by the closure check
+_UNPACK_BYTES = 8 << 20
 
 
 def _pack_masks(masks: tuple[int, ...], volume: int) -> np.ndarray:
+    """The masks as an (n, limbs) uint64 array; rank r is bit r."""
     limbs = (volume + 63) // 64
     nbytes = limbs * 8
-    arr = np.empty((len(masks), limbs), dtype=np.uint64)
-    for i, m in enumerate(masks):
-        arr[i] = np.frombuffer(m.to_bytes(nbytes, "little"), dtype=np.uint64)
-    return arr
+    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    return np.frombuffer(buf, dtype=np.uint64).reshape(len(masks), limbs)
 
 
-def _ecc_block(
-    arr: np.ndarray, comp: np.ndarray, lo: int, hi: int, divisor: int
-) -> np.ndarray:
-    diff = arr[lo:hi, None, :] & comp[None, :, :]
-    counts = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
-    if divisor != 1:
-        if (counts % divisor).any():
+def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
+    """Raise unless every difference ``I \\ J`` is a union of 3-orbits.
+
+    It is when every mask is fixed by the rotation ``(x,y,z)->(y,z,x)``
+    and all masks agree on the diagonal points ``(a,a,a)``, the only
+    points the rotation fixes: a difference is then rotation-closed and
+    off the diagonal, so its size divides by 3.  The bits are unpacked
+    a slab of rows at a time.
+    """
+    V = p.volume
+    rot = np.asarray(p._perm_tables[0])
+    l = p.dims[0]
+    diag = np.arange(l) * (l * l + l + 1)
+
+    def unpack(rows: np.ndarray) -> np.ndarray:
+        return np.unpackbits(
+            rows.view(np.uint8), axis=1, count=V, bitorder="little"
+        )
+
+    first = unpack(arr[:1])[0, diag]
+    step = max(1, _UNPACK_BYTES // V)
+    for lo in range(0, len(arr), step):
+        bits = unpack(arr[lo:lo + step])
+        if (bits[:, rot] != bits).any() or (bits[:, diag] != first).any():
             raise ValueError(
                 "pairwise difference not divisible by the orbit size; "
                 "vertex set is not closed under the symmetry"
             )
-        counts //= divisor
-    return counts.max(axis=1)
 
 
-def metric_report(
-    enum: EnumerationResult, workers: int | None = None
-) -> MetricReport:
-    """Diameter, radius, center and perimeter by a bulk popcount sweep.
+def _eccentricities(arr: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
+    """Exact eccentricities by bound-and-refine, and the rows it took.
 
-    The pairwise distance is ``popcount(mask_u & ~mask_v)`` (divided by
-    3 for the symmetric classes), so one row of the distance matrix is
-    a vectorized AND-NOT and popcount over uint64 limbs.  Rows are
-    processed in blocks sized to keep the intermediate array small, and
-    blocks are spread over a thread pool (numpy releases the GIL).
+    Each vertex ``w`` carries bounds ``lo[w] <= ecc(w) <= hi[w]``.  One
+    distance row from ``v`` gives ``ecc(v) = max d`` and, by the
+    triangle inequality, ``max(d, ecc(v) - d) <= ecc <= ecc(v) + d``
+    everywhere.  Rows are taken from the unresolved vertices (``lo <
+    hi``), alternately the largest ``hi`` and the smallest ``lo``, ties
+    to the lowest id, until every bound meets.
     """
-    dims = enum.poset.dims
+    cap = arr.shape[1] * 64  # above every distance
+    lo = np.zeros(len(arr), dtype=np.int64)
+    hi = np.full(len(arr), cap, dtype=np.int64)
+    rows = 0
+    while True:
+        unresolved = lo < hi
+        if not unresolved.any():
+            return lo, rows
+        if rows % 2:
+            v = np.where(unresolved, lo, cap).argmin()
+        else:
+            v = np.where(unresolved, hi, -1).argmax()
+        d = np.bitwise_count(arr & ~arr[v]).sum(axis=1, dtype=np.int64)
+        if divisor != 1:
+            d //= divisor
+        e = d.max()
+        np.maximum(lo, np.maximum(d, e - d), out=lo)
+        np.minimum(hi, d + e, out=hi)
+        rows += 1
+
+
+def metric_report(enum: EnumerationResult) -> MetricReport:
+    """Diameter, radius, center and perimeter from a few distance rows.
+
+    The distance is ``popcount(mask_u & ~mask_v)`` (divided by 3 for
+    the symmetric classes), so one row of the distance matrix is a
+    vectorized AND-NOT and popcount over uint64 limbs.  Every member of
+    a class has the same size, so ``|I \\ J| = |J \\ I|``: the distance
+    is a metric, and the eccentricity bounds of Takes and Kosters
+    (`_eccentricities`) resolve every vertex exactly from far fewer
+    than n rows.  For cssc and tssc the masks are first checked to be
+    closed under the symmetry, which makes every division by 3 exact.
+    """
     cls = enum.symmetry
-    n = len(enum)
-    if n == 0:
-        return MetricReport(dims, cls, (), 0, 0, (), ())
-    divisor = 3 if cls in (CSSC, TSSC) else 1
-    arr = _pack_masks(enum.masks, enum.poset.volume)
-    comp = ~arr  # junk high bits are harmless: every mask is 0 there
-    limbs = arr.shape[1]
-    block = max(1, _SWEEP_BLOCK_BYTES // max(1, n * limbs * 8))
-    ranges = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-    workers = resolve_workers(workers)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: _ecc_block(arr, comp, r[0], r[1], divisor),
-                    ranges,
-                )
-            )
-    else:
-        parts = [_ecc_block(arr, comp, lo, hi, divisor) for lo, hi in ranges]
-    ecc = np.concatenate(parts)
+    if cls is None:
+        raise ValueError("metric_report needs a class-filtered enumeration")
+    p = enum.poset
+    if not enum.masks:
+        return MetricReport(p.dims, cls, (), 0, 0, (), ())
+    arr = _pack_masks(enum.masks, p.volume)
+    divisor = 1
+    if cls in (CSSC, TSSC):
+        _check_orbit_closed(p, arr)
+        divisor = 3
+    ecc, rows = _eccentricities(arr, divisor)
     diameter = int(ecc.max())
     radius = int(ecc.min())
-    center = tuple(int(i) for i in np.flatnonzero(ecc == radius))
-    perimeter = tuple(int(i) for i in np.flatnonzero(ecc == diameter))
     return MetricReport(
-        dims,
+        p.dims,
         cls,
-        tuple(int(e) for e in ecc),
+        tuple(ecc.tolist()),
         diameter,
         radius,
-        center,
-        perimeter,
+        tuple(np.flatnonzero(ecc == radius).tolist()),
+        tuple(np.flatnonzero(ecc == diameter).tolist()),
+        rows,
     )
 
 

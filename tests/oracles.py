@@ -1,19 +1,27 @@
-"""Slow, independent references for the flip kernels and the flip closure.
+"""Slow, independent references for the flip kernels, the flip closure
+and the metric report.
 
 These are the straightforward forms the fast code in ``scideals`` must
 agree with: the sc kernel as an explicit per-axis shifted-complement
 test, the orbit kernel as a loop over orbits with a whole-mask closure
 check, orbits found from ``unrank``/``rank`` and coordinate
-permutations, and the closure as a two-way breadth-first search with a
-global visited set.
+permutations, the closure as a two-way breadth-first search with a
+global visited set, and the metric report as the full n x n
+AND-NOT/popcount sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from scideals.ideal import CSSC, SC
+import numpy as np
+
+from scideals.ideal import CSSC, SC, TSSC
+from scideals.metric import MetricReport
 from scideals.poset import CYCLIC, FULL, ChainProduct
+
+#: soft bound (bytes) on one pairwise block of the metric sweep
+SWEEP_BLOCK_BYTES = 32 << 20
 
 
 def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:
@@ -105,3 +113,50 @@ def bfs_masks(p: ChainProduct, cls: str, start: int) -> set[int]:
                     fresh.append(nm)
         frontier = fresh
     return visited
+
+
+def _ecc_block(
+    arr: np.ndarray, comp: np.ndarray, lo: int, hi: int, divisor: int
+) -> np.ndarray:
+    diff = arr[lo:hi, None, :] & comp[None, :, :]
+    counts = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+    if divisor != 1:
+        if (counts % divisor).any():
+            raise ValueError(
+                "pairwise difference not divisible by the orbit size; "
+                "vertex set is not closed under the symmetry"
+            )
+        counts //= divisor
+    return counts.max(axis=1)
+
+
+def metric_report(enum) -> MetricReport:
+    """The report from every pairwise distance, swept in row blocks."""
+    p = enum.poset
+    cls = enum.symmetry
+    n = len(enum)
+    if n == 0:
+        return MetricReport(p.dims, cls, (), 0, 0, (), ())
+    divisor = 3 if cls in (CSSC, TSSC) else 1
+    limbs = (p.volume + 63) // 64
+    arr = np.empty((n, limbs), dtype=np.uint64)
+    for i, m in enumerate(enum.masks):
+        arr[i] = np.frombuffer(m.to_bytes(limbs * 8, "little"), dtype=np.uint64)
+    comp = ~arr  # junk high bits are harmless: every mask is 0 there
+    block = max(1, SWEEP_BLOCK_BYTES // (n * limbs * 8))
+    ecc = np.concatenate([
+        _ecc_block(arr, comp, lo, min(lo + block, n), divisor)
+        for lo in range(0, n, block)
+    ])
+    diameter = int(ecc.max())
+    radius = int(ecc.min())
+    return MetricReport(
+        p.dims,
+        cls,
+        tuple(int(e) for e in ecc),
+        diameter,
+        radius,
+        tuple(int(i) for i in np.flatnonzero(ecc == radius)),
+        tuple(int(i) for i in np.flatnonzero(ecc == diameter)),
+        n,
+    )

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from scideals.enumeration import enumerate_ideals
+import oracles
+from scideals import verify
+from scideals.enumeration import (
+    EnumerationResult,
+    enumerate_ideals,
+    oracle_enumerate,
+)
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights
 from scideals.metric import (
     build_graph,
@@ -14,6 +20,7 @@ from scideals.metric import (
     export,
     flip_neighbors,
     metric_report,
+    sc_flip_masks,
     shortest_path_oracle,
     single_source_lengths,
 )
@@ -144,8 +151,41 @@ def test_metric_report_center_and_perimeter_partition():
     assert report.perimeter == tuple(
         i for i, e in enumerate(ecc) if e == report.diameter
     )
-    # halving workers must not change anything
-    assert metric_report(enum, workers=2) == report
+
+
+def test_metric_report_matches_full_sweep():
+    shapes = [
+        (dims, SC) for dims in verify._all_pairs_instances()
+        if verify._sc_count(dims) <= 500
+    ]
+    shapes += [((2 * r,) * 3, CSSC) for r in (1, 2, 3, 4)]
+    shapes += [((2 * r,) * 3, TSSC) for r in (1, 2, 3, 4, 5)]
+    for dims, cls in shapes:
+        enum = enumerate_ideals(dims, cls, force=True)
+        report = metric_report(enum)
+        assert report == oracles.metric_report(enum), (dims, cls)
+        assert 1 <= report.rows <= len(enum)
+
+
+def test_bounds_need_few_rows():
+    enum = enumerate_ideals((12, 12, 12), TSSC)
+    report = metric_report(enum)
+    assert report.rows < len(enum) // 4
+    assert "rows" not in report.to_record()
+
+
+def test_symmetry_closure_is_checked():
+    good = enumerate_ideals((6, 6, 6), TSSC)
+    a = good.masks[0]
+    bad = sc_flip_masks(good.poset, a)[0]  # one sc flip: difference 1
+    enum = EnumerationResult(good.poset, TSSC, tuple(sorted((a, bad))), "hand")
+    with pytest.raises(ValueError, match="not divisible by the orbit size"):
+        metric_report(enum)
+
+
+def test_metric_report_needs_a_class():
+    with pytest.raises(ValueError, match="class-filtered"):
+        metric_report(oracle_enumerate((2, 3, 4)))
 
 
 def test_exports_are_consistent():
