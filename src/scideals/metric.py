@@ -21,8 +21,11 @@ Takes and Kosters (*Determining the diameter of small world networks*,
 CIKM 2011; *Computing the eccentricity distribution of large graphs*,
 Algorithms 2013), instead of all n.  For cssc and tssc it first checks,
 in O(n V), that the masks are closed under the symmetry, so every
-division by 3 is exact.  The graph itself (adjacency, Dijkstra) is
-kept as the slow cross-check.
+division by 3 is exact.  The graph itself is kept as the slow
+cross-check: `build_graph` runs the kernel at every vertex, and
+`single_source_lengths` searches it with Dial's bucket queue (the
+weights are 1 or 2); heap Dijkstra is the test oracle in
+``tests/oracles.py``.
 
 The flip kernels are bit-parallel: for a self-complementary mask the
 dual image equals the complement, so "every lower cover of the incoming
@@ -37,7 +40,6 @@ in `enumeration` can ask for the forward flips only.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -165,28 +167,32 @@ class FlipGraph:
         return len(self.enumeration)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def adjacency(self) -> tuple[list[tuple[int, int]], ...]:
+        """(neighbor, weight) lists per vertex, in no particular order."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(adj)
 
 
 def build_graph(enum: EnumerationResult) -> FlipGraph:
     """Materialize edges by running the flip kernel at every vertex.
 
-    Every neighbor must land back in the vertex set and every edge must
-    be discovered from both endpoints with the same weight; anything
-    else means the kernel and the enumeration disagree, which is a bug
-    worth crashing on.
+    Every neighbor must land back in the vertex set, and every edge must
+    be discovered exactly once from each endpoint, with the same weight;
+    anything else means the kernel and the enumeration disagree, which
+    is a bug worth crashing on.  Each hit ``(u, v, w)`` goes to ``fwd``
+    when ``u < v`` and, as ``(v, u, w)``, to ``bwd`` otherwise; the
+    check is that the two sorted lists are equal and repeat no pair.
     """
     cls = enum.symmetry
     if cls is None:
         raise ValueError("build_graph needs a class-filtered enumeration")
     p = enum.poset
     idx = enum.index
-    hits: dict[tuple[int, int], list[int]] = {}
+    fwd: list[tuple[int, int, int]] = []
+    bwd: list[tuple[int, int, int]] = []
     for u, m in enumerate(enum.masks):
         for nm, w in flip_masks(p, m, cls):
             v = idx.get(nm)
@@ -194,34 +200,57 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
                 raise RuntimeError(
                     f"flip neighbor of vertex {u} escaped the vertex set"
                 )
-            key = (u, v) if u < v else (v, u)
-            hits.setdefault(key, []).append(w)
-    edges = []
-    for (u, v), ws in sorted(hits.items()):
-        if len(ws) != 2 or ws[0] != ws[1]:
-            raise RuntimeError(
-                f"asymmetric flip between vertices {u} and {v}: {ws}"
-            )
-        edges.append((u, v, ws[0]))
-    return FlipGraph(enum, tuple(edges))
+            if u < v:
+                fwd.append((u, v, w))
+            else:
+                bwd.append((v, u, w))
+    fwd.sort()
+    bwd.sort()
+    if fwd != bwd or len({(u, v) for u, v, _w in fwd}) != len(fwd):
+        raise RuntimeError(_first_asymmetric(fwd, bwd))
+    return FlipGraph(enum, tuple(fwd))
+
+
+def _first_asymmetric(fwd: list, bwd: list) -> str:
+    """The message for the first pair not hit exactly once from each end."""
+    hits: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for side, found in enumerate((fwd, bwd)):
+        for u, v, w in found:
+            hits.setdefault((u, v), ([], []))[side].append(w)
+    return next(
+        f"asymmetric flip between vertices {u} and {v}: {ws_u + ws_v}"
+        for (u, v), (ws_u, ws_v) in sorted(hits.items())
+        if len(ws_u) != 1 or ws_u != ws_v
+    )
 
 
 def single_source_lengths(graph: FlipGraph, source: int) -> list[int]:
-    """Dijkstra from one vertex; the reference for the distance formula."""
-    n = graph.n
-    dist = [math.inf] * n
+    """Shortest path lengths from one vertex by Dial's bucket queue.
+
+    Edge weights are small positive integers (1 or 2), so the queue is a
+    list of buckets indexed by distance (Dial, *Algorithm 360*, CACM
+    1969): buckets are scanned in increasing order, and an entry whose
+    vertex has since been reached by a shorter path is skipped.  This
+    is the search that cross-checks the distance formula; unreached
+    vertices keep ``math.inf``.
+    """
+    dist = [math.inf] * graph.n
     dist[source] = 0
-    heap = [(0, source)]
     adj = graph.adjacency
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    buckets = [[source]]
+    # weights are positive, so a scan only appends to later buckets,
+    # and the enumerate also visits buckets appended while it runs
+    for d, bucket in enumerate(buckets):
+        for u in bucket:
+            if dist[u] != d:
+                continue
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    while len(buckets) <= nd:
+                        buckets.append([])
+                    buckets[nd].append(v)
     return dist
 
 
@@ -384,16 +413,18 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
 
 
 def distances_from(enum: EnumerationResult, ideal: Ideal) -> list[int]:
-    """Distances from one ideal to every enumerated vertex (exact)."""
-    divisor = 3 if enum.symmetry in (CSSC, TSSC) else 1
+    """Distances from one ideal to every enumerated vertex (exact).
+
+    ``|I \\ J|`` is taken as ``|I| - |I & J|``: no mask is complemented.
+    """
     m = ideal.mask
-    out = []
-    for other in enum.masks:
-        diff = (m & ~other).bit_count()
-        if diff % divisor:
-            raise ValueError("difference size not divisible by orbit size")
-        out.append(diff // divisor)
-    return out
+    size = m.bit_count()
+    row = [size - (m & o).bit_count() for o in enum.masks]
+    if enum.symmetry not in (CSSC, TSSC):
+        return row
+    if any(d % 3 for d in row):
+        raise ValueError("difference size not divisible by orbit size")
+    return [d // 3 for d in row]
 
 
 # ----------------------------------------------------------------------

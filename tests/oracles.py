@@ -6,13 +6,16 @@ agree with: the sc kernel as an explicit per-axis shifted-complement
 test, the orbit kernel as a loop over orbits with a whole-mask closure
 check, orbits found from ``unrank``/``rank`` and coordinate
 permutations, the closure as a two-way breadth-first search with a
-global visited set, and the metric report as the full n x n
-AND-NOT/popcount sweep.
+global visited set, the metric report as the full n x n
+AND-NOT/popcount sweep, and shortest paths as heap Dijkstra over the
+graph's edge list.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -160,3 +163,24 @@ def metric_report(enum) -> MetricReport:
         tuple(int(i) for i in np.flatnonzero(ecc == diameter)),
         n,
     )
+
+
+def dijkstra_lengths(graph, source: int) -> list[int]:
+    """Heap Dijkstra from one vertex, on adjacency built from ``edges``."""
+    adj = [[] for _ in range(graph.n)]
+    for u, v, w in graph.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    dist = [math.inf] * graph.n
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist

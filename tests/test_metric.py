@@ -1,11 +1,12 @@
 """Flip kernels, graphs, and metric reports against hand-built graphs."""
 
 import json
+import math
 
 import pytest
 
 import oracles
-from scideals import verify
+from scideals import metric, verify
 from scideals.enumeration import (
     EnumerationResult,
     enumerate_ideals,
@@ -13,6 +14,7 @@ from scideals.enumeration import (
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights
 from scideals.metric import (
+    FlipGraph,
     build_graph,
     distance,
     distances_from,
@@ -105,17 +107,28 @@ def test_distance_is_difference_size():
     assert distance(a, a, SC) == 0
 
 
-def test_symmetric_distance_divides_by_orbit():
+@pytest.fixture(scope="module")
+def tssc_and_foreign_sc():
+    """A tssc r=3 enumeration, its vertex 0, and the first sc mask on
+    the same cube whose difference from it is not divisible by 3.
+
+    The sc vertex is the first such one in canonical order, found on
+    the masks and wrapped as an Ideal only once found.
+    """
     enum = enumerate_ideals((6, 6, 6), TSSC)
-    a, b = enum.vertices[0], enum.vertices[1]
+    a = enum.vertices[0]
+    sc = enumerate_ideals((6, 6, 6), SC, force=True)
+    bad = next(m for m in sc.masks if (m & ~a.mask).bit_count() % 3)
+    return enum, a, Ideal(sc.poset, bad)
+
+
+def test_symmetric_distance_divides_by_orbit(tssc_and_foreign_sc):
+    enum, a, bad = tssc_and_foreign_sc
+    b = enum.vertices[1]
     assert distance(a, b, TSSC) * 3 == a.difference_size(b)
     with pytest.raises(ValueError):
         # mixing classes produces a non-divisible difference
-        # the first such sc vertex in canonical order, found on the
-        # masks and wrapped as an Ideal only once found
-        sc = enumerate_ideals((6, 6, 6), SC, force=True)
-        bad = next(m for m in sc.masks if (m & ~a.mask).bit_count() % 3)
-        distance(a, Ideal(sc.poset, bad), TSSC)
+        distance(a, bad, TSSC)
 
 
 def test_dijkstra_agrees_with_formula_on_weighted_graph():
@@ -132,13 +145,91 @@ def test_dijkstra_agrees_with_formula_on_weighted_graph():
     )
 
 
+def test_bucket_queue_matches_heap_dijkstra():
+    shapes = [((2 * r,) * 3, TSSC) for r in (3, 4, 5)]
+    shapes += [((2 * r,) * 3, CSSC) for r in (2, 3)]
+    shapes += [(dims, SC) for dims in ((2, 3, 4), (4, 4), (2, 2, 2, 2))]
+    for dims, cls in shapes:
+        graph = build_graph(enumerate_ideals(dims, cls))
+        for u in range(graph.n):
+            assert single_source_lengths(graph, u) == \
+                oracles.dijkstra_lengths(graph, u), (dims, cls, u)
+
+
+def test_disconnected_graph_has_unreached_vertices():
+    full = enumerate_ideals((2, 3, 4), SC)
+    enum = EnumerationResult(full.poset, SC, full.masks[:2], "hand")
+    graph = FlipGraph(enum, ())
+    assert single_source_lengths(graph, 0) == [0, math.inf]
+    with pytest.raises(ValueError, match="not connected"):
+        shortest_path_oracle(graph, 0, 1)
+
+
+def test_build_graph_rejects_an_escaping_neighbor():
+    full = enumerate_ideals((2, 3, 4), SC)
+    enum = EnumerationResult(full.poset, SC, full.masks[1:], "hand")
+    with pytest.raises(RuntimeError, match="escaped the vertex set"):
+        build_graph(enum)
+
+
+def _patch_first_vertex(monkeypatch, edit):
+    """Replace ``flip_masks`` at vertex 0 of sc (2,3,4) by ``edit(pairs)``."""
+    enum = enumerate_ideals((2, 3, 4), SC)
+    first = enum.masks[0]
+    kernel = metric.flip_masks
+
+    def patched(p, mask, cls):
+        pairs = kernel(p, mask, cls)
+        return edit(pairs) if mask == first else pairs
+
+    monkeypatch.setattr(metric, "flip_masks", patched)
+    return enum
+
+
+def test_build_graph_rejects_a_one_way_flip(monkeypatch):
+    enum = _patch_first_vertex(monkeypatch, lambda pairs: pairs[1:])
+    with pytest.raises(
+        RuntimeError, match=r"asymmetric flip between vertices 0 and \d+: \[1\]"
+    ):
+        build_graph(enum)
+
+
+def test_build_graph_rejects_a_repeated_neighbor(monkeypatch):
+    enum = _patch_first_vertex(monkeypatch, lambda pairs: pairs + pairs[:1])
+    with pytest.raises(
+        RuntimeError,
+        match=r"asymmetric flip between vertices 0 and \d+: \[1, 1, 1\]",
+    ):
+        build_graph(enum)
+
+
+def test_build_graph_rejects_a_neighbor_repeated_from_both_ends(monkeypatch):
+    # every vertex emits each neighbor twice: the two sides still agree,
+    # so only the check for repeated pairs catches it
+    kernel = metric.flip_masks
+    monkeypatch.setattr(
+        metric, "flip_masks", lambda p, mask, cls: 2 * kernel(p, mask, cls)
+    )
+    with pytest.raises(
+        RuntimeError,
+        match=r"asymmetric flip between vertices 0 and \d+: \[1, 1, 1, 1\]",
+    ):
+        build_graph(enumerate_ideals((2, 3, 4), SC))
+
+
 def test_distances_from_matches_pairwise():
-    enum = enumerate_ideals((4, 4), SC)
-    for i, v in enumerate(enum.vertices):
-        row = distances_from(enum, v)
-        assert row == [
-            distance(v, w, SC) for w in enum.vertices
-        ]
+    for dims, cls in (((4, 4), SC), ((4, 4, 4), CSSC), ((6, 6, 6), TSSC)):
+        enum = enumerate_ideals(dims, cls)
+        for v in enum.vertices:
+            assert distances_from(enum, v) == [
+                distance(v, w, cls) for w in enum.vertices
+            ], (dims, cls)
+
+
+def test_distances_from_checks_divisibility(tssc_and_foreign_sc):
+    enum, _a, bad = tssc_and_foreign_sc
+    with pytest.raises(ValueError, match="not divisible by orbit size"):
+        distances_from(enum, bad)
 
 
 def test_metric_report_center_and_perimeter_partition():
