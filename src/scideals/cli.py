@@ -34,7 +34,13 @@ from .enumeration import (
     enumerate_ideals,
 )
 from .ideal import CLASSES, SC
-from .metric import build_graph, eccentricity_csv, export, metric_report
+from .metric import (
+    build_graph,
+    eccentricity_csv,
+    graph_dot,
+    graph_record,
+    metric_report,
+)
 from .poset import ShapeError
 from .verify import SUITES, junit_xml, overall_status, run_all
 
@@ -91,13 +97,13 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
-    enum = enumerate_ideals(args.dims, args.cls, cap=args.cap,
-                            force=args.force)
     if args.format == "heights" and len(args.dims) != 3:
         parser.error(
             f"the heights format is only defined for three dimensions, "
             f"got {len(args.dims)}"
         )
+    enum = enumerate_ideals(args.dims, args.cls, cap=args.cap,
+                            force=args.force)
     fmt = "heights" if args.format == "heights" else "members"
     payload = {
         "meta": _meta(args, enum.method),
@@ -130,15 +136,16 @@ def _cmd_stats(args, parser) -> int:
 
 def _cmd_graph(args, parser) -> int:
     enum = enumerate_ideals(args.dims, args.cls, force=args.force)
-    graph = build_graph(enum)
     if args.format == "csv":
-        report = metric_report(enum)
-        _emit(args, eccentricity_csv(report))
-    elif args.format == "dot":
-        _emit(args, export(graph, "dot"))
+        _emit(args, eccentricity_csv(metric_report(enum)))
+        return 0
+    graph = build_graph(enum)
+    report = metric_report(enum)
+    if args.format == "dot":
+        _emit(args, graph_dot(graph, report))
     else:
         payload = {"meta": _meta(args, enum.method)}
-        payload.update(json.loads(export(graph, "json")))
+        payload.update(graph_record(graph, report))
         _emit(args, _dump(payload))
     return 0
 

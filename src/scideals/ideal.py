@@ -3,8 +3,10 @@
 An ideal is a downward-closed member set, stored as a bit mask over the
 poset's rank order.  The mask is the data: an enumerated class is a
 tuple of masks, and `validate_mask` checks one mask without wrapping
-it.  `Ideal` is a view of one mask, for printing, records and the
-per-ideal algebra.  The three symmetry classes build on each other:
+it.  `Ideal` is a view of one mask, for printing, records, heights
+matrices and the core/shell split; the flip kernels and the metrics
+work on masks directly.  The three symmetry classes build on each
+other:
 
 * ``sc``    self-complementary: ``a`` is a member iff its dual is not,
             so the mask's bit reversal equals its complement and the
@@ -24,17 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .poset import (
-    CYCLIC,
-    FULL,
-    ChainProduct,
-    Coords,
-    ShapeError,
-    map_ranks,
-    ranks,
-)
+from .poset import ChainProduct, Coords, ShapeError, map_ranks, ranks
 
 SC = "sc"
 CSSC = "cssc"
@@ -91,51 +85,11 @@ class Ideal:
         """Check downward closure plus the symmetry of ``cls``."""
         return validate_mask(self.poset, self.mask, cls)
 
-    def maximal_elements(self) -> list[Coords]:
-        """Members with no member above them, in rank order."""
-        p = self.poset
-        return Ideal(p, p.maximal_mask(self.mask)).members()
-
-    def dual_image(self) -> "Ideal":
-        """The (upward-closed) dual image, returned as a raw member set."""
-        return Ideal(self.poset, self.poset.reverse_mask(self.mask))
-
-    # ------------------------------------------------------------------
-    # octants
-
-    def octant_counts(self) -> dict[Coords, int]:
-        """Member count inside every octant (all dims even)."""
-        return {
-            t: (self.mask & m).bit_count()
-            for t, m in self.poset.octant_masks.items()
-        }
-
-    # ------------------------------------------------------------------
-    # set algebra
-
-    def _check_same_poset(self, other: "Ideal") -> None:
+    def difference_size(self, other: "Ideal") -> int:
+        """|self \\ other|, the flip distance numerator."""
         if self.poset.dims != other.poset.dims:
             raise ShapeError("ideals live on different posets")
-
-    def intersection(self, other: "Ideal") -> "Ideal":
-        self._check_same_poset(other)
-        return Ideal(self.poset, self.mask & other.mask)
-
-    def union(self, other: "Ideal") -> "Ideal":
-        self._check_same_poset(other)
-        return Ideal(self.poset, self.mask | other.mask)
-
-    def difference(self, other: "Ideal") -> list[Coords]:
-        self._check_same_poset(other)
-        return Ideal(self.poset, self.mask & ~other.mask).members()
-
-    def difference_size(self, other: "Ideal") -> int:
-        self._check_same_poset(other)
         return (self.mask & ~other.mask).bit_count()
-
-    def symmetric_difference_size(self, other: "Ideal") -> int:
-        self._check_same_poset(other)
-        return (self.mask ^ other.mask).bit_count()
 
     # ------------------------------------------------------------------
     # heights matrices (three-dimensional posets)
@@ -240,21 +194,6 @@ def validate_mask(
 # constructors
 
 
-def from_members(
-    poset: ChainProduct, members: Iterable[Coords | int]
-) -> Ideal:
-    """Build an ideal from member tuples or ranks (checked for closure)."""
-    mask = 0
-    for m in members:
-        r = m if isinstance(m, int) else poset.rank(m)
-        if not 0 <= r < poset.volume:
-            raise ValueError(f"rank {r} out of range")
-        mask |= 1 << r
-    if not poset.is_downward_closed(mask):
-        raise SymmetryError("member set is not downward closed")
-    return Ideal(poset, mask)
-
-
 def from_heights(
     dims: Sequence[int], heights: Sequence[Sequence[int]]
 ) -> Ideal:
@@ -277,24 +216,3 @@ def from_heights(
     if not p.is_downward_closed(mask):
         raise SymmetryError("heights matrix is not weakly decreasing")
     return Ideal(p, mask)
-
-
-def from_record(record: dict) -> Ideal:
-    """Parse an ideal record produced by :meth:`Ideal.to_record`."""
-    dims = tuple(record["dims"])
-    if "members" in record:
-        return from_members(ChainProduct(dims), record["members"])
-    if "heights" in record:
-        return from_heights(dims, record["heights"])
-    raise ValueError("ideal record needs a 'members' or 'heights' key")
-
-
-def symmetry_group(cls: str) -> str | None:
-    """The coordinate group a class is closed under (None for plain sc)."""
-    if cls == CSSC:
-        return CYCLIC
-    if cls == TSSC:
-        return FULL
-    if cls == SC:
-        return None
-    raise ValueError(f"unknown ideal class {cls!r}")

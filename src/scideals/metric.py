@@ -25,7 +25,9 @@ division by 3 is exact.  The graph itself is kept as the slow
 cross-check: `build_graph` runs the kernel at every vertex, and
 `single_source_lengths` searches it with Dial's bucket queue (the
 weights are 1 or 2); heap Dijkstra is the test oracle in
-``tests/oracles.py``.
+``tests/oracles.py``.  `graph_dot` and `graph_record` give a built
+graph as DOT text or as a JSON-ready dict; `eccentricity_csv` needs
+only the report.
 
 The flip kernels are bit-parallel: for a self-complementary mask the
 dual image equals the complement, so "every lower cover of the incoming
@@ -40,7 +42,6 @@ in `enumeration` can ask for the forward flips only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -122,14 +123,6 @@ def flip_masks(
     if cls == TSSC:
         return orbit_flip_masks(p, mask, FULL)
     raise ValueError(f"unknown ideal class {cls!r}")
-
-
-def flip_neighbors(ideal: Ideal, cls: str = SC) -> list[tuple[Ideal, int]]:
-    """Neighbors of one ideal, sorted canonically (ascending mask)."""
-    p = ideal.poset
-    pairs = flip_masks(p, ideal.mask, cls)
-    pairs.sort()
-    return [(Ideal(p, m), w) for m, w in pairs]
 
 
 # ----------------------------------------------------------------------
@@ -252,13 +245,6 @@ def single_source_lengths(graph: FlipGraph, source: int) -> list[int]:
                         buckets.append([])
                     buckets[nd].append(v)
     return dist
-
-
-def shortest_path_oracle(graph: FlipGraph, u: int, v: int) -> int:
-    d = single_source_lengths(graph, u)[v]
-    if d is math.inf:
-        raise ValueError(f"vertices {u} and {v} are not connected")
-    return int(d)
 
 
 # ----------------------------------------------------------------------
@@ -428,45 +414,43 @@ def distances_from(enum: EnumerationResult, ideal: Ideal) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# export
+# output
 
 
-def export(graph: FlipGraph, fmt: str, report: MetricReport | None = None) -> str:
-    """Serialize a graph as DOT or JSON, coloring center and perimeter.
+def graph_dot(graph: FlipGraph, report: MetricReport) -> str:
+    """The graph in DOT, coloring center and perimeter.
 
-    The DOT form fills center vertices blue and perimeter vertices red
-    (center wins when the graph is so small a vertex is both), and
-    writes the edge weight as an attribute.
+    Center vertices are filled blue and perimeter vertices red (center
+    wins when the graph is so small a vertex is both), and the edge
+    weight is written as an attribute.
     """
-    if report is None:
-        report = metric_report(graph.enumeration)
-    if fmt == "dot":
-        center = set(report.center)
-        perimeter = set(report.perimeter)
-        lines = ["graph flips {", "  node [style=filled fillcolor=white];"]
-        for u in range(graph.n):
-            attrs = []
-            if u in center:
-                attrs.append('color=blue fillcolor="#c8d8f8"')
-            elif u in perimeter:
-                attrs.append('color=red fillcolor="#f8d0c8"')
-            body = f" [{' '.join(attrs)}]" if attrs else ""
-            lines.append(f"  v{u}{body};")
-        for u, v, w in graph.edges:
-            lines.append(f"  v{u} -- v{v} [weight={w}];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        enum = graph.enumeration
-        payload = {
-            "dims": list(enum.poset.dims),
-            "class": enum.symmetry,
-            "vertices": [list(ranks(m)) for m in enum.masks],
-            "edges": [list(e) for e in graph.edges],
-            "report": report.to_record(),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown graph export format {fmt!r}")
+    center = set(report.center)
+    perimeter = set(report.perimeter)
+    lines = ["graph flips {", "  node [style=filled fillcolor=white];"]
+    for u in range(graph.n):
+        attrs = []
+        if u in center:
+            attrs.append('color=blue fillcolor="#c8d8f8"')
+        elif u in perimeter:
+            attrs.append('color=red fillcolor="#f8d0c8"')
+        body = f" [{' '.join(attrs)}]" if attrs else ""
+        lines.append(f"  v{u}{body};")
+    for u, v, w in graph.edges:
+        lines.append(f"  v{u} -- v{v} [weight={w}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_record(graph: FlipGraph, report: MetricReport) -> dict:
+    """The graph as a JSON-ready record: member ranks, edges, report."""
+    enum = graph.enumeration
+    return {
+        "dims": list(enum.poset.dims),
+        "class": enum.symmetry,
+        "vertices": [list(ranks(m)) for m in enum.masks],
+        "edges": [list(e) for e in graph.edges],
+        "report": report.to_record(),
+    }
 
 
 def eccentricity_csv(report: MetricReport) -> str:

@@ -30,6 +30,12 @@ Coords = tuple[int, ...]
 CYCLIC = "cyclic"
 FULL = "full"
 
+#: the coordinate permutations of each symmetry group of a cube
+_GROUPS = {
+    CYCLIC: ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+    FULL: tuple(itertools.permutations(range(3))),
+}
+
 
 class ShapeError(ValueError):
     """The poset's shape does not support the requested operation."""
@@ -43,25 +49,16 @@ class ElementError(ValueError):
 class Orbit:
     """A symmetry orbit of elements, with its dual image precomputed.
 
-    ``weight`` is |orbit| / 3, the edge weight a flip of this orbit
-    contributes in the symmetric flip graphs (1 for an orbit of three
-    elements, 2 for a full S3 orbit of six).  Diagonal points form
-    singleton orbits and get weight 0; they are never flippable because
-    a point with all coordinates equal can never swap with its dual
+    A flip of this orbit weighs |orbit| / 3 in the symmetric flip
+    graphs (1 for an orbit of three elements, 2 for a full S3 orbit of
+    six).  Diagonal points form singleton orbits and never flip: a
+    point with all coordinates equal can never swap with its dual
     without breaking the symmetry one element at a time.
     """
 
     ranks: Coords
     mask: int
     dual_mask: int
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    @property
-    def weight(self) -> int:
-        return len(self.ranks) // 3
 
 
 @dataclass(frozen=True)
@@ -156,15 +153,6 @@ class ChainProduct:
     # ------------------------------------------------------------------
     # duality
 
-    def dual(self, a: Coords) -> Coords:
-        a = self.check_element(a)
-        return tuple(l + 1 - c for c, l in zip(a, self.dims))
-
-    def dual_rank(self, r: int) -> int:
-        if not (0 <= r < self.volume):
-            raise ElementError(f"rank {r} out of range for {self.dims}")
-        return self.volume - 1 - r
-
     def reverse_mask(self, mask: int) -> int:
         """Image of a member mask under the order-reversing involution.
 
@@ -172,17 +160,6 @@ class ChainProduct:
         written out in ``V`` binary digits.
         """
         return int(format(mask, f"0{self.volume}b")[::-1], 2)
-
-    # ------------------------------------------------------------------
-    # covers
-
-    def upper_covers(self, a: Coords) -> list[Coords]:
-        a = self.check_element(a)
-        out = []
-        for k, c in enumerate(a):
-            if c < self.dims[k]:
-                out.append(a[:k] + (c + 1,) + a[k + 1 :])
-        return out
 
     # ------------------------------------------------------------------
     # axis masks: the bit-parallel machinery
@@ -298,7 +275,34 @@ class ChainProduct:
             swp.append(x * ll + z * l + y)
         return rot, swp
 
-    def _orbit_structure(self, group: str) -> tuple[list[Orbit], list[int]]:
+    @cached_property
+    def _orbit_memo(self) -> dict[str, tuple[list[Orbit], list[int]]]:
+        return {}
+
+    @cached_property
+    def _flips_memo(self) -> dict[str, OrbitFlips]:
+        return {}
+
+    def orbit_structure(self, group: str) -> tuple[list[Orbit], list[int]]:
+        """(orbits, rank -> orbit index) under ``group``, built once."""
+        found = self._orbit_memo.get(group)
+        if found is None:
+            found = self._orbit_memo[group] = self._build_orbits(group)
+        return found
+
+    def orbit_flips(self, group: str) -> OrbitFlips:
+        """Orbit flip tables under ``group``, built once.
+
+        The flip kernel asks at every vertex, so a repeat call is one
+        dict lookup.  The build lives in `_build_flips`: its generator's
+        closure cells would otherwise be made on every call here.
+        """
+        found = self._flips_memo.get(group)
+        if found is None:
+            found = self._flips_memo[group] = self._build_flips(group)
+        return found
+
+    def _build_orbits(self, group: str) -> tuple[list[Orbit], list[int]]:
         """Orbits in order of their smallest rank, from coordinates.
 
         With zero-based coordinates the rank of ``(x, y, z)`` is
@@ -306,11 +310,8 @@ class ChainProduct:
         element seen of each orbit is its smallest.
         """
         self._require_cube()
-        if group == CYCLIC:
-            perms = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-        elif group == FULL:
-            perms = tuple(itertools.permutations(range(3)))
-        else:
+        perms = _GROUPS.get(group)
+        if perms is None:
             raise ValueError(f"unknown symmetry group {group!r}")
         l = self.dims[0]
         ll = l * l
@@ -329,24 +330,7 @@ class ChainProduct:
             orbits.append(Orbit(tuple(ranks), mask, dmask))
         return orbits, orbit_of
 
-    @cached_property
-    def cyclic_orbits(self) -> tuple[list[Orbit], list[int]]:
-        """(orbits, rank -> orbit index) under coordinate rotations."""
-        return self._orbit_structure(CYCLIC)
-
-    @cached_property
-    def full_orbits(self) -> tuple[list[Orbit], list[int]]:
-        """(orbits, rank -> orbit index) under all coordinate permutations."""
-        return self._orbit_structure(FULL)
-
-    def orbit_structure(self, group: str) -> tuple[list[Orbit], list[int]]:
-        if group == CYCLIC:
-            return self.cyclic_orbits
-        if group == FULL:
-            return self.full_orbits
-        raise ValueError(f"unknown symmetry group {group!r}")
-
-    def _orbit_flips(self, group: str) -> OrbitFlips:
+    def _build_flips(self, group: str) -> OrbitFlips:
         # a corner's images under the group are corners along the
         # permuted axes, so testing each orbit's smallest rank suffices
         orbits, orbit_of = self.orbit_structure(group)
@@ -358,32 +342,15 @@ class ChainProduct:
         for o, ob in enumerate(orbits):
             r = ob.ranks[0]
             x, rest = divmod(r, ll)
-            if ob.size == 1 or any(
+            if len(ob.ranks) == 1 or any(
                 c < l - 1 and orbit_of[v1 - r - s] == o
                 for c, s in zip((x, *divmod(rest, l)), (ll, l, 1))
             ):
                 continue
             movable |= ob.mask
             reps |= 1 << r
-            swaps[r] = (ob.mask, ob.mask | ob.dual_mask, ob.weight)
+            swaps[r] = (ob.mask, ob.mask | ob.dual_mask, len(ob.ranks) // 3)
         return OrbitFlips(movable, reps, swaps)
-
-    @cached_property
-    def cyclic_flips(self) -> OrbitFlips:
-        """Orbit flip tables under coordinate rotations."""
-        return self._orbit_flips(CYCLIC)
-
-    @cached_property
-    def full_flips(self) -> OrbitFlips:
-        """Orbit flip tables under all coordinate permutations."""
-        return self._orbit_flips(FULL)
-
-    def orbit_flips(self, group: str) -> OrbitFlips:
-        if group == CYCLIC:
-            return self.cyclic_flips
-        if group == FULL:
-            return self.full_flips
-        raise ValueError(f"unknown symmetry group {group!r}")
 
     # ------------------------------------------------------------------
 

@@ -318,12 +318,7 @@ def _suite_counts(slow: bool) -> SuiteReport:
             want,
         )
         assert count_closed((2 * r,) * 3, CSSC) == want
-    tssc_rs = ((1, 1), (2, 2), (3, 7), (4, 42), (5, 429))
-    if slow:
-        tssc_rs += ((6, 7436),)
-    else:
-        s.skip("tssc count r=6", "7436-vertex enumeration runs with --slow")
-    for r, want in tssc_rs:
+    for r, want in ((1, 1), (2, 2), (3, 7), (4, 42), (5, 429), (6, 7436)):
         s.equal(
             f"tssc count r={r}",
             enumerate_count((2 * r,) * 3, TSSC),
@@ -723,15 +718,12 @@ def _suite_cssc(slow: bool) -> SuiteReport:
 
 
 def _suite_tssc(slow: bool) -> SuiteReport:
-    """The fully symmetric cube battery, r <= 5 (r=6 behind --slow)."""
+    """The fully symmetric cube battery, r <= 6."""
     s = _Suite("tssc")
     diameters = {1: 0, 2: 1, 3: 5, 4: 14, 5: 30, 6: 55}
     radii = {1: 0, 2: 1, 3: 3, 4: 7, 5: 15, 6: 28}
     center_sizes = {1: 1, 2: 2, 3: 1, 4: 1, 5: 8}
-    rs = (1, 2, 3, 4, 5, 6) if slow else (1, 2, 3, 4, 5)
-    if not slow:
-        s.skip("r=6 battery", "7436-vertex sweep runs with --slow")
-    for r in rs:
+    for r in (1, 2, 3, 4, 5, 6):
         dims = (2 * r,) * 3
         rep = _report(dims, TSSC)
         s.equal(f"r={r}: diameter", rep.diameter, tssc_diameter_value(r))

@@ -4,7 +4,8 @@ and the metric report.
 These are the straightforward forms the fast code in ``scideals`` must
 agree with: the sc kernel as an explicit per-axis shifted-complement
 test, the orbit kernel as a loop over orbits with a whole-mask closure
-check, orbits found from ``unrank``/``rank`` and coordinate
+check, upper covers element by element (the reference for
+``maximal_mask``), orbits found from ``unrank``/``rank`` and coordinate
 permutations, the closure as a two-way breadth-first search with a
 global visited set, the metric report as the full n x n
 AND-NOT/popcount sweep, and shortest paths as heap Dijkstra over the
@@ -56,6 +57,15 @@ def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:
         ra = low.bit_length() - 1
         out.append(mask ^ low ^ (1 << (v1 - ra)))
     return out
+
+
+def upper_covers(p: ChainProduct, a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The elements ``a + e_k`` inside the poset, one per axis."""
+    return [
+        a[:k] + (c + 1,) + a[k + 1:]
+        for k, c in enumerate(a)
+        if c < p.dims[k]
+    ]
 
 
 def orbits(p: ChainProduct, group: str) -> list[tuple[int, ...]]:

@@ -207,7 +207,6 @@ def test_criterion_7c_tssc_metrics_and_r5_center():
     assert time.monotonic() - t0 < 300
 
 
-@pytest.mark.slow
 def test_criterion_7d_tssc_r6_metrics():
     t0 = time.monotonic()
     enum = enumerate_ideals((12, 12, 12), TSSC)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from scideals.ideal import (
     CSSC,
     SC,
@@ -9,11 +10,9 @@ from scideals.ideal import (
     Ideal,
     SymmetryError,
     from_heights,
-    from_members,
-    from_record,
-    symmetry_group,
 )
-from scideals.poset import ChainProduct, ShapeError
+from scideals.metric import flip_masks, orbit_flip_masks, sc_flip_masks
+from scideals.poset import CYCLIC, FULL, ChainProduct, ShapeError
 
 from reference_data import (
     CSSC_R2_HEIGHTS,
@@ -30,7 +29,8 @@ def test_self_complementary_definition():
     assert ideal.validate(SC)
     p = ideal.poset
     for a in p.elements():
-        assert (a in ideal) != (p.dual(a) in ideal)
+        dual = tuple(l + 1 - c for c, l in zip(a, p.dims))
+        assert (a in ideal) != (dual in ideal)
     assert ideal.size == p.volume // 2
 
 
@@ -78,16 +78,20 @@ def test_heights_must_be_weakly_decreasing():
         from_heights((2, 2, 2), [[1, 2], [0, 0]])
 
 
+def _mask(ranks):
+    return sum(1 << r for r in ranks)
+
+
 def test_from_members_and_ranks():
     members = heights_members(TSSC_CENTER_R3_HEIGHTS)
     p = ChainProduct((6, 6, 6))
-    ideal = from_members(p, members)
+    ideal = Ideal(p, _mask({p.rank(a) for a in members}))
     assert ideal.size == len(members) == 108
     assert ideal.validate(TSSC)
-    again = from_members(p, ideal.member_ranks())
+    again = Ideal(p, _mask(ideal.member_ranks()))
     assert again.mask == ideal.mask
-    with pytest.raises(SymmetryError):
-        from_members(p, [(6, 6, 6)])  # top element alone is not an ideal
+    # the top element alone is not an ideal
+    assert not Ideal(p, 1 << p.rank((6, 6, 6))).is_ideal()
 
 
 def test_symmetry_classes_are_nested():
@@ -112,32 +116,39 @@ def test_cssc_but_not_tssc():
 
 
 def test_symmetry_group_names():
-    assert symmetry_group(SC) is None
-    assert symmetry_group(CSSC) == "cyclic"
-    assert symmetry_group(TSSC) == "full"
+    # each class flips under its coordinate group: none, cyclic, full
+    hub = from_heights((4,) * 3, CSSC_R2_HEIGHTS[0])
+    p, m = hub.poset, hub.mask
+    assert flip_masks(p, m, SC) == [(n, 1) for n in sc_flip_masks(p, m)]
+    assert flip_masks(p, m, CSSC) == orbit_flip_masks(p, m, CYCLIC)
+    assert flip_masks(p, m, TSSC) == orbit_flip_masks(p, m, FULL)
     with pytest.raises(ValueError):
-        symmetry_group("nope")
+        flip_masks(p, m, "nope")
 
 
 def test_dual_image_complements_sc_ideals():
     ideal = from_heights((2, 3, 4), [[4, 4, 2], [2, 0, 0]])
-    dual = ideal.dual_image()
-    assert dual.mask == ~ideal.mask & ideal.poset.full_mask
+    dual = ideal.poset.reverse_mask(ideal.mask)
+    assert dual == ~ideal.mask & ideal.poset.full_mask
 
 
 def test_set_operations_and_difference_sizes():
     a = from_heights((2, 3, 4), [[4, 4, 2], [2, 0, 0]])
     b = from_heights((2, 3, 4), [[4, 4, 4], [0, 0, 0]])
     assert a.difference_size(b) == b.difference_size(a) == 2
-    assert a.symmetric_difference_size(b) == 4
-    assert a.intersection(b).size == 10
-    assert a.union(b).size == 14
-    assert len(a.difference(b)) == 2  # the moved points themselves
+    assert (a.mask ^ b.mask).bit_count() == 4
+    assert (a.mask & b.mask).bit_count() == 10
+    assert (a.mask | b.mask).bit_count() == 14
+    # the moved points themselves
+    assert len(Ideal(a.poset, a.mask & ~b.mask).members()) == 2
 
 
 def test_octant_counts_sum_to_size():
     ideal = from_heights((8,) * 3, CSSC_SHELL6_CARRIER_R4)
-    counts = ideal.octant_counts()
+    counts = {
+        t: (ideal.mask & m).bit_count()
+        for t, m in ideal.poset.octant_masks.items()
+    }
     assert sum(counts.values()) == ideal.size == 8 ** 3 // 2
     # complementary octants hold complementary counts
     for t, n in counts.items():
@@ -147,11 +158,13 @@ def test_octant_counts_sum_to_size():
 
 def test_maximal_elements():
     ideal = from_heights((2, 3, 4), [[4, 4, 2], [2, 0, 0]])
-    maxima = ideal.maximal_elements()
+    p = ideal.poset
+    maxima = Ideal(p, p.maximal_mask(ideal.mask)).members()
     assert set(maxima) == {(1, 2, 4), (1, 3, 2), (2, 1, 2)}
-    for a in maxima:
-        for b in ideal.poset.upper_covers(a):
-            assert b not in ideal
+    # a member is maximal iff none of its upper covers is a member
+    for a in ideal.members():
+        covered = any(b in ideal for b in oracles.upper_covers(p, a))
+        assert covered != (a in maxima)
 
 
 def test_core_shell_roundtrip():
@@ -169,6 +182,8 @@ def test_core_shell_roundtrip():
 
 def test_record_round_trip():
     ideal = from_heights((2, 3, 4), [[4, 4, 2], [2, 0, 0]])
-    for fmt in ("members", "heights"):
-        rec = ideal.to_record(fmt)
-        assert from_record(rec).mask == ideal.mask
+    rec = ideal.to_record("members")
+    assert rec["dims"] == [2, 3, 4]
+    assert Ideal(ideal.poset, _mask(rec["members"])) == ideal
+    rec = ideal.to_record("heights")
+    assert from_heights(rec["dims"], rec["heights"]).mask == ideal.mask

@@ -11,6 +11,7 @@ from scideals.enumeration import (
     EnumerationResult,
     enumerate_ideals,
     oracle_enumerate,
+    seed,
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights
 from scideals.metric import (
@@ -19,11 +20,11 @@ from scideals.metric import (
     distance,
     distances_from,
     eccentricity_csv,
-    export,
-    flip_neighbors,
+    flip_masks,
+    graph_dot,
+    graph_record,
     metric_report,
     sc_flip_masks,
-    shortest_path_oracle,
     single_source_lengths,
 )
 
@@ -91,35 +92,32 @@ def test_tssc_graph_r3_weights_match_hand_drawn():
 
 def test_flip_neighbors_are_mutual_and_unit_distance():
     enum = enumerate_ideals((2, 3, 4), SC)
-    for v in enum.vertices:
-        for n, w in flip_neighbors(v, SC):
+    p = enum.poset
+    for m in enum.masks:
+        for n, w in flip_masks(p, m, SC):
             assert w == 1
-            assert distance(v, n, SC) == 1
-            assert any(
-                back.mask == v.mask for back, _w in flip_neighbors(n, SC)
-            )
+            assert distance(Ideal(p, m), Ideal(p, n), SC) == 1
+            assert any(back == m for back, _w in flip_masks(p, n, SC))
 
 
 def test_distance_is_difference_size():
     enum = enumerate_ideals((2, 3, 4), SC)
     a, b = enum.vertices[0], enum.vertices[-1]
-    assert distance(a, b, SC) == len(a.difference(b))
+    moved = Ideal(a.poset, a.mask & ~b.mask).members()
+    assert distance(a, b, SC) == len(moved)
     assert distance(a, a, SC) == 0
 
 
 @pytest.fixture(scope="module")
 def tssc_and_foreign_sc():
-    """A tssc r=3 enumeration, its vertex 0, and the first sc mask on
-    the same cube whose difference from it is not divisible by 3.
-
-    The sc vertex is the first such one in canonical order, found on
-    the masks and wrapped as an Ideal only once found.
-    """
+    """A tssc r=3 enumeration, its vertex 0, and an sc ideal on the
+    same cube whose difference from it is not divisible by 3: the sc
+    seed, with ``|S \\ T0| = 32``."""
     enum = enumerate_ideals((6, 6, 6), TSSC)
     a = enum.vertices[0]
-    sc = enumerate_ideals((6, 6, 6), SC, force=True)
-    bad = next(m for m in sc.masks if (m & ~a.mask).bit_count() % 3)
-    return enum, a, Ideal(sc.poset, bad)
+    bad = seed((6, 6, 6), SC)
+    assert bad.difference_size(a) % 3
+    return enum, a, bad
 
 
 def test_symmetric_distance_divides_by_orbit(tssc_and_foreign_sc):
@@ -140,9 +138,6 @@ def test_dijkstra_agrees_with_formula_on_weighted_graph():
             assert lengths[v] == distance(
                 enum.vertices[u], enum.vertices[v], TSSC
             )
-    assert shortest_path_oracle(graph, 0, len(enum) - 1) == distance(
-        enum.vertices[0], enum.vertices[-1], TSSC
-    )
 
 
 def test_bucket_queue_matches_heap_dijkstra():
@@ -161,8 +156,6 @@ def test_disconnected_graph_has_unreached_vertices():
     enum = EnumerationResult(full.poset, SC, full.masks[:2], "hand")
     graph = FlipGraph(enum, ())
     assert single_source_lengths(graph, 0) == [0, math.inf]
-    with pytest.raises(ValueError, match="not connected"):
-        shortest_path_oracle(graph, 0, 1)
 
 
 def test_build_graph_rejects_an_escaping_neighbor():
@@ -283,9 +276,9 @@ def test_exports_are_consistent():
     enum = enumerate_ideals((4, 4, 4), CSSC)
     graph = build_graph(enum)
     report = metric_report(enum)
-    dot = export(graph, "dot")
+    dot = graph_dot(graph, report)
     assert dot.count(" -- ") == len(graph.edges)
-    payload = json.loads(export(graph, "json", report))
+    payload = json.loads(json.dumps(graph_record(graph, report)))
     assert len(payload["vertices"]) == 4
     assert len(payload["edges"]) == 3
     assert payload["report"]["diameter"] == 2

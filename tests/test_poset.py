@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from scideals.poset import CYCLIC, ChainProduct, ShapeError, cube
+from scideals.poset import CYCLIC, FULL, ChainProduct, ShapeError, cube
 
 
 def test_rank_unrank_roundtrip():
@@ -33,13 +33,13 @@ def test_dual_rank_is_an_order_reversing_involution():
     p = ChainProduct((2, 3, 4))
     for r in range(p.volume):
         a = p.unrank(r)
-        dr = p.dual_rank(r)
-        assert p.unrank(dr) == tuple(
+        dual = p.reverse_mask(1 << r)
+        # rank and dual rank mirror around the midpoint
+        assert dual == 1 << (p.volume - 1 - r)
+        assert p.unrank(dual.bit_length() - 1) == tuple(
             l + 1 - c for l, c in zip(p.dims, a)
         )
-        assert p.dual_rank(dr) == r
-    # rank and dual rank mirror around the midpoint
-    assert all(p.dual_rank(r) == p.volume - 1 - r for r in range(p.volume))
+        assert p.reverse_mask(dual) == 1 << r
 
 
 def test_reverse_mask_mirrors_membership():
@@ -47,7 +47,7 @@ def test_reverse_mask_mirrors_membership():
     mask = 0b001011
     rev = p.reverse_mask(mask)
     for r in range(p.volume):
-        assert (rev >> r & 1) == (mask >> p.dual_rank(r) & 1)
+        assert (rev >> r & 1) == (mask >> (p.volume - 1 - r) & 1)
 
 
 def test_up_down_masks_are_cover_indicators():
@@ -74,7 +74,7 @@ def test_octant_masks_partition_even_cube():
 
 def test_cyclic_orbits_have_size_one_or_three():
     p = cube(4)
-    orbits, table = p.cyclic_orbits
+    orbits, table = p.orbit_structure(CYCLIC)
     total = 0
     for orbit in orbits:
         assert len(orbit.ranks) in (1, 3)
@@ -91,7 +91,7 @@ def test_cyclic_orbits_have_size_one_or_three():
 
 def test_full_orbits_have_size_one_three_or_six():
     p = cube(4)
-    orbits, _table = p.full_orbits
+    orbits, _table = p.orbit_structure(FULL)
     sizes = sorted(len(o.ranks) for o in orbits)
     assert set(sizes) <= {1, 3, 6}
     assert sum(sizes) == p.volume
@@ -121,6 +121,18 @@ def test_shape_errors():
         _ = cube(3).octant_masks
     with pytest.raises(ShapeError):
         ChainProduct((2, 3)).orbit_structure(CYCLIC)  # symmetry needs a cube
+    with pytest.raises(ShapeError):
+        ChainProduct((2, 3)).orbit_flips(FULL)
+    with pytest.raises(ValueError, match="unknown symmetry group"):
+        cube(2).orbit_flips("dihedral")
+
+
+def test_orbit_tables_are_built_once_per_group():
+    p = cube(4)
+    for group in (CYCLIC, FULL):
+        assert p.orbit_structure(group) is p.orbit_structure(group)
+        assert p.orbit_flips(group) is p.orbit_flips(group)
+    assert p.orbit_flips(CYCLIC) != p.orbit_flips(FULL)
 
 
 def test_volume_and_strides():

@@ -5,15 +5,16 @@ property is still an exact statement about the drawn instance; the
 randomness only picks which instances get checked this run.
 """
 
+import functools
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from scideals.constructions import sc_diameter_value
 from scideals.enumeration import enumerate_ideals, oracle_ideal_masks, seed
-from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights
-from scideals.metric import distance, flip_neighbors
-from scideals.poset import ChainProduct
+from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights, validate_mask
+from scideals.metric import distance, flip_masks
+from scideals.poset import ChainProduct, ranks
 
 SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -52,20 +53,21 @@ def symmetric_instances(draw):
 @given(sc_instances(1))
 def test_flips_are_mutual_unit_steps(drawn):
     enum, (v,) = drawn
-    for n, w in flip_neighbors(v, SC):
+    p = v.poset
+    for n, w in flip_masks(p, v.mask, SC):
         assert w == 1
-        assert n.validate(SC)
-        assert v.symmetric_difference_size(n) == 2  # one dual pair moved
-        assert any(back.mask == v.mask for back, _ in flip_neighbors(n, SC))
+        assert validate_mask(p, n, SC)
+        assert (v.mask ^ n).bit_count() == 2  # one dual pair moved
+        assert any(back == v.mask for back, _ in flip_masks(p, n, SC))
 
 
 @SETTINGS
 @given(symmetric_instances())
 def test_symmetric_flips_stay_in_class(drawn):
     enum, v, _, cls = drawn
-    for n, w in flip_neighbors(v, cls):
-        assert n.validate(cls)
-        assert distance(v, n, cls) == w
+    for n, w in flip_masks(v.poset, v.mask, cls):
+        assert validate_mask(v.poset, n, cls)
+        assert distance(v, Ideal(v.poset, n), cls) == w
 
 
 @SETTINGS
@@ -90,10 +92,10 @@ def test_distance_never_exceeds_diameter_formula(drawn):
 def test_sc_complement_rule(drawn):
     enum, (a, b) = drawn
     p = enum.poset
-    assert a.dual_image().mask == p.full_mask & ~a.mask
+    assert p.reverse_mask(a.mask) == p.full_mask & ~a.mask
     # difference against the involution partner covers a quarter bound:
     # |a ∩ b| + |a \ b| = V/2, and d(a, b) = |a \ b|
-    assert a.intersection(b).size + distance(a, b, SC) == p.volume // 2
+    assert (a.mask & b.mask).bit_count() + distance(a, b, SC) == p.volume // 2
 
 
 @SETTINGS
@@ -139,6 +141,29 @@ def test_heights_round_trip(drawn):
 def test_masks_are_ideals_under_their_poset(drawn):
     enum, (v,) = drawn
     assert v.is_ideal()
-    for m in v.maximal_elements():
-        stripped = Ideal(v.poset, v.mask & ~(1 << v.poset.rank(m)))
+    for r in ranks(v.poset.maximal_mask(v.mask)):
+        stripped = Ideal(v.poset, v.mask & ~(1 << r))
         assert stripped.is_ideal()
+
+
+MEDIAN_CASES = [
+    ((2, 3, 4), SC), ((3, 4, 5), SC), ((2, 2, 2, 2), SC),
+    ((6, 6, 6), CSSC), ((6, 6, 6), TSSC), ((8, 8, 8), TSSC),
+]
+
+
+@functools.cache
+def _class_masks(dims, cls):
+    return enumerate_ideals(dims, cls, force=True).masks
+
+
+@SETTINGS
+@given(st.sampled_from(MEDIAN_CASES), st.data())
+def test_majority_of_three_members_is_a_member(case, data):
+    # the flip graphs are median graphs: the bitwise majority of three
+    # members is again a member, whatever the distance formula says
+    dims, cls = case
+    masks = st.sampled_from(_class_masks(dims, cls))
+    a, b, c = data.draw(masks), data.draw(masks), data.draw(masks)
+    majority = (a & b) | (a & c) | (b & c)
+    assert validate_mask(ChainProduct(dims), majority, cls)

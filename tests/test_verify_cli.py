@@ -109,6 +109,16 @@ def test_enumerate_heights_needs_three_dims(capsys):
     assert exc.value.code == 2
 
 
+def test_enumerate_checks_the_format_before_the_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the usage check")
+
+    monkeypatch.setattr(cli, "enumerate_ideals", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", "--dims", "2,2,2,2,2,2", "--format", "heights"])
+    assert exc.value.code == 2
+
+
 def test_bad_dims_usage_error(capsys):
     for bad in ("2,x", "0,4", ""):
         with pytest.raises(SystemExit) as exc:
@@ -148,6 +158,17 @@ def test_graph_formats(capsys, tmp_path):
     assert code == 0 and out == ""
     payload = json.loads(path.read_text())
     assert len(payload["edges"]) == 3
+
+
+def test_graph_csv_builds_no_graph(capsys, monkeypatch):
+    def refuse(enum):
+        raise AssertionError("csv prints no edges")
+
+    monkeypatch.setattr(cli, "build_graph", refuse)
+    code, out, _ = _run(capsys, ["graph", "--dims", "4,4,4",
+                                 "--class", "cssc", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,2", "1,1", "2,2", "3,2"]  # hub 1
 
 
 def test_extremal_staircase_heights(capsys):
