@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="suite name, repeatable (default: all)")
     p.add_argument("--slow", action="store_true",
-                   help="include the large deferred instances")
+                   help="also check the sc counts of the shapes above "
+                        "50 000 vertices")
     p.add_argument("--junit", metavar="PATH",
                    help="also write standard test-results XML")
     p.add_argument("--quiet", action="store_true",

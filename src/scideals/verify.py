@@ -23,9 +23,11 @@ machine checks at sizes where full enumeration is feasible:
 Checks record expected vs observed values.  Failures of checks labeled
 conjectural are reported as conjecture violations - scientifically
 interesting, not a build break - and the top-level status keeps the
-three cases (pass / conjecture-violated / fail) apart.  Instances that
-trip an enumeration guard are reported as skipped, never silently
-dropped.
+three cases (pass / conjecture-violated / fail) apart.  Every instance
+is enumerated in full; the one skip is the ``counts`` deferral of the sc
+shapes above 50 000 vertices, which run with ``slow``.  The suites of
+one run share enumerations and metric reports through a store made for
+that run alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from xml.etree import ElementTree
 
 from . import chvatal
@@ -70,6 +71,7 @@ from .enumeration import (
 )
 from .ideal import CSSC, SC, TSSC, Ideal
 from .metric import (
+    MetricReport,
     build_graph,
     distance,
     distances_from,
@@ -167,16 +169,9 @@ class SuiteReport:
             "checks": [c.to_record() for c in self.checks],
         }
 
-
-class _Suite:
-    """Collects check results with uniform bookkeeping."""
-
-    def __init__(self, name: str):
-        self.report = SuiteReport(name)
-
     def check(self, name, ok, expected=None, observed=None,
               conjectural=False, note=""):
-        self.report.checks.append(CheckResult(
+        self.checks.append(CheckResult(
             name, "pass" if ok else "fail", expected, observed,
             conjectural, note,
         ))
@@ -186,14 +181,13 @@ class _Suite:
                    conjectural, note)
 
     def skip(self, name, note):
-        self.report.checks.append(CheckResult(name, "skip", note=note))
+        self.checks.append(CheckResult(name, "skip", note=note))
 
 
 # ----------------------------------------------------------------------
-# shared, cached instance data
+# instance data
 
 
-@lru_cache(maxsize=None)
 def sc_sweep(max_volume: int = SWEEP_MAX_VOLUME) -> tuple[tuple[int, ...], ...]:
     """All canonical (non-decreasing) dims with d <= 3 and even volume."""
     out: list[tuple[int, ...]] = []
@@ -213,57 +207,71 @@ def sc_sweep(max_volume: int = SWEEP_MAX_VOLUME) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _enum(dims: tuple[int, ...], cls: str) -> EnumerationResult:
-    return enumerate_ideals(dims, cls, force=True)
-
-
-@lru_cache(maxsize=None)
-def _report(dims: tuple[int, ...], cls: str):
-    return metric_report(_enum(dims, cls))
-
-
-@lru_cache(maxsize=None)
-def _sc_count(dims: tuple[int, ...]) -> int:
-    try:
-        return count_closed(dims, SC)
-    except ShapeError:
-        return enumerate_count(dims, SC, force=True)
-
-
-def _all_pairs_instances() -> list[tuple[int, ...]]:
-    """The sc shapes small enough for exact all-pairs sweeps."""
-    shapes = [
-        dims for dims in sc_sweep() if 0 < _sc_count(dims) <= ALL_PAIRS_LIMIT
-    ]
-    shapes += [
-        dims for dims in _EXTRA_SC_DIMS if _sc_count(dims) <= ALL_PAIRS_LIMIT
-    ]
+def _sc_shapes(limit: int) -> list[tuple[int, ...]]:
+    """The sweep and extra sc shapes with 1 to ``limit`` vertices."""
+    shapes = []
+    for dims in sc_sweep() + _EXTRA_SC_DIMS:
+        try:
+            n = count_closed(dims, SC)
+        except ShapeError:
+            n = enumerate_count(dims, SC, force=True)
+        if 0 < n <= limit:
+            shapes.append(dims)
     return shapes
+
+
+class _Run:
+    """The instance data of one run, built on first use and shared by
+    its suites.  Enumerations are forced: the suites choose sizes."""
+
+    def __init__(self, slow: bool = False):
+        self.slow = slow
+        self._enums: dict[tuple, EnumerationResult] = {}
+        self._reports: dict[tuple, MetricReport] = {}
+        self._all_pairs: list[tuple[int, ...]] | None = None
+
+    def enum(self, dims: tuple[int, ...], cls: str) -> EnumerationResult:
+        key = (dims, cls)
+        if key not in self._enums:
+            self._enums[key] = enumerate_ideals(dims, cls, force=True)
+        return self._enums[key]
+
+    def report(self, dims: tuple[int, ...], cls: str) -> MetricReport:
+        key = (dims, cls)
+        if key not in self._reports:
+            self._reports[key] = metric_report(self.enum(dims, cls))
+        return self._reports[key]
+
+    def all_pairs(self) -> list[tuple[int, ...]]:
+        """The sc shapes small enough for exact all-pairs sweeps."""
+        if self._all_pairs is None:
+            self._all_pairs = _sc_shapes(ALL_PAIRS_LIMIT)
+        return self._all_pairs
+
+    def suite(self, name: str) -> SuiteReport:
+        """Run one named suite on this run's data and time it."""
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
+        report = SuiteReport(name)
+        start = time.monotonic()
+        SUITES[name](report, self)
+        report.seconds = time.monotonic() - start
+        return report
 
 
 # ----------------------------------------------------------------------
 # suites
 
 
-def _suite_distance(slow: bool) -> SuiteReport:
+def _suite_distance(s: SuiteReport, run: _Run) -> None:
     """Weighted geodesics equal the closed-form distance, all pairs."""
-    s = _Suite("distance")
-    instances: list[tuple[tuple[int, ...], str]] = [
-        (dims, SC)
-        for dims in sc_sweep()
-        if 0 < _sc_count(dims) <= DISTANCE_ORACLE_LIMIT
-    ]
-    instances += [
-        (dims, SC) for dims in _EXTRA_SC_DIMS
-        if _sc_count(dims) <= DISTANCE_ORACLE_LIMIT
-    ]
+    instances = [(dims, SC) for dims in _sc_shapes(DISTANCE_ORACLE_LIMIT)]
     instances += [((2 * r,) * 3, CSSC) for r in (1, 2, 3)]
     instances += [((2 * r,) * 3, TSSC) for r in (1, 2, 3, 4)]
     bad = 0
     pairs = 0
     for dims, cls in instances:
-        enum = _enum(dims, cls)
+        enum = run.enum(dims, cls)
         graph = build_graph(enum)
         for u in range(len(enum)):
             lengths = single_source_lengths(graph, u)
@@ -277,18 +285,16 @@ def _suite_distance(slow: bool) -> SuiteReport:
         expected=f"{pairs} matching pairs",
         observed=f"{pairs - bad} matching, {bad} mismatched",
     )
-    return s.report
 
 
-def _suite_counts(slow: bool) -> SuiteReport:
+def _suite_counts(s: SuiteReport, run: _Run) -> None:
     """Closed forms vs flip enumeration vs the brute-force scan."""
-    s = _Suite("counts")
     skipped = []
     for dims in sc_sweep():
         want = count_closed(dims, SC)
         if want == 0:
             continue  # the all-odd shapes are checked below
-        if want > COUNTS_DEFAULT_LIMIT and not slow:
+        if want > COUNTS_DEFAULT_LIMIT and not run.slow:
             skipped.append(dims)
             continue
         got = enumerate_count(dims, SC, force=True)
@@ -296,14 +302,14 @@ def _suite_counts(slow: bool) -> SuiteReport:
             s.equal(f"sc count {dims}", got, want)
     s.check(
         "sc counts: flip closure = closed form over the full d <= 3 sweep",
-        all(c.status == "pass" for c in s.report.checks),
+        all(c.status == "pass" for c in s.checks),
         expected="all equal",
-        observed="all equal" if not s.report.checks else "mismatches above",
+        observed="all equal" if not s.checks else "mismatches above",
         note=f"volume <= {SWEEP_MAX_VOLUME}"
              + (f"; {len(skipped)} large shapes deferred to --slow"
                 if skipped else ""),
     )
-    if skipped and not slow:
+    if skipped and not run.slow:
         s.skip(
             f"sc counts above {COUNTS_DEFAULT_LIMIT} vertices",
             f"{len(skipped)} shapes (largest {max(skipped, key=math.prod)}) "
@@ -311,20 +317,17 @@ def _suite_counts(slow: bool) -> SuiteReport:
         )
     for dims in ((3, 3), (3, 5, 7), (5,)):
         s.equal(f"sc count {dims} (odd volume)", count_closed(dims, SC), 0)
-    for r, want in ((1, 1), (2, 4), (3, 49), (4, 1764)):
-        s.equal(
-            f"cssc count r={r}",
-            enumerate_count((2 * r,) * 3, CSSC),
-            want,
-        )
-        assert count_closed((2 * r,) * 3, CSSC) == want
-    for r, want in ((1, 1), (2, 2), (3, 7), (4, 42), (5, 429), (6, 7436)):
-        s.equal(
-            f"tssc count r={r}",
-            enumerate_count((2 * r,) * 3, TSSC),
-            want,
-        )
-        assert count_closed((2 * r,) * 3, TSSC) == want
+    for cls, table in (
+        (CSSC, ((1, 1), (2, 4), (3, 49), (4, 1764))),
+        (TSSC, ((1, 1), (2, 2), (3, 7), (4, 42), (5, 429), (6, 7436))),
+    ):
+        for r, want in table:
+            dims = (2 * r,) * 3
+            s.equal(
+                f"{cls} count r={r} (flip closure, closed form)",
+                (enumerate_count(dims, cls), count_closed(dims, cls)),
+                (want, want),
+            )
     # brute-force cross-checks: the scan sees every ideal, so class
     # filters of it are an enumeration oracle independent of flips
     s.equal("ideals of [3]^2", len(oracle_enumerate((3, 3))), 20)
@@ -332,30 +335,28 @@ def _suite_counts(slow: bool) -> SuiteReport:
     s.equal(
         "sc filter of the scan = flip closure on (2,3)",
         oracle_enumerate((2, 3), SC).masks,
-        _enum((2, 3), SC).masks,
+        run.enum((2, 3), SC).masks,
     )
     s.equal(
         "sc filter of the scan on (4,4)",
         oracle_enumerate((4, 4), SC).masks,
-        _enum((4, 4), SC).masks,
+        run.enum((4, 4), SC).masks,
     )
     scan444 = oracle_enumerate((4, 4, 4), CSSC, force=True)
     s.equal(
         "cssc filter of the scan = flip closure on r=2",
         scan444.masks,
-        _enum((4, 4, 4), CSSC).masks,
+        run.enum((4, 4, 4), CSSC).masks,
     )
     s.equal(
         "tssc filter of the scan on r=2",
         oracle_enumerate((4, 4, 4), TSSC, force=True).masks,
-        _enum((4, 4, 4), TSSC).masks,
+        run.enum((4, 4, 4), TSSC).masks,
     )
-    return s.report
 
 
-def _suite_ideal_bound(slow: bool) -> SuiteReport:
+def _suite_ideal_bound(s: SuiteReport, run: _Run) -> None:
     """Total ideal counts of [n]^d stay under 4^(n^(d-1)), d >= 2."""
-    s = _Suite("ideal-bound")
     for n, d in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)):
         total = len(oracle_enumerate((n,) * d))
         bound = 4 ** (n ** (d - 1))
@@ -365,12 +366,10 @@ def _suite_ideal_bound(slow: bool) -> SuiteReport:
             expected=f"<= {bound}",
             observed=total,
         )
-    return s.report
 
 
-def _suite_correlation(slow: bool) -> SuiteReport:
+def _suite_correlation(s: SuiteReport, run: _Run) -> None:
     """Intersection density dominates the product, plus sc sharpenings."""
-    s = _Suite("correlation")
     for dims in ((3, 3), (2, 2, 2)):
         vol = math.prod(dims)
         masks = oracle_enumerate(dims).masks
@@ -388,11 +387,11 @@ def _suite_correlation(slow: bool) -> SuiteReport:
     # sc pairs: |I and J| = V/2 - |I \ J|, so the intersection bound is
     # one and the same statement as the diameter bound; check it in its
     # own terms over the all-pairs instances
-    for dims in _all_pairs_instances():
+    for dims in run.all_pairs():
         vol = math.prod(dims)
         evens = [l for l in dims if l % 2 == 0]
         slack = evens[0] if len(evens) == 1 else 0
-        rep = _report(dims, SC)
+        rep = run.report(dims, SC)
         worst = vol // 2 - rep.diameter
         s.check(
             f"sc pairs of {dims}: |I and J| >= (V + {slack})/4",
@@ -400,16 +399,14 @@ def _suite_correlation(slow: bool) -> SuiteReport:
             expected=f">= {(vol + slack + 3) // 4}",
             observed=worst,
         )
-    return s.report
 
 
-def _suite_sc_diameter(slow: bool) -> SuiteReport:
+def _suite_sc_diameter(s: SuiteReport, run: _Run) -> None:
     """All-pairs maxima match the piecewise diameter formula."""
-    s = _Suite("sc-diameter")
-    shapes = _all_pairs_instances()
+    shapes = run.all_pairs()
     bad = []
     for dims in shapes:
-        rep = _report(dims, SC)
+        rep = run.report(dims, SC)
         if rep.diameter != sc_diameter_value(dims):
             bad.append((dims, rep.diameter, sc_diameter_value(dims)))
     s.check(
@@ -432,16 +429,14 @@ def _suite_sc_diameter(slow: bool) -> SuiteReport:
             (count_closed(dims, SC), sc_diameter_value(dims)),
             (0, 0),
         )
-    return s.report
 
 
 def _is_two_three_three(dims: tuple[int, ...]) -> bool:
     return sorted(l % 4 for l in dims) == [2, 3, 3]
 
 
-def _suite_sc_radius(slow: bool) -> SuiteReport:
+def _suite_sc_radius(s: SuiteReport, run: _Run) -> None:
     """Proven radius values, and the d <= 3 half-diameter law."""
-    s = _Suite("sc-radius")
     exact_cases = (
         ((2, 2, 2), majority_ideal),
         ((2, 6, 10), majority_ideal),
@@ -451,13 +446,11 @@ def _suite_sc_radius(slow: bool) -> SuiteReport:
         ((2, 4, 6), mod4_center),
     )
     for dims, build in exact_cases:
-        bound = sc_radius_bound(dims)
-        assert bound.denominator == 1
-        rep = _report(dims, SC)
+        rep = run.report(dims, SC)
         s.equal(f"radius of {dims} equals the exact bound",
-                rep.radius, int(bound))
+                rep.radius, sc_radius_bound(dims))
         witness = build(dims)
-        idx = _enum(dims, SC).index[witness.mask]
+        idx = run.enum(dims, SC).index[witness.mask]
         s.equal(
             f"{build.__name__} on {dims} is central",
             (rep.eccentricities[idx], idx in rep.center),
@@ -466,8 +459,8 @@ def _suite_sc_radius(slow: bool) -> SuiteReport:
     for dims in ((2, 2, 2), (2, 6, 10), (4, 4), (2, 2, 4), (3, 5, 8),
                  (2, 3, 4), (2, 2), (2, 6)):
         named = partitioned_center(dims)
-        rep = _report(dims, SC)
-        idx = _enum(dims, SC).index[named.ideal.mask]
+        rep = run.report(dims, SC)
+        idx = run.enum(dims, SC).index[named.ideal.mask]
         s.equal(
             f"partitioned center of {dims} is central",
             (rep.eccentricities[idx], idx in rep.center),
@@ -478,9 +471,9 @@ def _suite_sc_radius(slow: bool) -> SuiteReport:
     # the d <= 3 law: radius = ceil(diam/2), except that shapes whose
     # dimensions are 2,3,3 mod 4 may sit one higher
     plain_bad, exceptional = [], []
-    shapes = [d for d in _all_pairs_instances() if len(d) <= 3]
+    shapes = [d for d in run.all_pairs() if len(d) <= 3]
     for dims in shapes:
-        rep = _report(dims, SC)
+        rep = run.report(dims, SC)
         half = -(-rep.diameter // 2)
         if _is_two_three_three(dims):
             if rep.radius not in (half, half + 1):
@@ -498,19 +491,17 @@ def _suite_sc_radius(slow: bool) -> SuiteReport:
         note="mod-4 exceptional shapes actually excessive: "
              + (str(exceptional) if exceptional else "none"),
     )
-    return s.report
 
 
-def _suite_sc_radius_lb(slow: bool) -> SuiteReport:
+def _suite_sc_radius_lb(s: SuiteReport, run: _Run) -> None:
     """All-even radii respect the binomial lower bound."""
-    s = _Suite("sc-radius-lb")
     shapes = [
-        dims for dims in _all_pairs_instances()
+        dims for dims in run.all_pairs()
         if all(l % 2 == 0 for l in dims)
     ]
     bad = []
     for dims in shapes:
-        rep = _report(dims, SC)
+        rep = run.report(dims, SC)
         if Fraction(rep.radius) < sc_radius_bound(dims):
             bad.append((dims, rep.radius, sc_radius_bound(dims)))
     s.check(
@@ -526,7 +517,7 @@ def _suite_sc_radius_lb(slow: bool) -> SuiteReport:
     ]
     off = []
     for dims in exact:
-        rep = _report(dims, SC)
+        rep = run.report(dims, SC)
         if Fraction(rep.radius) != sc_radius_bound(dims):
             off.append((dims, rep.radius, sc_radius_bound(dims)))
     s.check(
@@ -536,7 +527,6 @@ def _suite_sc_radius_lb(slow: bool) -> SuiteReport:
         expected="radius equals the bound",
         observed=off or "radius equals the bound",
     )
-    return s.report
 
 
 def _conjectured_even_radius(dims: tuple[int, ...]) -> int:
@@ -547,9 +537,8 @@ def _conjectured_even_radius(dims: tuple[int, ...]) -> int:
     return math.ceil(bound)
 
 
-def _suite_even_d(slow: bool) -> SuiteReport:
+def _suite_even_d(s: SuiteReport, run: _Run) -> None:
     """Conjectured radii for even d with no dimension divisible by 4."""
-    s = _Suite("even-d-conjecture")
     for dims, want in (
         ((2, 2), 1),
         ((2, 6), 2),
@@ -557,8 +546,11 @@ def _suite_even_d(slow: bool) -> SuiteReport:
         ((2, 2, 2, 2), 3),
         ((2, 2, 2, 2, 2, 2), 11),
     ):
-        assert _conjectured_even_radius(dims) == want
-        rep = _report(dims, SC)
+        s.equal(
+            f"conjectured ceiling formula on {dims}",
+            _conjectured_even_radius(dims), want,
+        )
+        rep = run.report(dims, SC)
         s.equal(
             f"radius of {dims} equals the conjectured ceiling {want}",
             rep.radius, want,
@@ -567,7 +559,7 @@ def _suite_even_d(slow: bool) -> SuiteReport:
     for d, want in ((2, 1), (4, 3), (6, 11)):
         dims = (2,) * d
         center = hypercube_center(d)
-        enum = _enum(dims, SC)
+        enum = run.enum(dims, SC)
         ecc = max(distances_from(enum, center))
         s.equal(
             f"[2]^{d} family center eccentricity",
@@ -581,24 +573,24 @@ def _suite_even_d(slow: bool) -> SuiteReport:
             f"[2]^{d} conjectured radius = family intersecting maximum",
             _conjectured_even_radius(dims), size,
         )
-    return s.report
 
 
-def _cssc_furthest(r: int) -> tuple[EnumerationResult, Ideal, list[int]]:
-    enum = _enum((2 * r,) * 3, CSSC)
+def _cssc_furthest(
+    run: _Run, r: int
+) -> tuple[EnumerationResult, Ideal, list[int]]:
+    enum = run.enum((2 * r,) * 3, CSSC)
     center = staircase_c2r(r)
     dist = distances_from(enum, center)
     radius = cssc_radius_value(r)
     return enum, center, [i for i, d in enumerate(dist) if d == radius]
 
 
-def _suite_cssc(slow: bool) -> SuiteReport:
+def _suite_cssc(s: SuiteReport, run: _Run) -> None:
     """The cyclically symmetric cube battery, r <= 4."""
-    s = _Suite("cssc")
     for r in (1, 2, 3, 4):
         dims = (2 * r,) * 3
-        enum = _enum(dims, CSSC)
-        rep = _report(dims, CSSC)
+        enum = run.enum(dims, CSSC)
+        rep = run.report(dims, CSSC)
         s.equal(f"r={r}: diameter", rep.diameter, cssc_diameter_value(r))
         s.equal(f"r={r}: radius", rep.radius, cssc_radius_value(r))
         c_idx = enum.index[staircase_c2r(r).mask]
@@ -627,7 +619,7 @@ def _suite_cssc(slow: bool) -> SuiteReport:
             observed=f"{len(bad)} vertices missing points" if bad else
                      "none missing",
         )
-        _e, _c, furthest = _cssc_furthest(r)
+        _e, _c, furthest = _cssc_furthest(run, r)
         s.equal(
             f"r={r}: vertices furthest from the staircase",
             len(furthest), 3 ** (r - 1),
@@ -650,11 +642,11 @@ def _suite_cssc(slow: bool) -> SuiteReport:
     # and the shells that extend a core are the two boundary ones plus
     # the successor of the core's own
     for r in (2, 3):
-        enum, center, furthest = _cssc_furthest(r)
+        enum, center, furthest = _cssc_furthest(run, r)
         shells = {shell_ideal(k, r).members: k for k in range(1, 2 * r)}
         # map each furthest vertex of the previous level to the index of
         # the shell it wears (at r-1 = 1 the whole vertex is shell 1)
-        p_enum, _pc, p_f = _cssc_furthest(r - 1)
+        p_enum, _pc, p_f = _cssc_furthest(run, r - 1)
         prev_furthest: dict[int, int] = {}
         if r - 1 == 1:
             prev_furthest = {p_enum.masks[i]: 1 for i in p_f}
@@ -714,20 +706,21 @@ def _suite_cssc(slow: bool) -> SuiteReport:
                 expected=f"<= {limit}, equality only at empty/full",
                 observed=f"{bad} over, {len(eq)} equality cases",
             )
-    return s.report
 
 
-def _suite_tssc(slow: bool) -> SuiteReport:
+def _suite_tssc(s: SuiteReport, run: _Run) -> None:
     """The fully symmetric cube battery, r <= 6."""
-    s = _Suite("tssc")
     diameters = {1: 0, 2: 1, 3: 5, 4: 14, 5: 30, 6: 55}
     radii = {1: 0, 2: 1, 3: 3, 4: 7, 5: 15, 6: 28}
     center_sizes = {1: 1, 2: 2, 3: 1, 4: 1, 5: 8}
     for r in (1, 2, 3, 4, 5, 6):
         dims = (2 * r,) * 3
-        rep = _report(dims, TSSC)
-        s.equal(f"r={r}: diameter", rep.diameter, tssc_diameter_value(r))
-        assert tssc_diameter_value(r) == diameters[r]
+        rep = run.report(dims, TSSC)
+        s.equal(
+            f"r={r}: diameter (all pairs, closed form)",
+            (rep.diameter, tssc_diameter_value(r)),
+            (diameters[r], diameters[r]),
+        )
         s.equal(
             f"r={r}: radius = ceil(diameter/2)",
             rep.radius, radii[r],
@@ -746,7 +739,7 @@ def _suite_tssc(slow: bool) -> SuiteReport:
             distance(least, greatest, TSSC),
             rep.diameter,
         )
-        enum = _enum(dims, TSSC)
+        enum = run.enum(dims, TSSC)
         mand = tssc_mandatory(r).mask
         bad = sum(1 for m in enum.masks if mand & ~m)
         s.check(
@@ -776,12 +769,10 @@ def _suite_tssc(slow: bool) -> SuiteReport:
                 expected="every edge consistent",
                 observed="ok" if audit_ok else "inconsistent edge found",
             )
-    return s.report
 
 
-def _suite_chvatal(slow: bool) -> SuiteReport:
+def _suite_chvatal(s: SuiteReport, run: _Run) -> None:
     """The intersecting-family instances and the five-block hand proof."""
-    s = _Suite("chvatal")
     for d in (2, 4, 6):
         s.check(
             f"H({d}) is a balanced half-size family",
@@ -809,7 +800,6 @@ def _suite_chvatal(slow: bool) -> SuiteReport:
         observed=f"partition={audit['partition']}, "
                  f"maxima={audit['block_maxima']}",
     )
-    return s.report
 
 
 SUITES = {
@@ -828,24 +818,21 @@ SUITES = {
 
 
 def run_suite(name: str, slow: bool = False) -> SuiteReport:
-    """Run one named suite and time it."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    start = time.monotonic()
-    report = SUITES[name](slow)
-    report.seconds = time.monotonic() - start
-    return report
+    """Run one named suite on instance data of its own and time it."""
+    return _Run(slow).suite(name)
 
 
 def run_all(
     names=None, slow: bool = False, progress=None
 ) -> list[SuiteReport]:
-    """Run the named suites (all by default) in declaration order."""
+    """Run the named suites (all by default) in declaration order,
+    sharing one run's instance data."""
     if names is None:
         names = list(SUITES)
+    run = _Run(slow)
     reports = []
     for name in names:
-        report = run_suite(name, slow=slow)
+        report = run.suite(name)
         reports.append(report)
         if progress is not None:
             counts = report.counts

@@ -238,10 +238,7 @@ def test_metric_report_center_and_perimeter_partition():
 
 
 def test_metric_report_matches_full_sweep():
-    shapes = [
-        (dims, SC) for dims in verify._all_pairs_instances()
-        if verify._sc_count(dims) <= 500
-    ]
+    shapes = [(dims, SC) for dims in verify._sc_shapes(500)]
     shapes += [((2 * r,) * 3, CSSC) for r in (1, 2, 3, 4)]
     shapes += [((2 * r,) * 3, TSSC) for r in (1, 2, 3, 4, 5)]
     for dims, cls in shapes:

@@ -1,12 +1,13 @@
 """The verification runner and the command-line front end."""
 
+import collections
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from scideals import cli
-from scideals.verify import SUITES, junit_xml, overall_status, run_suite
+from scideals import cli, verify
+from scideals.verify import junit_xml, overall_status, run_all, run_suite
 
 
 # ----------------------------------------------------------------------
@@ -33,6 +34,41 @@ def test_suite_records_are_json_ready():
     assert record["suite"] == "ideal-bound"
     assert record["status"] == "pass"
     assert len(record["checks"]) == report.counts["pass"]
+
+
+def test_wrong_closed_form_is_a_recorded_failure(monkeypatch):
+    monkeypatch.setattr(verify, "tssc_diameter_value", lambda r: -1)
+    report = run_suite("tssc")
+    assert report.status == "fail"
+    assert any("closed form" in c.name for c in report.hard_failures)
+
+
+def _count_enumerations(monkeypatch) -> collections.Counter:
+    calls = collections.Counter()
+    real = verify.enumerate_ideals
+
+    def counted(dims, cls, **kwargs):
+        calls[dims, cls] += 1
+        return real(dims, cls, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_ideals", counted)
+    return calls
+
+
+def test_each_run_suite_call_enumerates_afresh(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    run_suite("cssc")
+    first = dict(calls)
+    run_suite("cssc")
+    assert first
+    assert calls == {key: 2 * n for key, n in first.items()}
+
+
+def test_suites_of_one_run_share_enumerations(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    reports = run_all(["cssc", "cssc"])
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert calls and set(calls.values()) == {1}
 
 
 def test_junit_xml_is_well_formed():
