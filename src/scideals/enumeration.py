@@ -12,9 +12,10 @@ even dimension rotated last,
             * PP(ceil(l_1/2), floor(l_2/2), l_3/2),
 
 where ``PP(a, b, c)`` is the number of plane partitions in an
-``a x b x c`` box (MacMahon's product, evaluated here in exact rational
-arithmetic).  An all-odd product has odd volume, hence no sc ideals at
-all.  No closed form is implemented for ``d >= 4`` with even volume.
+``a x b x c`` box (MacMahon's product, evaluated here as one exact
+integer division).  An all-odd product has odd volume, hence no sc
+ideals at all.  No closed form is implemented for ``d >= 4`` with even
+volume.
 
 On even cubes ``[2r]^3`` the cyclically symmetric sc ideals are counted
 by the square of ``prod_{j<r} (3j+1)!/(r+j)!`` and the totally
@@ -34,14 +35,14 @@ key falls strictly, so every vertex but the seed is one forward flip
 away from a vertex of smaller key.  The closure therefore expands the
 keys in increasing order, one bucket (a set of masks) per key, and
 applies only the forward flips: the kernels take the seed as their
-``allowed`` mask.  No global visited set is needed, only the buckets
-up to two keys ahead are kept, and ``enumerate_count`` sums bucket
-sizes without holding the whole class.
+``allowed`` mask, and a whole bucket per call.  No global visited set
+is needed, only the buckets up to two keys ahead are kept, and
+``enumerate_count`` sums bucket sizes without holding the whole class.
 
 An `EnumerationResult` holds the class as its sorted member masks.
 Everything computed over a class (the vertex index, the metric report,
-the flip graph, the exports) reads the masks; the `Ideal` views in
-``vertices`` are built only when first asked for.
+the flip graph, the exports) reads the masks; ``vertices`` builds an
+`Ideal` view only for the index that is read.
 
 Completeness leans on the distance formula, but a count check does
 not: the kernels map members to members, so the closure yields
@@ -58,9 +59,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import metric
 from .ideal import CLASSES, CSSC, SC, TSSC, Ideal, validate_mask
@@ -103,14 +103,17 @@ class EmptyClassError(ValueError):
 
 
 def _plane_partition_box(a: int, b: int, c: int) -> int:
-    """Plane partitions in an a x b x c box, by the classical product."""
-    f = Fraction(1)
+    """Plane partitions in an a x b x c box, by MacMahon's product.
+
+    ``prod (i + j + c - 1) / (i + j - 1)`` over ``i <= a, j <= b``,
+    taken as one exact division of the two integer products.
+    """
+    num = den = 1
     for i in range(1, a + 1):
         for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                f *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert f.denominator == 1, (a, b, c, f)
-    return int(f)
+            num *= i + j + c - 1
+            den *= i + j - 1
+    return num // den
 
 
 def _symmetric_cube_r(dims: Sequence[int], cls: str) -> int:
@@ -123,11 +126,12 @@ def _symmetric_cube_r(dims: Sequence[int], cls: str) -> int:
 
 
 def _symmetric_count(r: int) -> int:
-    f = Fraction(1)
+    """``prod_{j<r} (3j+1)! / (r+j)!`` as one exact integer division."""
+    num = den = 1
     for j in range(r):
-        f *= Fraction(math.factorial(3 * j + 1), math.factorial(r + j))
-    assert f.denominator == 1, (r, f)
-    return int(f)
+        num *= math.factorial(3 * j + 1)
+        den *= math.factorial(r + j)
+    return num // den
 
 
 def count_closed(dims: Sequence[int], cls: str = SC) -> int:
@@ -228,12 +232,32 @@ def _staircase(p: ChainProduct, r: int) -> int:
 # results
 
 
+class _Views(Sequence):
+    """The masks of a class as `Ideal` views, each built when read."""
+
+    __slots__ = ("poset", "masks")
+
+    def __init__(self, poset: ChainProduct, masks: tuple[int, ...]):
+        self.poset = poset
+        self.masks = masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i: int) -> Ideal:
+        return Ideal(self.poset, self.masks[i])
+
+    def __iter__(self) -> Iterator[Ideal]:
+        return (Ideal(self.poset, m) for m in self.masks)
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """A fully enumerated vertex class, in canonical (ascending-mask) order.
 
-    The member masks are the data; ``vertices`` wraps them as `Ideal`
-    views on first use, indexable by vertex id like ``masks``.
+    The member masks are the data; ``vertices`` is indexable by vertex
+    id like ``masks``, and wraps only the masks it is asked for as
+    `Ideal` views.
     """
 
     poset: ChainProduct
@@ -241,9 +265,9 @@ class EnumerationResult:
     masks: tuple[int, ...]
     method: str
 
-    @cached_property
-    def vertices(self) -> tuple[Ideal, ...]:
-        return tuple(Ideal(self.poset, m) for m in self.masks)
+    @property
+    def vertices(self) -> Sequence[Ideal]:
+        return _Views(self.poset, self.masks)
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -290,10 +314,9 @@ def _graded_closure(
     vertex of one key.  Only forward flips, those moving out members
     of the seed, are generated: each raises the key by its weight, 1
     or 2.  A bucket is therefore complete once every bucket below it
-    has been expanded; it is yielded before it is expanded itself.
+    has been expanded; it is yielded before it is expanded itself, by
+    one kernel call over the whole bucket.
     """
-    sc_kernel = metric.sc_flip_masks
-    orbit_kernel = metric.orbit_flip_masks
     group = CYCLIC if cls == CSSC else FULL
     # the buckets at keys k, k + 1 and k + 2
     level, ahead = {start}, (set(), set())
@@ -301,12 +324,10 @@ def _graded_closure(
         if level:
             yield level
             if cls == SC:
-                for m in level:
-                    ahead[0].update(sc_kernel(p, m, allowed=start))
+                ahead[0].update(metric.sc_flip_masks(p, level, start))
             else:
-                for m in level:
-                    for nm, w in orbit_kernel(p, m, group, allowed=start):
-                        ahead[w - 1].add(nm)
+                for nm, w in metric.orbit_flip_masks(p, level, group, start):
+                    ahead[w - 1].add(nm)
         level, ahead = ahead[0], (ahead[1], set())
 
 

@@ -23,11 +23,11 @@ Algorithms 2013), instead of all n.  For cssc and tssc it first checks,
 in O(n V), that the masks are closed under the symmetry, so every
 division by 3 is exact.  The graph itself is kept as the slow
 cross-check: `build_graph` runs the kernel at every vertex, and
-`single_source_lengths` searches it with Dial's bucket queue (the
-weights are 1 or 2); heap Dijkstra is the test oracle in
-``tests/oracles.py``.  `graph_dot` and `graph_record` give a built
-graph as DOT text or as a JSON-ready dict; `eccentricity_csv` needs
-only the report.
+`single_source_lengths` searches it one distance level at a time (the
+weights are 1 or 2, so level ``d + 1`` comes from levels ``d`` and
+``d - 1``); heap Dijkstra is the test oracle in ``tests/oracles.py``.
+`graph_dot` and `graph_record` give a built graph as DOT text or as a
+JSON-ready dict; `eccentricity_csv` needs only the report.
 
 The flip kernels are bit-parallel: for a self-complementary mask the
 dual image equals the complement, so "every lower cover of the incoming
@@ -37,7 +37,10 @@ one step below their own dual (sc), or below an element whose dual lies
 in their own orbit (cssc, tssc); these never flip, because the needed
 cover would be removed by the flip itself.  Each kernel takes an
 ``allowed`` mask of the members it may move out, so the flip closure
-in `enumeration` can ask for the forward flips only.
+in `enumeration` can ask for the forward flips only.  Each kernel also
+takes a whole bucket of masks and returns the children of all of them
+in one flat list, so the closure makes one call per key bucket, not
+one per vertex; `flip_masks` and `build_graph` pass one mask.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -60,9 +63,9 @@ if TYPE_CHECKING:
 
 
 def sc_flip_masks(
-    p: ChainProduct, mask: int, allowed: int = -1
+    p: ChainProduct, masks: Iterable[int], allowed: int = -1
 ) -> list[int]:
-    """Masks one sc flip away from ``mask`` (which must be sc).
+    """Every mask one sc flip away from a mask of ``masks`` (each sc).
 
     A maximal member ``a`` is flippable iff for every axis ``k`` along
     which the dual ``b`` has a lower cover, that cover lies in
@@ -71,19 +74,27 @@ def sc_flip_masks(
     not: the cover test is maximality itself, save at the corners of
     ``p.sc_movable``, where the needed cover is ``a``.  Only flips
     moving out a member of ``allowed`` (default: all) are returned.
+
+    The children of all masks come in one flat list, duplicates kept,
+    each mask's in descending rank of the member moved out.  A flip is
+    one XOR with ``p.sc_flip_pairs``.
     """
-    flip = p.maximal_mask(mask) & p.sc_movable & allowed
-    out = []
-    v1 = p.volume - 1
-    while flip:
-        low = flip & -flip
-        flip ^= low
-        out.append(mask ^ low ^ (1 << (v1 - low.bit_length() + 1)))
+    maximal = p.maximal_mask
+    movable = p.sc_movable & allowed
+    pairs = p.sc_flip_pairs
+    out: list[int] = []
+    append = out.append
+    for mask in masks:
+        flip = maximal(mask) & movable
+        while flip:
+            b = flip.bit_length()
+            flip ^= 1 << (b - 1)
+            append(mask ^ pairs[b])
     return out
 
 
 def orbit_flip_masks(
-    p: ChainProduct, mask: int, group: str, allowed: int = -1
+    p: ChainProduct, masks: Iterable[int], group: str, allowed: int = -1
 ) -> list[tuple[int, int]]:
     """(mask, weight) pairs one orbit flip away (cyclic or full group).
 
@@ -96,19 +107,25 @@ def orbit_flip_masks(
     stay members unless they lie in the outgoing orbit.  Orbits of
     such corners, and diagonal points (singleton orbits), are left out
     of ``p.orbit_flips(group).movable``.  Only orbits inside
-    ``allowed`` are flipped.
+    ``allowed`` are flipped.  As in `sc_flip_masks`, the pairs of all
+    of ``masks`` come in one flat list.
     """
     tables = p.orbit_flips(group)
-    ok = p.maximal_mask(mask) & tables.movable & allowed
-    reps = ok & tables.reps
+    maximal = p.maximal_mask
+    movable = tables.movable & allowed
+    all_reps = tables.reps
     swaps = tables.swaps
-    out = []
-    while reps:
-        low = reps & -reps
-        reps ^= low
-        ob, swap, weight = swaps[low.bit_length() - 1]
-        if ok & ob == ob:
-            out.append((mask ^ swap, weight))
+    out: list[tuple[int, int]] = []
+    append = out.append
+    for mask in masks:
+        ok = maximal(mask) & movable
+        reps = ok & all_reps
+        while reps:
+            b = reps.bit_length()
+            reps ^= 1 << (b - 1)
+            ob, swap, weight = swaps[b - 1]
+            if ok & ob == ob:
+                append((mask ^ swap, weight))
     return out
 
 
@@ -117,11 +134,11 @@ def flip_masks(
 ) -> list[tuple[int, int]]:
     """Neighbor (mask, weight) pairs for any class."""
     if cls == SC:
-        return [(m, 1) for m in sc_flip_masks(p, mask)]
+        return [(m, 1) for m in sc_flip_masks(p, (mask,))]
     if cls == CSSC:
-        return orbit_flip_masks(p, mask, CYCLIC)
+        return orbit_flip_masks(p, (mask,), CYCLIC)
     if cls == TSSC:
-        return orbit_flip_masks(p, mask, FULL)
+        return orbit_flip_masks(p, (mask,), FULL)
     raise ValueError(f"unknown ideal class {cls!r}")
 
 
@@ -160,13 +177,16 @@ class FlipGraph:
         return len(self.enumeration)
 
     @cached_property
-    def adjacency(self) -> tuple[list[tuple[int, int]], ...]:
-        """(neighbor, weight) lists per vertex, in no particular order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Neighbor lists per vertex, one table per edge weight (1, 2)."""
+        adj: tuple[list[list[int]], ...] = tuple(
+            [[] for _ in range(self.n)] for _w in (1, 2)
+        )
         for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(adj)
+            by_weight = adj[w - 1]
+            by_weight[u].append(v)
+            by_weight[v].append(u)
+        return adj
 
 
 def build_graph(enum: EnumerationResult) -> FlipGraph:
@@ -218,32 +238,32 @@ def _first_asymmetric(fwd: list, bwd: list) -> str:
 
 
 def single_source_lengths(graph: FlipGraph, source: int) -> list[int]:
-    """Shortest path lengths from one vertex by Dial's bucket queue.
+    """Shortest path lengths from one vertex, one distance level at a time.
 
-    Edge weights are small positive integers (1 or 2), so the queue is a
-    list of buckets indexed by distance (Dial, *Algorithm 360*, CACM
-    1969): buckets are scanned in increasing order, and an entry whose
-    vertex has since been reached by a shorter path is skipped.  This
-    is the search that cross-checks the distance formula; unreached
-    vertices keep ``math.inf``.
+    Edge weights are 1 or 2, so a vertex at distance ``d + 1`` is a
+    weight-1 neighbor of level ``d`` or a weight-2 neighbor of level
+    ``d - 1``.  Level ``d + 1`` is the unreached part of those
+    neighbors: the search of Dial's bucket queue (*Algorithm 360*, CACM
+    1969) with no stale entries.  This is the search that cross-checks
+    the distance formula; unreached vertices keep ``math.inf``.
     """
-    dist = [math.inf] * graph.n
+    inf = math.inf
+    dist = [inf] * graph.n
     dist[source] = 0
-    adj = graph.adjacency
-    buckets = [[source]]
-    # weights are positive, so a scan only appends to later buckets,
-    # and the enumerate also visits buckets appended while it runs
-    for d, bucket in enumerate(buckets):
-        for u in bucket:
-            if dist[u] != d:
-                continue
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    while len(buckets) <= nd:
-                        buckets.append([])
-                    buckets[nd].append(v)
+    one, two = graph.adjacency
+    prev: list[int] = []
+    level = [source]
+    d = 0
+    while level or prev:
+        d += 1
+        reached = []
+        for nbrs, frontier in ((one, level), (two, prev)):
+            for u in frontier:
+                for v in nbrs[u]:
+                    if dist[v] == inf:
+                        dist[v] = d
+                        reached.append(v)
+        prev, level = level, reached
     return dist
 
 

@@ -227,6 +227,18 @@ class ChainProduct:
                 stuck |= up & (1 << (t // 2))
         return self.full_mask & ~stuck
 
+    @cached_property
+    def sc_flip_pairs(self) -> tuple[int, ...]:
+        """Per bit length ``b``: the rank ``b - 1`` and its dual ``V - b``.
+
+        An sc flip moving out the member of rank ``b - 1`` is one XOR
+        with ``sc_flip_pairs[b]``; entry 0 is unused.
+        """
+        V = self.volume
+        return (0,) + tuple(
+            (1 << (b - 1)) | (1 << (V - b)) for b in range(1, V + 1)
+        )
+
     # ------------------------------------------------------------------
     # octants (all dims even)
 

@@ -2,7 +2,8 @@
 
 The acceptance module names its tests ``test_criterion_<n>_...``; after
 the run, one line per criterion is printed so the gate can be read off
-directly from the terminal summary.
+directly from the terminal summary, with the seconds its test calls
+took together.
 """
 
 import re
@@ -12,11 +13,12 @@ _CRITERION = re.compile(r"test_criterion_(\d+)[a-z]?_([a-z0-9_]+)")
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     outcomes = {}
+    seconds = {}
     for status in ("passed", "failed", "error", "xfailed", "xpassed",
                    "skipped"):
         for report in terminalreporter.stats.get(status, []):
-            if getattr(report, "when", "call") != "call" and \
-                    status not in ("error",):
+            when = getattr(report, "when", "call")
+            if when != "call" and status not in ("error",):
                 continue
             m = _CRITERION.search(report.nodeid)
             if not m:
@@ -24,6 +26,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             key = int(m.group(1))
             label = m.group(2).replace("_", " ")
             outcomes.setdefault(key, []).append((label, status))
+            if when == "call":
+                seconds[key] = seconds.get(key, 0.0) + report.duration
     if not outcomes:
         return
     terminalreporter.section("acceptance criteria")
@@ -37,5 +41,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             verdict = "FAIL"
         label = entries[0][0]
         terminalreporter.write_line(
-            f"criterion {num}: {verdict} - {label}"
+            f"criterion {num}: {verdict} - {label} "
+            f"({seconds.get(num, 0.0):.1f} s)"
         )

@@ -1,15 +1,15 @@
-"""Slow, independent references for the flip kernels, the flip closure
-and the metric report.
+"""Slow, independent references for the closed-form counts, the flip
+kernels, the flip closure and the metric report.
 
 These are the straightforward forms the fast code in ``scideals`` must
-agree with: the sc kernel as an explicit per-axis shifted-complement
-test, the orbit kernel as a loop over orbits with a whole-mask closure
-check, upper covers element by element (the reference for
-``maximal_mask``), orbits found from ``unrank``/``rank`` and coordinate
-permutations, the closure as a two-way breadth-first search with a
-global visited set, the metric report as the full n x n
-AND-NOT/popcount sweep, and shortest paths as heap Dijkstra over the
-graph's edge list.
+agree with: the closed-form counts as products of rationals, the sc
+kernel as an explicit per-axis shifted-complement test, the orbit
+kernel as a loop over orbits with a whole-mask closure check, upper
+covers element by element (the reference for ``maximal_mask``), orbits
+found from ``unrank``/``rank`` and coordinate permutations, the closure
+as a two-way breadth-first search with a global visited set, the
+metric report as the full n x n AND-NOT/popcount sweep, and shortest
+paths as heap Dijkstra over the graph's edge list.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +27,27 @@ from scideals.poset import CYCLIC, FULL, ChainProduct
 
 #: soft bound (bytes) on one pairwise block of the metric sweep
 SWEEP_BLOCK_BYTES = 32 << 20
+
+
+def plane_partition_box(a: int, b: int, c: int) -> int:
+    """Plane partitions in an a x b x c box, by MacMahon's product
+    ``prod (i + j + k - 1) / (i + j + k - 2)`` in exact rationals."""
+    f = Fraction(1)
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                f *= Fraction(i + j + k - 1, i + j + k - 2)
+    assert f.denominator == 1, (a, b, c, f)
+    return int(f)
+
+
+def symmetric_count(r: int) -> int:
+    """``prod_{j<r} (3j+1)! / (r+j)!`` in exact rationals."""
+    f = Fraction(1)
+    for j in range(r):
+        f *= Fraction(math.factorial(3 * j + 1), math.factorial(r + j))
+    assert f.denominator == 1, (r, f)
+    return int(f)
 
 
 def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:

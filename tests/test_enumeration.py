@@ -2,11 +2,14 @@
 
 import pytest
 
+import oracles
 from scideals import cli
 from scideals.enumeration import (
     EmptyClassError,
     EnumerationGuardError,
     PartialEnumerationError,
+    _plane_partition_box,
+    _symmetric_count,
     count_closed,
     enumerate_count,
     enumerate_ideals,
@@ -35,6 +38,16 @@ from scideals.poset import ShapeError
 def test_sc_closed_form(dims, want):
     assert count_closed(dims, SC) == want
     assert enumerate_count(dims, SC) == want
+
+
+def test_integer_closed_forms_match_the_rational_products():
+    for a in range(7):
+        for b in range(7):
+            for c in range(7):
+                assert _plane_partition_box(a, b, c) == \
+                    oracles.plane_partition_box(a, b, c), (a, b, c)
+    for r in range(9):
+        assert _symmetric_count(r) == oracles.symmetric_count(r), r
 
 
 def test_sc_closed_form_rotates_the_even_axis():
@@ -95,8 +108,11 @@ def test_enumerations_hold_masks_and_build_views_on_demand(monkeypatch):
     enum = enumerate_ideals((2, 3, 4), SC)
     assert oracle_enumerate((2, 3, 4), SC).masks == enum.masks
     assert built == []
+    assert enum.vertices[5].mask == enum.masks[5]
+    assert len(built) == 1  # one index read builds one view
+    assert len(enum.vertices) == len(enum) and len(built) == 1
     assert [v.mask for v in enum.vertices] == list(enum.masks)
-    assert len(built) == len(enum) == 18
+    assert len(built) == 1 + len(enum) == 19
 
 
 def test_flip_closure_matches_oracle_scan():

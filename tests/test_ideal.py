@@ -119,9 +119,9 @@ def test_symmetry_group_names():
     # each class flips under its coordinate group: none, cyclic, full
     hub = from_heights((4,) * 3, CSSC_R2_HEIGHTS[0])
     p, m = hub.poset, hub.mask
-    assert flip_masks(p, m, SC) == [(n, 1) for n in sc_flip_masks(p, m)]
-    assert flip_masks(p, m, CSSC) == orbit_flip_masks(p, m, CYCLIC)
-    assert flip_masks(p, m, TSSC) == orbit_flip_masks(p, m, FULL)
+    assert flip_masks(p, m, SC) == [(n, 1) for n in sc_flip_masks(p, (m,))]
+    assert flip_masks(p, m, CSSC) == orbit_flip_masks(p, (m,), CYCLIC)
+    assert flip_masks(p, m, TSSC) == orbit_flip_masks(p, (m,), FULL)
     with pytest.raises(ValueError):
         flip_masks(p, m, "nope")
 

@@ -70,25 +70,44 @@ sc_shapes = (
 )
 
 
+def small_class(draw):
+    """(dims, class) of a small class, drawn inside a composite."""
+    cls = draw(st.sampled_from([SC, CSSC, TSSC]))
+    if cls == SC:
+        return draw(sc_shapes), cls
+    return (2 * draw(st.integers(1, 4)),) * 3, cls
+
+
 @st.composite
 def class_members(draw):
     """(poset, class, mask) for one member of a small class."""
-    cls = draw(st.sampled_from([SC, CSSC, TSSC]))
-    if cls == SC:
-        dims = draw(sc_shapes)
-    else:
-        dims = (2 * draw(st.integers(1, 4)),) * 3
+    dims, cls = small_class(draw)
     masks = oracle_members(dims, cls)
     return ChainProduct(dims), cls, draw(st.sampled_from(masks))
 
 
-def kernel(p, cls, mask, allowed=-1):
+def kernel(p, cls, masks, allowed=-1):
+    """The sorted (mask, weight) children of a bucket of masks."""
     if cls == SC:
         return sorted(
-            (m, 1) for m in metric.sc_flip_masks(p, mask, allowed=allowed)
+            (m, 1) for m in metric.sc_flip_masks(p, masks, allowed=allowed)
         )
     return sorted(
-        metric.orbit_flip_masks(p, mask, GROUP[cls], allowed=allowed)
+        metric.orbit_flip_masks(p, masks, GROUP[cls], allowed=allowed)
+    )
+
+
+@functools.cache
+def oracle_orbits(dims, group):
+    return oracles.orbits(ChainProduct(dims), group)
+
+
+def oracle_kernel(p, cls, mask):
+    if cls == SC:
+        return sorted((m, 1) for m in oracles.sc_flip_masks(p, mask))
+    group = GROUP[cls]
+    return sorted(
+        oracles.orbit_flip_masks(p, mask, group, oracle_orbits(p.dims, group))
     )
 
 
@@ -96,11 +115,8 @@ def kernel(p, cls, mask, allowed=-1):
 @given(class_members())
 def test_kernels_match_oracle_kernels(drawn):
     p, cls, mask = drawn
-    if cls == SC:
-        want = sorted((m, 1) for m in oracles.sc_flip_masks(p, mask))
-    else:
-        want = sorted(oracles.orbit_flip_masks(p, mask, GROUP[cls]))
-    assert kernel(p, cls, mask) == want
+    want = oracle_kernel(p, cls, mask)
+    assert kernel(p, cls, (mask,)) == want
     assert sorted(metric.flip_masks(p, mask, cls)) == want
 
 
@@ -109,9 +125,9 @@ def test_kernels_match_oracle_kernels(drawn):
 def test_allowed_mask_filters_the_full_output(drawn, data):
     p, cls, mask = drawn
     allowed = data.draw(st.integers(0, p.full_mask))
-    full = kernel(p, cls, mask)
+    full = kernel(p, cls, (mask,))
     # a flip is kept iff every member it moves out is allowed
-    assert kernel(p, cls, mask, allowed) == [
+    assert kernel(p, cls, (mask,), allowed) == [
         (m, w) for m, w in full if mask & ~m & ~allowed == 0
     ]
 
@@ -123,12 +139,51 @@ def test_forward_flips_raise_the_key_by_their_weight(drawn):
     start = seed(p.dims, cls).mask
     unit = 1 if cls == SC else 3
     key = (start & ~mask).bit_count()
-    forward = kernel(p, cls, mask, allowed=start)
-    for m, w in kernel(p, cls, mask):
+    forward = kernel(p, cls, (mask,), allowed=start)
+    for m, w in kernel(p, cls, (mask,)):
         step = (start & ~m).bit_count() - key
         assert step == (w if (m, w) in forward else -w) * unit
     # off the seed, some flip steps back toward it
     if mask != start:
         assert any(
-            (start & ~m).bit_count() < key for m, _ in kernel(p, cls, mask)
+            (start & ~m).bit_count() < key
+            for m, _ in kernel(p, cls, (mask,))
         )
+
+
+@st.composite
+def class_buckets(draw):
+    """(poset, class, masks): several members of one small class, in
+    any order and with repeats."""
+    dims, cls = small_class(draw)
+    masks = oracle_members(dims, cls)
+    bucket = draw(st.lists(st.sampled_from(masks), min_size=2, max_size=8))
+    return ChainProduct(dims), cls, bucket
+
+
+@SETTINGS
+@given(class_buckets(), st.data())
+def test_a_bucket_gives_the_union_of_its_members_children(drawn, data):
+    p, cls, bucket = drawn
+    allowed = data.draw(st.integers(0, p.full_mask))
+    # the multiset union, duplicates kept, of the per-mask oracle output
+    children = [
+        (mask, c) for mask in bucket for c in oracle_kernel(p, cls, mask)
+    ]
+    assert kernel(p, cls, bucket) == sorted(c for _mask, c in children)
+    assert kernel(p, cls, bucket, allowed) == sorted(
+        (m, w) for mask, (m, w) in children if mask & ~m & ~allowed == 0
+    )
+    assert kernel(p, cls, []) == []
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (2, 3), (3, 3), (2, 3, 4)])
+def test_sc_flip_pairs_join_each_rank_to_its_dual(dims):
+    p = ChainProduct(dims)
+    pairs = p.sc_flip_pairs
+    assert len(pairs) == p.volume + 1 and pairs[0] == 0
+    for r in range(p.volume):
+        a = p.unrank(r)
+        dual = p.rank(tuple(l + 1 - c for c, l in zip(a, dims)))
+        assert pairs[r + 1] == (1 << r) | (1 << dual)
+    assert p.sc_flip_pairs is pairs  # built once per poset

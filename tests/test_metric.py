@@ -258,7 +258,7 @@ def test_bounds_need_few_rows():
 def test_symmetry_closure_is_checked():
     good = enumerate_ideals((6, 6, 6), TSSC)
     a = good.masks[0]
-    bad = sc_flip_masks(good.poset, a)[0]  # one sc flip: difference 1
+    bad = sc_flip_masks(good.poset, (a,))[0]  # one sc flip: difference 1
     enum = EnumerationResult(good.poset, TSSC, tuple(sorted((a, bad))), "hand")
     with pytest.raises(ValueError, match="not divisible by the orbit size"):
         metric_report(enum)
