@@ -182,7 +182,7 @@ def _cmd_verify(args, parser) -> int:
     progress = None if args.quiet else (
         lambda line: print(line, file=sys.stderr, flush=True)
     )
-    reports = run_all(names, slow=args.slow, progress=progress)
+    reports = run_all(names, progress=progress)
     status = overall_status(reports)
     payload = {
         "meta": _meta(args, "verification"),
@@ -256,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", choices=(*SUITES, "all"),
                    default=None,
                    help="suite name, repeatable (default: all)")
-    p.add_argument("--slow", action="store_true",
-                   help="also check the sc counts of the shapes above "
-                        "50 000 vertices")
     p.add_argument("--junit", metavar="PATH",
                    help="also write standard test-results XML")
     p.add_argument("--quiet", action="store_true",

@@ -29,15 +29,28 @@ of the class seed ``S``.  A vertex ``J`` is keyed by ``|S \\ J|``
 (divided by 3 for cssc and tssc), which by the distance formula is its
 flip distance from ``S``.  ``S`` is self-complementary (and symmetric
 for cssc and tssc), so a flip either moves out members of ``S`` and
-raises the key by its weight, or moves in members of ``S`` and lowers
-the key by its weight.  Along a geodesic from ``J`` back to ``S`` the
-key falls strictly, so every vertex but the seed is one forward flip
-away from a vertex of smaller key.  The closure therefore expands the
-keys in increasing order, one bucket (a set of masks) per key, and
-applies only the forward flips: the kernels take the seed as their
-``allowed`` mask, and a whole bucket per call.  No global visited set
-is needed, only the buckets up to two keys ahead are kept, and
-``enumerate_count`` sums bucket sizes without holding the whole class.
+raises the key by its weight (a forward flip), or moves in members of
+``S`` and lowers the key by its weight (a backward flip).  Along a
+geodesic from ``J`` back to ``S`` the key falls strictly, so every
+vertex but the seed has a backward flip.  The closure expands the keys
+in increasing order, one bucket (a list of masks) per key, with one
+kernel call per bucket.
+
+It is a reverse search (Avis and Fukuda, *Discrete Appl. Math.* 65,
+1996): the parent of ``J`` is ``J`` with its highest backward flip
+undone, and the kernels, given the seed, return only the children
+whose parent that is.  A backward flip is ranked by the member it
+moves out (for cssc and tssc, by the smallest rank of that orbit).  A
+forward flip ``J = P - b + b*`` keeps ``b*`` maximal, takes out of
+``P``'s backward flips exactly those on lower covers of ``b*``, and
+adds ``b*`` itself; a lower cover of ``b*`` (or an orbit touching one)
+ranks below ``b*``.  So ``b*`` is ``J``'s highest backward flip iff it
+outranks every backward flip of ``P``, which is the kernels' test, and
+every vertex but the seed is made exactly once, by its one parent in
+the bucket one weight below.  The buckets hold no repeats and need no
+set; no global visited set is needed either, only the buckets up to
+two keys ahead are kept, and ``enumerate_count`` sums bucket sizes
+without holding the whole class.
 
 An `EnumerationResult` holds the class as its sorted member masks.
 Everything computed over a class (the vertex index, the metric report,
@@ -45,14 +58,15 @@ the flip graph, the exports) reads the masks; ``vertices`` builds an
 `Ideal` view only for the index that is read.
 
 Completeness leans on the distance formula, but a count check does
-not: the kernels map members to members, so the closure yields
-distinct members of the class, and when their number equals the
-closed-form count they are the whole class.  That certificate is the
-same as for a two-way search over all flips, and the verification
-suites check it at scale.  ``oracle_enumerate`` is the slow reference:
-a depth-first scan over all downward-closed sets (in rank order, each
-element may join only when its lower covers already have), optionally
-filtered by class.
+not: the kernels map members to members, the parent rule above makes
+the closure yield each of them once, and when their number equals the
+closed-form count they are the whole class.  The tests check the rule
+(no bucket repeats a member, and each member has one parent) against a
+two-way search over all flips on small shapes, and the verification
+suites check the count at scale.  ``oracle_enumerate`` is the slow
+reference: a depth-first scan over all downward-closed sets (in rank
+order, each element may join only when its lower covers already
+have), optionally filtered by class.
 """
 
 from __future__ import annotations
@@ -306,29 +320,32 @@ def _check_guard(
 
 def _graded_closure(
     p: ChainProduct, cls: str, start: int
-) -> Iterator[set[int]]:
+) -> Iterator[list[int]]:
     """The class, one key bucket at a time, in increasing key.
 
     The key of a vertex ``J`` is its distance ``|start \\ J|`` (divided
     by 3 for cssc and tssc) from the seed, and a bucket holds every
-    vertex of one key.  Only forward flips, those moving out members
-    of the seed, are generated: each raises the key by its weight, 1
-    or 2.  A bucket is therefore complete once every bucket below it
-    has been expanded; it is yielded before it is expanded itself, by
-    one kernel call over the whole bucket.
+    vertex of one key, each once.  Only the reverse-search children are
+    generated: forward flips, moving out members of the seed, that the
+    child's highest backward flip undoes.  Each raises the key by its
+    weight, 1 or 2, and each vertex but the seed has exactly one
+    parent, in the bucket one weight below.  A bucket is therefore
+    complete, and free of repeats, once every bucket below it has been
+    expanded; it is yielded before it is expanded itself, by one kernel
+    call over the whole bucket.
     """
     group = CYCLIC if cls == CSSC else FULL
     # the buckets at keys k, k + 1 and k + 2
-    level, ahead = {start}, (set(), set())
+    level, ahead = [start], ([], [])
     while level or ahead[0] or ahead[1]:
         if level:
             yield level
             if cls == SC:
-                ahead[0].update(metric.sc_flip_masks(p, level, start))
+                ahead[0].extend(metric.sc_flip_masks(p, level, start))
             else:
                 for nm, w in metric.orbit_flip_masks(p, level, group, start):
-                    ahead[w - 1].add(nm)
-        level, ahead = ahead[0], (ahead[1], set())
+                    ahead[w - 1].append(nm)
+        level, ahead = ahead[0], (ahead[1], [])
 
 
 def enumerate_ideals(

@@ -35,12 +35,14 @@ dual is already present" becomes a shifted-complement test, which for a
 maximal member always holds.  The only sharp corners are the elements
 one step below their own dual (sc), or below an element whose dual lies
 in their own orbit (cssc, tssc); these never flip, because the needed
-cover would be removed by the flip itself.  Each kernel takes an
-``allowed`` mask of the members it may move out, so the flip closure
-in `enumeration` can ask for the forward flips only.  Each kernel also
-takes a whole bucket of masks and returns the children of all of them
-in one flat list, so the closure makes one call per key bucket, not
-one per vertex; `flip_masks` and `build_graph` pass one mask.
+cover would be removed by the flip itself.  Each kernel takes a whole
+bucket of masks and returns the children of all of them in one flat
+list, so the closure makes one call per key bucket, not one per
+vertex; `flip_masks` and `build_graph` pass one mask.  Without a
+``seed`` a kernel returns every flip; with the closure's seed it
+returns only the reverse-search children, those whose highest
+backward flip undoes the flip that made them, so the closure in
+`enumeration` makes each class member once.
 """
 
 from __future__ import annotations
@@ -63,29 +65,45 @@ if TYPE_CHECKING:
 
 
 def sc_flip_masks(
-    p: ChainProduct, masks: Iterable[int], allowed: int = -1
+    p: ChainProduct, masks: Iterable[int], seed: int | None = None
 ) -> list[int]:
-    """Every mask one sc flip away from a mask of ``masks`` (each sc).
+    """Masks one sc flip away from the masks of ``masks`` (each sc).
 
     A maximal member ``a`` is flippable iff for every axis ``k`` along
     which the dual ``b`` has a lower cover, that cover lies in
     ``I minus a``.  That cover is the dual of ``a + e_k``, and for a
     self-complementary mask it is a member exactly when ``a + e_k`` is
     not: the cover test is maximality itself, save at the corners of
-    ``p.sc_movable``, where the needed cover is ``a``.  Only flips
-    moving out a member of ``allowed`` (default: all) are returned.
+    ``p.sc_movable``, where the needed cover is ``a``.
 
-    The children of all masks come in one flat list, duplicates kept,
-    each mask's in descending rank of the member moved out.  A flip is
-    one XOR with ``p.sc_flip_pairs``.
+    With ``seed=None`` every flip of every mask is returned, in one
+    flat list.  With ``seed=S`` only the reverse-search children are:
+    a child ``J = P - b + b*`` moves out a member ``b`` of ``S`` and is
+    kept iff its incoming dual ``b*`` outranks every backward flip of
+    ``P`` (a flippable member outside ``S``).  The backward flips of
+    ``J`` are those of ``P``, minus the lower covers of ``b*`` (which
+    rank below ``b*``), plus ``b*`` itself: ``b*`` is maximal and
+    movable in ``J``, and the members that ``b`` uncovers lie in
+    ``S``.  So the rule holds iff ``b*`` is the highest backward flip
+    of ``J``, and each ``J`` but ``S`` is made by one parent only:
+    ``J`` with that flip undone.  Since ``b* = V - 1 - b``, the rule
+    keeps the ranks ``b`` below ``V - h``, where ``h`` is the bit
+    length of the backward flips.
+
+    Each mask's children come in descending rank of the member moved
+    out.  A flip is one XOR with ``p.sc_flip_pairs``.
     """
     maximal = p.maximal_mask
-    movable = p.sc_movable & allowed
+    movable = p.sc_movable
+    forward = movable if seed is None else movable & seed
+    backward = 0 if seed is None else movable & ~seed
+    V = p.volume
     pairs = p.sc_flip_pairs
     out: list[int] = []
     append = out.append
     for mask in masks:
-        flip = maximal(mask) & movable
+        mx = maximal(mask)
+        flip = mx & forward & ((1 << (V - (mx & backward).bit_length())) - 1)
         while flip:
             b = flip.bit_length()
             flip ^= 1 << (b - 1)
@@ -94,7 +112,7 @@ def sc_flip_masks(
 
 
 def orbit_flip_masks(
-    p: ChainProduct, masks: Iterable[int], group: str, allowed: int = -1
+    p: ChainProduct, masks: Iterable[int], group: str, seed: int | None = None
 ) -> list[tuple[int, int]]:
     """(mask, weight) pairs one orbit flip away (cyclic or full group).
 
@@ -106,25 +124,48 @@ def orbit_flip_masks(
     in `sc_flip_masks` they are members when ``a`` is maximal, and they
     stay members unless they lie in the outgoing orbit.  Orbits of
     such corners, and diagonal points (singleton orbits), are left out
-    of ``p.orbit_flips(group).movable``.  Only orbits inside
-    ``allowed`` are flipped.  As in `sc_flip_masks`, the pairs of all
-    of ``masks`` come in one flat list.
+    of ``p.orbit_flips(group).movable``.
+
+    ``seed`` works as in `sc_flip_masks`, with orbits ranked by their
+    smallest rank (their rep): walking the reps from the top, the
+    first flippable orbit outside ``S`` gives its rep ``h`` (-1 if
+    there is none), and an orbit ``O`` inside ``S`` is kept iff the
+    rep of its dual orbit, ``V - bit_length(O)``, exceeds ``h``.  An orbit touching a lower
+    cover ``c = a* - e_k`` of ``O*`` has a smaller rep than ``O*``:
+    the group permutation taking ``a*`` to the rep of ``O*`` takes
+    ``c`` to a lower cover of that rep.  So, as for sc, the dual orbit
+    ``O*`` is the highest backward orbit of the child, and each child
+    has one parent.
     """
     tables = p.orbit_flips(group)
     maximal = p.maximal_mask
-    movable = tables.movable & allowed
+    movable = tables.movable
+    forward = movable if seed is None else movable & seed
+    backward = 0 if seed is None else movable & ~seed
     all_reps = tables.reps
     swaps = tables.swaps
+    V = p.volume
     out: list[tuple[int, int]] = []
     append = out.append
     for mask in masks:
-        ok = maximal(mask) & movable
+        mx = maximal(mask)
+        back = mx & backward
+        reps = back & all_reps
+        h = -1
+        while reps:
+            b = reps.bit_length()
+            reps ^= 1 << (b - 1)
+            ob = swaps[b - 1][0]
+            if back & ob == ob:
+                h = b - 1
+                break
+        ok = mx & forward
         reps = ok & all_reps
         while reps:
             b = reps.bit_length()
             reps ^= 1 << (b - 1)
             ob, swap, weight = swaps[b - 1]
-            if ok & ob == ob:
+            if ok & ob == ob and V - ob.bit_length() > h:
                 append((mask ^ swap, weight))
     return out
 

@@ -24,10 +24,9 @@ Checks record expected vs observed values.  Failures of checks labeled
 conjectural are reported as conjecture violations - scientifically
 interesting, not a build break - and the top-level status keeps the
 three cases (pass / conjecture-violated / fail) apart.  Every instance
-is enumerated in full; the one skip is the ``counts`` deferral of the sc
-shapes above 50 000 vertices, which run with ``slow``.  The suites of
-one run share enumerations and metric reports through a store made for
-that run alone.
+is enumerated in full, and no check is skipped.  The suites of one run
+share enumerations and metric reports through a store made for that run
+alone.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from .poset import ShapeError, ranks
 SWEEP_MAX_VOLUME = 216
 ALL_PAIRS_LIMIT = 3000
 DISTANCE_ORACLE_LIMIT = 100
-COUNTS_DEFAULT_LIMIT = 50_000
 
 #: shapes beyond the closed-form reach that stay enumerable
 _EXTRA_SC_DIMS = (
@@ -180,9 +178,6 @@ class SuiteReport:
         self.check(name, observed == expected, expected, observed,
                    conjectural, note)
 
-    def skip(self, name, note):
-        self.checks.append(CheckResult(name, "skip", note=note))
-
 
 # ----------------------------------------------------------------------
 # instance data
@@ -224,8 +219,7 @@ class _Run:
     """The instance data of one run, built on first use and shared by
     its suites.  Enumerations are forced: the suites choose sizes."""
 
-    def __init__(self, slow: bool = False):
-        self.slow = slow
+    def __init__(self):
         self._enums: dict[tuple, EnumerationResult] = {}
         self._reports: dict[tuple, MetricReport] = {}
         self._all_pairs: list[tuple[int, ...]] | None = None
@@ -289,14 +283,10 @@ def _suite_distance(s: SuiteReport, run: _Run) -> None:
 
 def _suite_counts(s: SuiteReport, run: _Run) -> None:
     """Closed forms vs flip enumeration vs the brute-force scan."""
-    skipped = []
     for dims in sc_sweep():
         want = count_closed(dims, SC)
         if want == 0:
             continue  # the all-odd shapes are checked below
-        if want > COUNTS_DEFAULT_LIMIT and not run.slow:
-            skipped.append(dims)
-            continue
         got = enumerate_count(dims, SC, force=True)
         if got != want:
             s.equal(f"sc count {dims}", got, want)
@@ -305,16 +295,8 @@ def _suite_counts(s: SuiteReport, run: _Run) -> None:
         all(c.status == "pass" for c in s.checks),
         expected="all equal",
         observed="all equal" if not s.checks else "mismatches above",
-        note=f"volume <= {SWEEP_MAX_VOLUME}"
-             + (f"; {len(skipped)} large shapes deferred to --slow"
-                if skipped else ""),
+        note=f"volume <= {SWEEP_MAX_VOLUME}",
     )
-    if skipped and not run.slow:
-        s.skip(
-            f"sc counts above {COUNTS_DEFAULT_LIMIT} vertices",
-            f"{len(skipped)} shapes (largest {max(skipped, key=math.prod)}) "
-            "run with the slow flag",
-        )
     for dims in ((3, 3), (3, 5, 7), (5,)):
         s.equal(f"sc count {dims} (odd volume)", count_closed(dims, SC), 0)
     for cls, table in (
@@ -817,19 +799,17 @@ SUITES = {
 }
 
 
-def run_suite(name: str, slow: bool = False) -> SuiteReport:
+def run_suite(name: str) -> SuiteReport:
     """Run one named suite on instance data of its own and time it."""
-    return _Run(slow).suite(name)
+    return _Run().suite(name)
 
 
-def run_all(
-    names=None, slow: bool = False, progress=None
-) -> list[SuiteReport]:
+def run_all(names=None, progress=None) -> list[SuiteReport]:
     """Run the named suites (all by default) in declaration order,
     sharing one run's instance data."""
     if names is None:
         names = list(SUITES)
-    run = _Run(slow)
+    run = _Run()
     reports = []
     for name in names:
         report = run.suite(name)

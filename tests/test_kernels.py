@@ -2,6 +2,7 @@
 against the slow references in ``oracles``."""
 
 import functools
+import itertools
 import math
 
 import pytest
@@ -25,6 +26,15 @@ CLOSURE_CASES = [
     ((2, 3), SC), ((2, 3, 4), SC), ((3, 3, 4), SC),
     ((2, 2, 2, 2), SC), ((2, 2, 3, 3), SC), ((2,) * 6, SC),
 ] + [((2 * r,) * 3, cls) for r in (1, 2, 3, 4) for cls in (CSSC, TSSC)]
+# every even-volume shape with d <= 4, sides >= 2 and volume <= 40, in
+# every axis order (the order fixes the ranks the parent rule compares)
+CLOSURE_CASES += [
+    (dims, SC)
+    for d in (1, 2, 3, 4)
+    for dims in itertools.product(range(2, 41), repeat=d)
+    if math.prod(dims) <= 40 and math.prod(dims) % 2 == 0
+    and (dims, SC) not in CLOSURE_CASES
+]
 
 
 @functools.cache
@@ -38,11 +48,13 @@ def test_graded_closure_matches_bfs_oracle(dims, cls):
     want = oracle_members(dims, cls)
     assert enumerate_ideals(dims, cls, force=True).masks == want
     assert enumerate_count(dims, cls, force=True) == len(want)
-    # each bucket holds one key, and the keys strictly increase
+    # each bucket holds one key, each member once, and the keys
+    # strictly increase
     start = seed(dims, cls).mask
     unit = 1 if cls == SC else 3
     keys = []
     for bucket in _graded_closure(ChainProduct(dims), cls, start):
+        assert len(bucket) == len(set(bucket))
         (key,) = {(start & ~m).bit_count() // unit for m in bucket}
         keys.append(key)
     assert keys == sorted(set(keys))
@@ -86,15 +98,12 @@ def class_members(draw):
     return ChainProduct(dims), cls, draw(st.sampled_from(masks))
 
 
-def kernel(p, cls, masks, allowed=-1):
-    """The sorted (mask, weight) children of a bucket of masks."""
+def kernel(p, cls, masks, start=None):
+    """The sorted (mask, weight) children of a bucket of masks, all of
+    them, or with a seed ``start`` the reverse-search children only."""
     if cls == SC:
-        return sorted(
-            (m, 1) for m in metric.sc_flip_masks(p, masks, allowed=allowed)
-        )
-    return sorted(
-        metric.orbit_flip_masks(p, masks, GROUP[cls], allowed=allowed)
-    )
+        return sorted((m, 1) for m in metric.sc_flip_masks(p, masks, start))
+    return sorted(metric.orbit_flip_masks(p, masks, GROUP[cls], start))
 
 
 @functools.cache
@@ -111,6 +120,27 @@ def oracle_kernel(p, cls, mask):
     )
 
 
+def rep(orbit):
+    """The smallest rank of a nonzero orbit mask (sc: its one rank)."""
+    return (orbit & -orbit).bit_length() - 1
+
+
+def oracle_children(p, cls, mask, start):
+    """The reverse-search children of ``mask`` for the seed ``start``,
+    from the oracle kernel: the forward flips (moving out members of
+    ``start`` only) whose incoming orbit outranks every orbit that a
+    backward flip (moving out no member of ``start``) would move out."""
+    full = oracle_kernel(p, cls, mask)
+    top = max(
+        (rep(mask & ~m) for m, _ in full if mask & ~m & start == 0),
+        default=-1,
+    )
+    return [
+        (m, w) for m, w in full
+        if mask & ~m & ~start == 0 and rep(m & ~mask) > top
+    ]
+
+
 @SETTINGS
 @given(class_members())
 def test_kernels_match_oracle_kernels(drawn):
@@ -120,16 +150,22 @@ def test_kernels_match_oracle_kernels(drawn):
     assert sorted(metric.flip_masks(p, mask, cls)) == want
 
 
+@st.composite
+def member_and_seed(draw):
+    """(poset, class, mask, seed): two members of one small class."""
+    dims, cls = small_class(draw)
+    masks = oracle_members(dims, cls)
+    pick = st.sampled_from(masks)
+    return ChainProduct(dims), cls, draw(pick), draw(pick)
+
+
 @SETTINGS
-@given(class_members(), st.data())
-def test_allowed_mask_filters_the_full_output(drawn, data):
-    p, cls, mask = drawn
-    allowed = data.draw(st.integers(0, p.full_mask))
-    full = kernel(p, cls, (mask,))
-    # a flip is kept iff every member it moves out is allowed
-    assert kernel(p, cls, (mask,), allowed) == [
-        (m, w) for m, w in full if mask & ~m & ~allowed == 0
-    ]
+@given(member_and_seed())
+def test_seed_keeps_the_reverse_search_children(drawn):
+    p, cls, mask, start = drawn
+    assert kernel(p, cls, (mask,), start) == oracle_children(
+        p, cls, mask, start
+    )
 
 
 @SETTINGS
@@ -139,10 +175,13 @@ def test_forward_flips_raise_the_key_by_their_weight(drawn):
     start = seed(p.dims, cls).mask
     unit = 1 if cls == SC else 3
     key = (start & ~mask).bit_count()
-    forward = kernel(p, cls, (mask,), allowed=start)
+    kept = kernel(p, cls, (mask,), start)
     for m, w in kernel(p, cls, (mask,)):
         step = (start & ~m).bit_count() - key
-        assert step == (w if (m, w) in forward else -w) * unit
+        forward = mask & ~m & ~start == 0
+        assert step == (w if forward else -w) * unit
+        assert forward or (m, w) not in kept
+    assert set(kept) <= set(kernel(p, cls, (mask,)))
     # off the seed, some flip steps back toward it
     if mask != start:
         assert any(
@@ -151,28 +190,47 @@ def test_forward_flips_raise_the_key_by_their_weight(drawn):
         )
 
 
+@SETTINGS
+@given(member_and_seed())
+def test_each_member_but_the_seed_has_one_parent(drawn):
+    p, cls, mask, start = drawn
+    # the neighbours one step (of their flip's weight) nearer the seed
+    key = (start & ~mask).bit_count()
+    down = [
+        nm for nm, _ in oracle_kernel(p, cls, mask)
+        if (start & ~nm).bit_count() < key
+    ]
+    if mask == start:
+        assert down == []
+        return
+    parents = [
+        nm for nm in down
+        if any(m == mask for m, _ in kernel(p, cls, (nm,), start))
+    ]
+    # the one parent undoes the flip that moved in the highest orbit
+    assert parents == [max(down, key=lambda nm: rep(mask & ~nm))]
+
+
 @st.composite
 def class_buckets(draw):
-    """(poset, class, masks): several members of one small class, in
-    any order and with repeats."""
+    """(poset, class, masks, seed): several members of one small class,
+    in any order and with repeats, and one member as the seed."""
     dims, cls = small_class(draw)
     masks = oracle_members(dims, cls)
     bucket = draw(st.lists(st.sampled_from(masks), min_size=2, max_size=8))
-    return ChainProduct(dims), cls, bucket
+    return ChainProduct(dims), cls, bucket, draw(st.sampled_from(masks))
 
 
 @SETTINGS
-@given(class_buckets(), st.data())
-def test_a_bucket_gives_the_union_of_its_members_children(drawn, data):
-    p, cls, bucket = drawn
-    allowed = data.draw(st.integers(0, p.full_mask))
-    # the multiset union, duplicates kept, of the per-mask oracle output
-    children = [
-        (mask, c) for mask in bucket for c in oracle_kernel(p, cls, mask)
-    ]
-    assert kernel(p, cls, bucket) == sorted(c for _mask, c in children)
-    assert kernel(p, cls, bucket, allowed) == sorted(
-        (m, w) for mask, (m, w) in children if mask & ~m & ~allowed == 0
+@given(class_buckets())
+def test_a_bucket_gives_the_union_of_its_members_children(drawn):
+    p, cls, bucket, start = drawn
+    # the multiset unions, duplicates kept, of the per-mask oracle output
+    assert kernel(p, cls, bucket) == sorted(
+        c for mask in bucket for c in oracle_kernel(p, cls, mask)
+    )
+    assert kernel(p, cls, bucket, start) == sorted(
+        c for mask in bucket for c in oracle_children(p, cls, mask, start)
     )
     assert kernel(p, cls, []) == []
 
