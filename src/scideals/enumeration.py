@@ -224,21 +224,23 @@ def _halfspace(p: ChainProduct, axis: int) -> int:
     l = p.dims[axis]
     if l % 2:
         raise ShapeError(f"halfspace needs an even axis, got l = {l}")
-    s = p.strides[axis]
-    unit = (1 << (l // 2 * s)) - 1
-    mask = 0
-    for start in range(0, p.volume, l * s):
-        mask |= unit << start
-    return mask
+    return p.below_mask(axis, l // 2)
 
 
 def _staircase(p: ChainProduct, r: int) -> int:
-    """Mask of the ideal a_1 + a_2 + a_3 <= 3r + 1."""
-    bound = 3 * r + 1
+    """Mask of the ideal a_1 + a_2 + a_3 <= 3r + 1 (three dimensions).
+
+    For fixed ``a_1, a_2`` the members are the ``a_3`` up to
+    ``3r + 1 - a_1 - a_2``: one run of consecutive ranks per pair.
+    """
+    l1, l2, l3 = p.dims
+    s1, s2, _ = p.strides
     mask = 0
-    for rank, a in enumerate(p.elements()):
-        if sum(a) <= bound:
-            mask |= 1 << rank
+    for x in range(l1):
+        for y in range(l2):
+            n = min(l3, 3 * r - 1 - x - y)  # zero-based: z <= 3r - 2 - x - y
+            if n > 0:
+                mask |= ((1 << n) - 1) << (x * s1 + y * s2)
     return mask
 
 
@@ -299,12 +301,19 @@ class EnumerationResult:
 def _check_guard(
     dims: tuple[int, ...], cls: str, force: bool
 ) -> None:
-    count = _count_or_none(dims, cls)
+    """Refuse an empty class, and without ``force`` a large one.
+
+    With ``force`` the closed form is not evaluated: the only empty
+    class it could report is sc on an odd volume.
+    """
     volume = math.prod(dims)
-    if count is not None and count == 0:
-        raise EmptyClassError(f"no {cls} ideals on {dims}")
     if force:
+        if cls == SC and volume % 2:
+            raise EmptyClassError(f"no {cls} ideals on {dims}")
         return
+    count = _count_or_none(dims, cls)
+    if count == 0:
+        raise EmptyClassError(f"no {cls} ideals on {dims}")
     if count is not None:
         if count > DEFAULT_VERTEX_GUARD:
             raise EnumerationGuardError(

@@ -90,10 +90,12 @@ def sc_flip_masks(
     keeps the ranks ``b`` below ``V - h``, where ``h`` is the bit
     length of the backward flips.
 
-    Each mask's children come in descending rank of the member moved
-    out.  A flip is one XOR with ``p.sc_flip_pairs``.
+    Per mask the maximal members come from one inline walk of
+    ``p.cover_axes``, the walk of `ChainProduct.maximal_mask` without
+    its call, and the children come in descending rank of the member
+    moved out.  A flip is one XOR with ``p.sc_flip_pairs``.
     """
-    maximal = p.maximal_mask
+    axes = p.cover_axes
     movable = p.sc_movable
     forward = movable if seed is None else movable & seed
     backward = 0 if seed is None else movable & ~seed
@@ -102,7 +104,10 @@ def sc_flip_masks(
     out: list[int] = []
     append = out.append
     for mask in masks:
-        mx = maximal(mask)
+        covered = 0
+        for s, up in axes:
+            covered |= up & (mask >> s)
+        mx = mask & ~covered
         flip = mx & forward & ((1 << (V - (mx & backward).bit_length())) - 1)
         while flip:
             b = flip.bit_length()
@@ -135,10 +140,10 @@ def orbit_flip_masks(
     the group permutation taking ``a*`` to the rep of ``O*`` takes
     ``c`` to a lower cover of that rep.  So, as for sc, the dual orbit
     ``O*`` is the highest backward orbit of the child, and each child
-    has one parent.
+    has one parent.  Maximality is walked inline, as in `sc_flip_masks`.
     """
     tables = p.orbit_flips(group)
-    maximal = p.maximal_mask
+    axes = p.cover_axes
     movable = tables.movable
     forward = movable if seed is None else movable & seed
     backward = 0 if seed is None else movable & ~seed
@@ -148,7 +153,10 @@ def orbit_flip_masks(
     out: list[tuple[int, int]] = []
     append = out.append
     for mask in masks:
-        mx = maximal(mask)
+        covered = 0
+        for s, up in axes:
+            covered |= up & (mask >> s)
+        mx = mask & ~covered
         back = mx & backward
         reps = back & all_reps
         h = -1

@@ -13,15 +13,21 @@ The order-reversing involution ``phi(a) = (l_1+1-a_1, ..., l_d+1-a_d)``
 sends rank ``r`` to ``V-1-r`` where ``V`` is the number of elements, so
 the dual image of a mask is its bit reversal and a self-complementary
 set is one whose bit reversal equals its complement.  The axis masks
-precomputed here (`up_masks` / `down_masks`) make downward-closure
+set at construction (`up_masks` / `down_masks`) make downward-closure
 checks and maximal-element extraction a handful of big-integer shifts
-instead of per-element loops.
+instead of per-element loops.  Each is a run of ones times a repunit
+(`below_mask`), so the shape tables cost O(d) big-integer operations.
+Every enumeration builds its own poset, so its tables are a fixed cost
+of each call.  Only the sc flip-pair table and, on cubes, the orbit
+tables are O(V); the orbit tables are built from one representative
+per orbit (the sorted triple under S3, the least rotation under Z3),
+not by visiting every element.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -81,17 +87,44 @@ class OrbitFlips:
 
 @dataclass(frozen=True)
 class ChainProduct:
-    """The poset [l_1] x ... x [l_d] with all l_k >= 1."""
+    """The poset [l_1] x ... x [l_d] with all l_k >= 1.
+
+    The shape tables, each O(d) integers, are set at construction:
+    ``volume``, the mixed-radix ``strides`` (coordinate 1 most
+    significant), ``full_mask``, and per axis k the ``up_masks`` (ranks
+    whose k-th coordinate can increase), the ``down_masks`` (can
+    decrease) and the ``cover_axes`` pairs (stride, up mask).
+    """
 
     dims: Coords
+    volume: int = field(init=False, repr=False, compare=False)
+    strides: Coords = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
+    up_masks: Coords = field(init=False, repr=False, compare=False)
+    down_masks: Coords = field(init=False, repr=False, compare=False)
+    cover_axes: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        dims = tuple(int(l) for l in self.dims)
+        dims = tuple(map(int, self.dims))
         if not dims:
             raise ShapeError("at least one dimension is required")
-        if any(l < 1 for l in dims):
+        if min(dims) < 1:
             raise ShapeError(f"dimensions must be positive, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        strides = [1] * len(dims)
+        for k in range(len(dims) - 1, 0, -1):
+            strides[k - 1] = strides[k] * dims[k]
+        volume = strides[0] * dims[0]
+        put = object.__setattr__
+        put(self, "dims", dims)
+        put(self, "strides", tuple(strides))
+        put(self, "volume", volume)
+        put(self, "full_mask", (1 << volume) - 1)
+        up = tuple(self.below_mask(k, l - 1) for k, l in enumerate(dims))
+        put(self, "up_masks", up)
+        put(self, "down_masks", tuple(m << s for m, s in zip(up, strides)))
+        put(self, "cover_axes", tuple(zip(strides, up)))
 
     # ------------------------------------------------------------------
     # shape
@@ -99,25 +132,6 @@ class ChainProduct:
     @property
     def d(self) -> int:
         return len(self.dims)
-
-    @cached_property
-    def volume(self) -> int:
-        v = 1
-        for length in self.dims:
-            v *= length
-        return v
-
-    @cached_property
-    def strides(self) -> Coords:
-        """Mixed-radix place values; coordinate 1 is most significant."""
-        s = [1] * self.d
-        for k in range(self.d - 2, -1, -1):
-            s[k] = s[k + 1] * self.dims[k + 1]
-        return tuple(s)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.volume) - 1
 
     def is_cube(self) -> bool:
         return self.d == 3 and len(set(self.dims)) == 1
@@ -164,29 +178,17 @@ class ChainProduct:
     # ------------------------------------------------------------------
     # axis masks: the bit-parallel machinery
 
-    @cached_property
-    def _axis_masks(self) -> tuple[Coords, Coords]:
-        up, down = [], []
-        for k, l in enumerate(self.dims):
-            s = self.strides[k]
-            period = l * s
-            unit = (1 << ((l - 1) * s)) - 1  # ranks with a_k < l_k, one block
-            m = 0
-            for start in range(0, self.volume, period):
-                m |= unit << start
-            up.append(m)
-            down.append(m << s)
-        return tuple(up), tuple(down)
+    def below_mask(self, k: int, c: int) -> int:
+        """Mask of the ranks whose k-th coordinate is at most ``c``.
 
-    @property
-    def up_masks(self) -> Coords:
-        """Per axis k: mask of ranks whose k-th coordinate can increase."""
-        return self._axis_masks[0]
-
-    @property
-    def down_masks(self) -> Coords:
-        """Per axis k: mask of ranks whose k-th coordinate can decrease."""
-        return self._axis_masks[1]
+        Within one block of ``l_k * s_k`` ranks (all coordinates before
+        ``k`` fixed) these are the lowest ``c * s_k`` ranks, so the mask
+        is that run of ones times the repunit with one bit per block,
+        ``full_mask // (2^(l_k s_k) - 1)``.
+        """
+        s = self.strides[k]
+        run = (1 << (c * s)) - 1
+        return run * (self.full_mask // ((1 << (self.dims[k] * s)) - 1))
 
     def is_downward_closed(self, mask: int) -> bool:
         """True iff the member mask is closed under lower covers."""
@@ -198,13 +200,12 @@ class ChainProduct:
                 return False
         return True
 
-    @cached_property
-    def cover_axes(self) -> tuple[tuple[int, int], ...]:
-        """Per axis k: (stride, up mask), the pairs `maximal_mask` walks."""
-        return tuple(zip(self.strides, self.up_masks))
-
     def maximal_mask(self, mask: int) -> int:
-        """Mask of members with no member strictly above them."""
+        """Mask of members with no member strictly above them.
+
+        The flip kernels run this walk of `cover_axes` inline, once per
+        vertex; this method is the reference the tests compare with.
+        """
         covered = 0
         for s, up in self.cover_axes:
             covered |= up & (mask >> s)
@@ -305,21 +306,27 @@ class ChainProduct:
     def orbit_flips(self, group: str) -> OrbitFlips:
         """Orbit flip tables under ``group``, built once.
 
-        The flip kernel asks at every vertex, so a repeat call is one
-        dict lookup.  The build lives in `_build_flips`: its generator's
-        closure cells would otherwise be made on every call here.
+        The flip kernel asks once per bucket, so a repeat call is one
+        dict lookup.
         """
         found = self._flips_memo.get(group)
         if found is None:
             found = self._flips_memo[group] = self._build_flips(group)
         return found
 
-    def _build_orbits(self, group: str) -> tuple[list[Orbit], list[int]]:
-        """Orbits in order of their smallest rank, from coordinates.
+    def _orbits_by_rep(
+        self, group: str
+    ) -> Iterator[tuple[Coords, list[int], int, int]]:
+        """Each orbit as (least element, ascending ranks, mask, dual
+        mask), in order of its least rank.
 
         With zero-based coordinates the rank of ``(x, y, z)`` is
-        ``x l^2 + y l + z``; ranks are visited in order, so the first
-        element seen of each orbit is its smallest.
+        ``x l^2 + y l + z``, so an orbit's least rank belongs to its
+        lexicographically least element: the sorted triple under S3,
+        the least rotation under Z3.  Those representatives are
+        generated directly, in rank order.  A least rotation starts
+        with a smallest coordinate ``x``; of ``(x, y, x)`` and
+        ``(x, x, y)`` with ``y > x`` only the second is least.
         """
         self._require_cube()
         perms = _GROUPS.get(group)
@@ -328,40 +335,53 @@ class ChainProduct:
         l = self.dims[0]
         ll = l * l
         v1 = self.volume - 1
-        orbit_of = [-1] * self.volume
-        orbits: list[Orbit] = []
-        for r, a in enumerate(itertools.product(range(l), repeat=3)):
-            if orbit_of[r] >= 0:
-                continue
+        if group == FULL:
+            reps = itertools.combinations_with_replacement(range(l), 3)
+        else:
+            reps = (
+                (x, y, z)
+                for x in range(l)
+                for y in range(x, l)
+                for z in range(x + (y > x), l)
+            )
+        for a in reps:
             ranks = sorted({a[i] * ll + a[j] * l + a[k] for i, j, k in perms})
             mask = dmask = 0
-            for x in ranks:
-                orbit_of[x] = len(orbits)
-                mask |= 1 << x
-                dmask |= 1 << (v1 - x)
+            for q in ranks:
+                mask |= 1 << q
+                dmask |= 1 << (v1 - q)
+            yield a, ranks, mask, dmask
+
+    def _build_orbits(self, group: str) -> tuple[list[Orbit], list[int]]:
+        orbit_of = [-1] * self.volume
+        orbits: list[Orbit] = []
+        for _a, ranks, mask, dmask in self._orbits_by_rep(group):
+            for q in ranks:
+                orbit_of[q] = len(orbits)
             orbits.append(Orbit(tuple(ranks), mask, dmask))
         return orbits, orbit_of
 
     def _build_flips(self, group: str) -> OrbitFlips:
         # a corner's images under the group are corners along the
-        # permuted axes, so testing each orbit's smallest rank suffices
-        orbits, orbit_of = self.orbit_structure(group)
+        # permuted axes, so testing each orbit's least element ``a`` of
+        # rank ``r`` suffices: it is a corner when the dual of an upper
+        # cover, rank ``V - 1 - r - s_k``, lies in its own orbit
         l = self.dims[0]
         ll = l * l
         v1 = self.volume - 1
         movable = reps = 0
         swaps: list[tuple[int, int, int] | None] = [None] * self.volume
-        for o, ob in enumerate(orbits):
-            r = ob.ranks[0]
-            x, rest = divmod(r, ll)
-            if len(ob.ranks) == 1 or any(
-                c < l - 1 and orbit_of[v1 - r - s] == o
-                for c, s in zip((x, *divmod(rest, l)), (ll, l, 1))
+        for (x, y, z), ranks, mask, dmask in self._orbits_by_rep(group):
+            r = ranks[0]
+            if len(ranks) == 1 or (
+                (x < l - 1 and v1 - r - ll in ranks)
+                or (y < l - 1 and v1 - r - l in ranks)
+                or (z < l - 1 and v1 - r - 1 in ranks)
             ):
                 continue
-            movable |= ob.mask
+            movable |= mask
             reps |= 1 << r
-            swaps[r] = (ob.mask, ob.mask | ob.dual_mask, len(ob.ranks) // 3)
+            swaps[r] = (mask, mask | dmask, len(ranks) // 3)
         return OrbitFlips(movable, reps, swaps)
 
     # ------------------------------------------------------------------

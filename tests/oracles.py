@@ -6,7 +6,9 @@ agree with: the closed-form counts as products of rationals, the sc
 kernel as an explicit per-axis shifted-complement test, the orbit
 kernel as a loop over orbits with a whole-mask closure check, upper
 covers element by element (the reference for ``maximal_mask``), orbits
-found from ``unrank``/``rank`` and coordinate permutations, the closure
+found from ``unrank``/``rank`` and coordinate permutations, the axis
+masks as one shift per block and the halfspace and staircase seeds
+element by element (the references for their closed forms), the closure
 as a two-way breadth-first search with a global visited set, the
 metric report as the full n x n AND-NOT/popcount sweep, and shortest
 paths as heap Dijkstra over the graph's edge list.
@@ -79,6 +81,34 @@ def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:
         ra = low.bit_length() - 1
         out.append(mask ^ low ^ (1 << (v1 - ra)))
     return out
+
+
+def axis_masks(p: ChainProduct) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up masks, down masks) per axis, one shifted run per block of
+    ``l_k * s_k`` ranks: the ranks with ``a_k < l_k``, and their images
+    one step up."""
+    up, down = [], []
+    for l, s in zip(p.dims, p.strides):
+        unit = (1 << ((l - 1) * s)) - 1
+        m = 0
+        for start in range(0, p.volume, l * s):
+            m |= unit << start
+        up.append(m)
+        down.append(m << s)
+    return tuple(up), tuple(down)
+
+
+def halfspace_mask(p: ChainProduct, axis: int) -> int:
+    """The ideal ``a_axis <= l_axis / 2``, element by element."""
+    half = p.dims[axis] // 2
+    return sum(1 << r for r, a in enumerate(p.elements()) if a[axis] <= half)
+
+
+def staircase_mask(p: ChainProduct, r: int) -> int:
+    """The ideal ``a_1 + a_2 + a_3 <= 3r + 1``, element by element."""
+    return sum(
+        1 << q for q, a in enumerate(p.elements()) if sum(a) <= 3 * r + 1
+    )
 
 
 def upper_covers(p: ChainProduct, a: tuple[int, ...]) -> list[tuple[int, ...]]:

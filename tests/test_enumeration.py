@@ -1,9 +1,11 @@
 """Enumeration: closed forms, flip closure, the brute-force scan, guards."""
 
+import re
+
 import pytest
 
 import oracles
-from scideals import cli
+from scideals import cli, enumeration
 from scideals.enumeration import (
     EmptyClassError,
     EnumerationGuardError,
@@ -129,6 +131,30 @@ def test_oracle_counts_all_ideals():
     # unfiltered: all downward-closed sets, a classical lattice count
     assert len(oracle_enumerate((3, 3))) == 20
     assert len(oracle_enumerate((2, 2, 2))) == 20
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("dims", [(3, 5), (3, 5, 7), (3, 3, 3, 3)])
+def test_odd_volume_sc_is_refused_with_and_without_force(dims, force):
+    # with force the closed form is skipped, so the guard itself must
+    # still name an odd volume as an empty class
+    message = re.escape(f"no sc ideals on {dims}")
+    with pytest.raises(EmptyClassError, match=message):
+        enumerate_count(dims, SC, force=force)
+    with pytest.raises(EmptyClassError, match=message):
+        enumerate_ideals(dims, SC, force=force)
+
+
+def test_force_does_not_evaluate_the_closed_form(monkeypatch):
+    def refuse(dims, cls=SC):
+        raise AssertionError(f"closed form evaluated for {cls} on {dims}")
+
+    monkeypatch.setattr(enumeration, "count_closed", refuse)
+    assert enumerate_count((2, 3, 4), SC, force=True) == 18
+    assert enumerate_count((4, 4, 4), TSSC, force=True) == 2
+    assert len(enumerate_ideals((4, 4, 4), CSSC, force=True)) == 4
+    with pytest.raises(AssertionError, match="closed form evaluated"):
+        enumerate_count((2, 3, 4), SC)
 
 
 def test_vertex_guard_and_force():

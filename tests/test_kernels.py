@@ -12,6 +12,8 @@ import oracles
 from scideals import metric
 from scideals.enumeration import (
     _graded_closure,
+    _halfspace,
+    _staircase,
     enumerate_count,
     enumerate_ideals,
     seed,
@@ -60,7 +62,28 @@ def test_graded_closure_matches_bfs_oracle(dims, cls):
     assert keys == sorted(set(keys))
 
 
-@pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 6])
+def test_closed_form_masks_match_element_wise_references():
+    # the axis masks and the halfspace seed are one run of ones times a
+    # repunit; on every closure shape, every even axis seeds a halfspace
+    for dims in sorted({dims for dims, _ in CLOSURE_CASES}):
+        p = ChainProduct(dims)
+        assert (p.up_masks, p.down_masks) == oracles.axis_masks(p), dims
+        for axis, l in enumerate(dims):
+            if l % 2 == 0:
+                assert _halfspace(p, axis) == oracles.halfspace_mask(
+                    p, axis
+                ), (dims, axis)
+
+
+@pytest.mark.parametrize("side", range(2, 13))
+def test_staircase_runs_match_element_wise_reference(side):
+    # r = 0 is empty and r = side covers the whole cube
+    p = cube(side)
+    for r in range(side + 1):
+        assert _staircase(p, r) == oracles.staircase_mask(p, r), r
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 6, 8, 10])
 @pytest.mark.parametrize("group", [CYCLIC, FULL])
 def test_orbits_by_coordinates_match_unrank(side, group):
     p = cube(side)

@@ -8,7 +8,7 @@ randomness only picks which instances get checked this run.
 import functools
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scideals.constructions import sc_diameter_value
 from scideals.enumeration import enumerate_ideals, oracle_ideal_masks, seed
@@ -153,17 +153,34 @@ MEDIAN_CASES = [
 
 
 @functools.cache
-def _class_masks(dims, cls):
-    return enumerate_ideals(dims, cls, force=True).masks
+def _class(dims, cls):
+    return enumerate_ideals(dims, cls, force=True)
+
+
+@st.composite
+def small_classes(draw):
+    """(dims, class): an sc shape of even volume <= 40, in any axis
+    order, or a cssc/tssc cube [2r]^3 with r <= 3."""
+    cls = draw(st.sampled_from([SC, CSSC, TSSC]))
+    if cls != SC:
+        return (2 * draw(st.integers(1, 3)),) * 3, cls
+    dims: list[int] = []
+    for _ in range(draw(st.integers(1, 4))):
+        dims.append(draw(st.integers(1, 40 // math.prod(dims))))
+    assume(math.prod(dims) % 2 == 0)
+    return tuple(draw(st.permutations(dims))), cls
 
 
 @SETTINGS
-@given(st.sampled_from(MEDIAN_CASES), st.data())
+@given(st.sampled_from(MEDIAN_CASES) | small_classes(), st.data())
 def test_majority_of_three_members_is_a_member(case, data):
     # the flip graphs are median graphs: the bitwise majority of three
-    # members is again a member, whatever the distance formula says
+    # members is again a member, whatever the distance formula says, so
+    # the closure must have found it too
     dims, cls = case
-    masks = st.sampled_from(_class_masks(dims, cls))
+    enum = _class(dims, cls)
+    masks = st.sampled_from(enum.masks)
     a, b, c = data.draw(masks), data.draw(masks), data.draw(masks)
     majority = (a & b) | (a & c) | (b & c)
     assert validate_mask(ChainProduct(dims), majority, cls)
+    assert majority in enum.index
