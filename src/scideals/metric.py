@@ -12,17 +12,21 @@ Vertices are the ideals of one class on one poset.  Edges:
 The key fact driving everything here is that the geodesic distance has
 a closed form: ``|I \\ J|`` for sc, and ``|I \\ J| / 3`` for the two
 symmetric classes (the difference set is a union of non-diagonal
-orbits, so the division is exact).  One row of distances is therefore
-one popcount of ``masks & ~mask_v`` over numpy uint64 limbs.  Every
-member of a class has the same size, so ``|I \\ J| = |J \\ I|`` and
-the distance is a metric; `metric_report` uses that to get every
-eccentricity exactly from a few rows, by the lower and upper bounds of
-Takes and Kosters (*Determining the diameter of small world networks*,
-CIKM 2011; *Computing the eccentricity distribution of large graphs*,
-Algorithms 2013), instead of all n.  For cssc and tssc it first checks,
-in O(n V), that the masks are closed under the symmetry, so every
-division by 3 is exact.  The graph itself is kept as the slow
-cross-check: `build_graph` runs the kernel at every vertex, and
+orbits, so the division is exact).  Every member of a class is sc, so
+it is fixed by its low half ``h = mask & (2^(V/2) - 1)``, and each
+rank ``r < V/2`` that two members disagree on puts exactly one of ``r``
+and ``V - 1 - r`` into ``I \\ J``: ``|I \\ J| = popcount(h_I ^ h_J)``.
+One row of distances is therefore one XOR and popcount of half masks
+over a limb-major numpy uint64 array.  Every member of a class has the
+same size, so ``|I \\ J| = |J \\ I|`` and the distance is a metric;
+`metric_report` uses that to get every eccentricity exactly from a few
+rows, by the lower and upper bounds of Takes and Kosters (*Determining
+the diameter of small world networks*, CIKM 2011; *Computing the
+eccentricity distribution of large graphs*, Algorithms 2013), instead
+of all n.  For cssc and tssc it first checks, in O(n V), that the
+masks are sc and closed under the symmetry, so every division by 3 is
+exact.  The graph itself is kept as the slow cross-check:
+`build_graph` runs the kernel at every vertex, and
 `single_source_lengths` searches it one distance level at a time (the
 weights are 1 or 2, so level ``d + 1`` comes from levels ``d`` and
 ``d - 1``); heap Dijkstra is the test oracle in ``tests/oracles.py``.
@@ -360,22 +364,27 @@ class MetricReport:
 _UNPACK_BYTES = 8 << 20
 
 
-def _pack_masks(masks: tuple[int, ...], volume: int) -> np.ndarray:
-    """The masks as an (n, limbs) uint64 array; rank r is bit r."""
-    limbs = (volume + 63) // 64
+def _pack_masks(masks: tuple[int, ...], bits: int) -> np.ndarray:
+    """The low ``bits`` bits of the masks as an (n, limbs) uint64 array;
+    rank r is bit r."""
+    limbs = (bits + 63) // 64
     nbytes = limbs * 8
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    low = (1 << bits) - 1
+    buf = b"".join((m & low).to_bytes(nbytes, "little") for m in masks)
     return np.frombuffer(buf, dtype=np.uint64).reshape(len(masks), limbs)
 
 
 def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
-    """Raise unless every difference ``I \\ J`` is a union of 3-orbits.
+    """Raise unless every mask is sc and every ``I \\ J`` a union of 3-orbits.
 
-    It is when every mask is fixed by the rotation ``(x,y,z)->(y,z,x)``
-    and all masks agree on the diagonal points ``(a,a,a)``, the only
-    points the rotation fixes: a difference is then rotation-closed and
-    off the diagonal, so its size divides by 3.  The bits are unpacked
-    a slab of rows at a time.
+    A mask is sc when bit ``r`` differs from bit ``V - 1 - r`` for every
+    rank ``r``, which the half-mask rows of `_eccentricities` rely on.
+    A difference is a union of 3-orbits when every mask is fixed by the
+    rotation ``(x,y,z)->(y,z,x)`` and all masks agree on the diagonal
+    points ``(a,a,a)``, the only points the rotation fixes: it is then
+    rotation-closed and off the diagonal, so its size divides by 3.
+    ``arr`` holds the full masks, row-major; their bits are unpacked a
+    slab of rows at a time.
     """
     V = p.volume
     rot = np.asarray(p._perm_tables[0])
@@ -391,6 +400,11 @@ def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
     step = max(1, _UNPACK_BYTES // V)
     for lo in range(0, len(arr), step):
         bits = unpack(arr[lo:lo + step])
+        if (bits[:, ::-1] == bits).any():
+            raise ValueError(
+                "mask is not self-complementary; "
+                "vertex set is not a symmetric class"
+            )
         if (bits[:, rot] != bits).any() or (bits[:, diag] != first).any():
             raise ValueError(
                 "pairwise difference not divisible by the orbit size; "
@@ -398,9 +412,12 @@ def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
             )
 
 
-def _eccentricities(arr: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
+def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
     """Exact eccentricities by bound-and-refine, and the rows it took.
 
+    ``half`` holds the half masks limb-major, shape (limbs, n), so a
+    row from ``v`` is one XOR against column ``v``, a popcount, and a
+    sum over the short limb axis that adds whole rows of the array.
     Each vertex ``w`` carries bounds ``lo[w] <= ecc(w) <= hi[w]``.  One
     distance row from ``v`` gives ``ecc(v) = max d`` and, by the
     triangle inequality, ``max(d, ecc(v) - d) <= ecc <= ecc(v) + d``
@@ -408,9 +425,10 @@ def _eccentricities(arr: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
     hi``), alternately the largest ``hi`` and the smallest ``lo``, ties
     to the lowest id, until every bound meets.
     """
-    cap = arr.shape[1] * 64  # above every distance
-    lo = np.zeros(len(arr), dtype=np.int64)
-    hi = np.full(len(arr), cap, dtype=np.int64)
+    cap = 2 * 64 * half.shape[0]  # above every d + ecc(v)
+    n = half.shape[1]
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, cap, dtype=np.int64)
     rows = 0
     while True:
         unresolved = lo < hi
@@ -420,7 +438,9 @@ def _eccentricities(arr: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
             v = np.where(unresolved, lo, cap).argmin()
         else:
             v = np.where(unresolved, hi, -1).argmax()
-        d = np.bitwise_count(arr & ~arr[v]).sum(axis=1, dtype=np.int64)
+        d = np.bitwise_count(half ^ half[:, v:v + 1]).sum(
+            axis=0, dtype=np.int64
+        )
         if divisor != 1:
             d //= divisor
         e = d.max()
@@ -432,14 +452,17 @@ def _eccentricities(arr: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
 def metric_report(enum: EnumerationResult) -> MetricReport:
     """Diameter, radius, center and perimeter from a few distance rows.
 
-    The distance is ``popcount(mask_u & ~mask_v)`` (divided by 3 for
-    the symmetric classes), so one row of the distance matrix is a
-    vectorized AND-NOT and popcount over uint64 limbs.  Every member of
-    a class has the same size, so ``|I \\ J| = |J \\ I|``: the distance
-    is a metric, and the eccentricity bounds of Takes and Kosters
-    (`_eccentricities`) resolve every vertex exactly from far fewer
-    than n rows.  For cssc and tssc the masks are first checked to be
-    closed under the symmetry, which makes every division by 3 exact.
+    Every mask must be sc (cssc and tssc masks are sc too): then
+    ``|I \\ J| = popcount(h_I ^ h_J)`` over the low halves ``h`` of
+    the masks, and the distance (divided by 3 for the symmetric
+    classes) is one vectorized XOR and popcount over a limb-major
+    uint64 array of half masks.  Every member of a class has the same
+    size, so ``|I \\ J| = |J \\ I|``: the distance is a metric, and
+    the eccentricity bounds of Takes and Kosters (`_eccentricities`)
+    resolve every vertex exactly from far fewer than n rows.  For cssc
+    and tssc the full masks are first checked to be sc and closed under
+    the symmetry, which makes every division by 3 exact; an sc-tagged
+    enumeration is taken to hold sc masks, as flip closure makes them.
     """
     cls = enum.symmetry
     if cls is None:
@@ -447,12 +470,12 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     p = enum.poset
     if not enum.masks:
         return MetricReport(p.dims, cls, (), 0, 0, (), ())
-    arr = _pack_masks(enum.masks, p.volume)
     divisor = 1
     if cls in (CSSC, TSSC):
-        _check_orbit_closed(p, arr)
+        _check_orbit_closed(p, _pack_masks(enum.masks, p.volume))
         divisor = 3
-    ecc, rows = _eccentricities(arr, divisor)
+    half = np.ascontiguousarray(_pack_masks(enum.masks, p.volume // 2).T)
+    ecc, rows = _eccentricities(half, divisor)
     diameter = int(ecc.max())
     radius = int(ecc.min())
     return MetricReport(

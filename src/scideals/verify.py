@@ -97,7 +97,7 @@ class CheckResult:
     """One verified statement instance."""
 
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     expected: object = None
     observed: object = None
     conjectural: bool = False
@@ -133,7 +133,7 @@ class SuiteReport:
 
     @property
     def counts(self) -> dict:
-        out = {"pass": 0, "fail": 0, "skip": 0}
+        out = {"pass": 0, "fail": 0}
         for c in self.checks:
             out[c.status] += 1
         return out
@@ -154,8 +154,6 @@ class SuiteReport:
             return "fail"
         if self.conjecture_violations:
             return "conjecture-violated"
-        if self.counts["pass"] == 0 and self.counts["skip"] > 0:
-            return "skip"
         return "pass"
 
     def to_record(self) -> dict:
@@ -818,21 +816,19 @@ def run_all(names=None, progress=None) -> list[SuiteReport]:
             counts = report.counts
             progress(
                 f"suite {name}: {report.status} "
-                f"({counts['pass']} pass, {counts['fail']} fail, "
-                f"{counts['skip']} skip; {report.seconds:.1f}s)"
+                f"({counts['pass']} pass, {counts['fail']} fail; "
+                f"{report.seconds:.1f}s)"
             )
     return reports
 
 
 def overall_status(reports) -> str:
-    """pass / conjecture-violated / fail / skip across suites."""
+    """pass / conjecture-violated / fail across suites."""
     statuses = {r.status for r in reports}
     if "fail" in statuses:
         return "fail"
     if "conjecture-violated" in statuses:
         return "conjecture-violated"
-    if statuses <= {"skip"}:
-        return "skip"
     return "pass"
 
 
@@ -840,14 +836,12 @@ def junit_xml(reports) -> str:
     """Standard test-results XML for CI consumption."""
     root = ElementTree.Element("testsuites")
     for rep in reports:
-        counts = rep.counts
         suite = ElementTree.SubElement(
             root,
             "testsuite",
             name=rep.name,
             tests=str(len(rep.checks)),
-            failures=str(counts["fail"]),
-            skipped=str(counts["skip"]),
+            failures=str(rep.counts["fail"]),
             time=f"{rep.seconds:.3f}",
         )
         for c in rep.checks:
@@ -864,6 +858,4 @@ def junit_xml(reports) -> str:
                     message=f"{kind}: expected {c.expected!r}, "
                             f"observed {c.observed!r}",
                 )
-            elif c.status == "skip":
-                ElementTree.SubElement(case, "skipped", message=c.note)
     return ElementTree.tostring(root, encoding="unicode")
