@@ -26,10 +26,12 @@ eccentricity distribution of large graphs*, Algorithms 2013), instead
 of all n.  For cssc and tssc it first checks, in O(n V), that the
 masks are sc and closed under the symmetry, so every division by 3 is
 exact.  The graph itself is kept as the slow cross-check:
-`build_graph` runs the kernel at every vertex, and
+`build_graph` calls the class kernel directly at every vertex, and
 `single_source_lengths` searches it one distance level at a time (the
 weights are 1 or 2, so level ``d + 1`` comes from levels ``d`` and
-``d - 1``); heap Dijkstra is the test oracle in ``tests/oracles.py``.
+``d - 1``; sc and cssc graphs have no weight-2 edge, and their search
+skips level ``d - 1``); heap Dijkstra is the test oracle in
+``tests/oracles.py``.
 `graph_dot` and `graph_record` give a built graph as DOT text or as a
 JSON-ready dict; `eccentricity_csv` needs only the report.
 
@@ -97,7 +99,8 @@ def sc_flip_masks(
     Per mask the maximal members come from one inline walk of
     ``p.cover_axes``, the walk of `ChainProduct.maximal_mask` without
     its call, and the children come in descending rank of the member
-    moved out.  A flip is one XOR with ``p.sc_flip_pairs``.
+    moved out.  A flip is one XOR with ``p.sc_flip_pairs``, whose entry
+    for the rank moved out is filled here on its first use.
     """
     axes = p.cover_axes
     movable = p.sc_movable
@@ -116,7 +119,10 @@ def sc_flip_masks(
         while flip:
             b = flip.bit_length()
             flip ^= 1 << (b - 1)
-            append(mask ^ pairs[b])
+            pair = pairs[b]
+            if not pair:
+                pair = pairs[b] = (1 << (b - 1)) | (1 << (V - b))
+            append(mask ^ pair)
     return out
 
 
@@ -182,16 +188,18 @@ def orbit_flip_masks(
     return out
 
 
+#: the symmetry group whose orbits flip in each symmetric class
+_GROUPS = {CSSC: CYCLIC, TSSC: FULL}
+
+
 def flip_masks(
     p: ChainProduct, mask: int, cls: str
 ) -> list[tuple[int, int]]:
     """Neighbor (mask, weight) pairs for any class."""
     if cls == SC:
         return [(m, 1) for m in sc_flip_masks(p, (mask,))]
-    if cls == CSSC:
-        return orbit_flip_masks(p, (mask,), CYCLIC)
-    if cls == TSSC:
-        return orbit_flip_masks(p, (mask,), FULL)
+    if cls in _GROUPS:
+        return orbit_flip_masks(p, (mask,), _GROUPS[cls])
     raise ValueError(f"unknown ideal class {cls!r}")
 
 
@@ -230,16 +238,19 @@ class FlipGraph:
         return len(self.enumeration)
 
     @cached_property
-    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Neighbor lists per vertex, one table per edge weight (1, 2)."""
-        adj: tuple[list[list[int]], ...] = tuple(
-            [[] for _ in range(self.n)] for _w in (1, 2)
-        )
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]] | None]:
+        """Neighbor lists per vertex, one table per edge weight (1, 2).
+
+        The weight-2 table is None when the graph has no weight-2 edge,
+        as on every sc and cssc graph.
+        """
+        adj = tuple([[] for _ in range(self.n)] for _w in (1, 2))
         for u, v, w in self.edges:
             by_weight = adj[w - 1]
             by_weight[u].append(v)
             by_weight[v].append(u)
-        return adj
+        one, two = adj
+        return one, (two if any(two) else None)
 
 
 def build_graph(enum: EnumerationResult) -> FlipGraph:
@@ -251,25 +262,39 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
     is a bug worth crashing on.  Each hit ``(u, v, w)`` goes to ``fwd``
     when ``u < v`` and, as ``(v, u, w)``, to ``bwd`` otherwise; the
     check is that the two sorted lists are equal and repeat no pair.
+    The class kernel is called directly, one mask at a time, and every
+    sc hit has weight 1.
     """
     cls = enum.symmetry
     if cls is None:
         raise ValueError("build_graph needs a class-filtered enumeration")
+    group = _GROUPS.get(cls)
+    if group is None and cls != SC:
+        raise ValueError(f"unknown ideal class {cls!r}")
     p = enum.poset
     idx = enum.index
     fwd: list[tuple[int, int, int]] = []
     bwd: list[tuple[int, int, int]] = []
+    escaped = "flip neighbor of vertex {} escaped the vertex set"
     for u, m in enumerate(enum.masks):
-        for nm, w in flip_masks(p, m, cls):
-            v = idx.get(nm)
-            if v is None:
-                raise RuntimeError(
-                    f"flip neighbor of vertex {u} escaped the vertex set"
-                )
-            if u < v:
-                fwd.append((u, v, w))
-            else:
-                bwd.append((v, u, w))
+        if group is None:
+            for nm in sc_flip_masks(p, (m,)):
+                v = idx.get(nm)
+                if v is None:
+                    raise RuntimeError(escaped.format(u))
+                if u < v:
+                    fwd.append((u, v, 1))
+                else:
+                    bwd.append((v, u, 1))
+        else:
+            for nm, w in orbit_flip_masks(p, (m,), group):
+                v = idx.get(nm)
+                if v is None:
+                    raise RuntimeError(escaped.format(u))
+                if u < v:
+                    fwd.append((u, v, w))
+                else:
+                    bwd.append((v, u, w))
     fwd.sort()
     bwd.sort()
     if fwd != bwd or len({(u, v) for u, v, _w in fwd}) != len(fwd):
@@ -298,7 +323,9 @@ def single_source_lengths(graph: FlipGraph, source: int) -> list[int]:
     ``d - 1``.  Level ``d + 1`` is the unreached part of those
     neighbors: the search of Dial's bucket queue (*Algorithm 360*, CACM
     1969) with no stale entries.  This is the search that cross-checks
-    the distance formula; unreached vertices keep ``math.inf``.
+    the distance formula; unreached vertices keep ``math.inf``, the one
+    object every unreached entry holds, so the test is by identity.
+    Without weight-2 edges the weight-2 pass is skipped.
     """
     inf = math.inf
     dist = [inf] * graph.n
@@ -310,10 +337,15 @@ def single_source_lengths(graph: FlipGraph, source: int) -> list[int]:
     while level or prev:
         d += 1
         reached = []
-        for nbrs, frontier in ((one, level), (two, prev)):
-            for u in frontier:
-                for v in nbrs[u]:
-                    if dist[v] == inf:
+        for u in level:
+            for v in one[u]:
+                if dist[v] is inf:
+                    dist[v] = d
+                    reached.append(v)
+        if two is not None:
+            for u in prev:
+                for v in two[u]:
+                    if dist[v] is inf:
                         dist[v] = d
                         reached.append(v)
         prev, level = level, reached
@@ -384,12 +416,15 @@ def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
     points ``(a,a,a)``, the only points the rotation fixes: it is then
     rotation-closed and off the diagonal, so its size divides by 3.
     ``arr`` holds the full masks, row-major; their bits are unpacked a
-    slab of rows at a time.
+    slab of rows at a time.  Bit ``x l^2 + y l + z`` of a row is entry
+    ``(x, y, z)`` of an ``l x l x l`` cube, so the rotated mask is a
+    transposed view of that cube and the diagonal a strided view of the
+    row: no bit is gathered.
     """
+    p._require_cube()
     V = p.volume
-    rot = np.asarray(p._perm_tables[0])
     l = p.dims[0]
-    diag = np.arange(l) * (l * l + l + 1)
+    diag = slice(None, None, l * l + l + 1)
 
     def unpack(rows: np.ndarray) -> np.ndarray:
         return np.unpackbits(
@@ -405,7 +440,9 @@ def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
                 "mask is not self-complementary; "
                 "vertex set is not a symmetric class"
             )
-        if (bits[:, rot] != bits).any() or (bits[:, diag] != first).any():
+        cube = bits.reshape(-1, l, l, l)
+        rotated = cube.transpose(0, 3, 1, 2)
+        if (rotated != cube).any() or (bits[:, diag] != first).any():
             raise ValueError(
                 "pairwise difference not divisible by the orbit size; "
                 "vertex set is not closed under the symmetry"

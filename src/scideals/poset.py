@@ -19,9 +19,10 @@ instead of per-element loops.  Each is a run of ones times a repunit
 (`below_mask`), so the shape tables cost O(d) big-integer operations.
 Every enumeration builds its own poset, so its tables are a fixed cost
 of each call.  Only the sc flip-pair table and, on cubes, the orbit
-tables are O(V); the orbit tables are built from one representative
-per orbit (the sorted triple under S3, the least rotation under Z3),
-not by visiting every element.
+tables are O(V); the pair table is filled one entry per rank flipped,
+and the orbit tables are built from one representative per orbit (the
+sorted triple under S3, the least rotation under Z3), not by visiting
+every element.
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ class ChainProduct:
     The shape tables, each O(d) integers, are set at construction:
     ``volume``, the mixed-radix ``strides`` (coordinate 1 most
     significant), ``full_mask``, and per axis k the ``up_masks`` (ranks
-    whose k-th coordinate can increase), the ``down_masks`` (can
-    decrease) and the ``cover_axes`` pairs (stride, up mask).
+    whose k-th coordinate can increase) and the ``down_masks`` (can
+    decrease).  ``cover_axes`` holds the pairs (stride, up mask) of the
+    axes of length at least 2: a unit axis has up mask 0 and covers
+    nothing, so the maximality walks skip it.
     """
 
     dims: Coords
@@ -124,7 +127,8 @@ class ChainProduct:
         up = tuple(self.below_mask(k, l - 1) for k, l in enumerate(dims))
         put(self, "up_masks", up)
         put(self, "down_masks", tuple(m << s for m, s in zip(up, strides)))
-        put(self, "cover_axes", tuple(zip(strides, up)))
+        axes = tuple((s, m) for s, m in zip(strides, up) if m)
+        put(self, "cover_axes", axes)
 
     # ------------------------------------------------------------------
     # shape
@@ -229,16 +233,16 @@ class ChainProduct:
         return self.full_mask & ~stuck
 
     @cached_property
-    def sc_flip_pairs(self) -> tuple[int, ...]:
+    def sc_flip_pairs(self) -> list[int]:
         """Per bit length ``b``: the rank ``b - 1`` and its dual ``V - b``.
 
         An sc flip moving out the member of rank ``b - 1`` is one XOR
-        with ``sc_flip_pairs[b]``; entry 0 is unused.
+        with ``sc_flip_pairs[b]``.  The table starts as V + 1 zeros and
+        `sc_flip_masks` fills entry ``b`` on its first use, so a poset
+        whose class flips few ranks builds few big integers; entry 0 is
+        unused and stays 0.
         """
-        V = self.volume
-        return (0,) + tuple(
-            (1 << (b - 1)) | (1 << (V - b)) for b in range(1, V + 1)
-        )
+        return [0] * (self.volume + 1)
 
     # ------------------------------------------------------------------
     # octants (all dims even)

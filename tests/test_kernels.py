@@ -258,13 +258,40 @@ def test_a_bucket_gives_the_union_of_its_members_children(drawn):
     assert kernel(p, cls, []) == []
 
 
-@pytest.mark.parametrize("dims", [(1,), (2,), (2, 3), (3, 3), (2, 3, 4)])
+@pytest.mark.parametrize(
+    "dims, padded",
+    [
+        ((3, 4), (1, 3, 4)),
+        ((2, 5), (2, 1, 5)),
+        ((4, 4), (4, 4, 1)),
+        ((2, 3, 4), (1, 2, 1, 3, 4, 1)),
+    ],
+)
+def test_unit_axes_change_no_mask_or_edge(dims, padded):
+    # a unit axis adds 0 to every rank, so the class, its maximal
+    # members and its flip graph are those of the shape without it
+    flat = enumerate_ideals(dims, SC, force=True)
+    pad = enumerate_ideals(padded, SC, force=True)
+    assert pad.masks == flat.masks
+    assert pad.poset.sc_movable == flat.poset.sc_movable
+    for m in flat.masks + (flat.poset.full_mask,):
+        assert pad.poset.maximal_mask(m) == flat.poset.maximal_mask(m)
+    assert metric.build_graph(pad).edges == metric.build_graph(flat).edges
+
+
+@pytest.mark.parametrize("dims", [(2,), (1, 4), (2, 3), (3, 4), (2, 3, 4)])
 def test_sc_flip_pairs_join_each_rank_to_its_dual(dims):
-    p = ChainProduct(dims)
+    # the table is filled on first use: after a closure every filled
+    # entry joins its rank to the dual, and entry 0 stays empty (an
+    # odd volume has no sc ideal, so its table is never filled)
+    enum = enumerate_ideals(dims, SC, force=True)
+    p = enum.poset
     pairs = p.sc_flip_pairs
     assert len(pairs) == p.volume + 1 and pairs[0] == 0
+    assert any(pairs) == (len(enum) > 1)
     for r in range(p.volume):
-        a = p.unrank(r)
-        dual = p.rank(tuple(l + 1 - c for c, l in zip(a, dims)))
-        assert pairs[r + 1] == (1 << r) | (1 << dual)
+        if pairs[r + 1]:
+            a = p.unrank(r)
+            dual = p.rank(tuple(l + 1 - c for c, l in zip(a, dims)))
+            assert pairs[r + 1] == (1 << r) | (1 << dual)
     assert p.sc_flip_pairs is pairs  # built once per poset

@@ -160,6 +160,46 @@ def test_disconnected_graph_has_unreached_vertices():
     assert single_source_lengths(graph, 0) == [0, math.inf]
 
 
+def _hand_graph(n, edges):
+    """A weighted graph on ``n`` hand-placed vertices; the search reads
+    only the edges."""
+    full = enumerate_ideals((6, 6, 6), TSSC)
+    enum = EnumerationResult(full.poset, TSSC, full.masks[:n], "hand")
+    return FlipGraph(enum, tuple(edges))
+
+
+def test_weighted_search_leaves_an_unreachable_vertex_at_inf():
+    # 0 -2- 1 -1- 2, and 3 -2- 4 apart from them
+    graph = _hand_graph(5, [(0, 1, 2), (1, 2, 1), (3, 4, 2)])
+    assert graph.adjacency[1] is not None
+    inf = math.inf
+    assert single_source_lengths(graph, 0) == [0, 2, 3, inf, inf]
+    assert single_source_lengths(graph, 2) == [3, 1, 0, inf, inf]
+    assert single_source_lengths(graph, 4) == [inf, inf, inf, 2, 0]
+    for u in range(graph.n):
+        assert single_source_lengths(graph, u) == \
+            oracles.dijkstra_lengths(graph, u)
+
+
+def test_weighted_search_reaches_through_a_heavy_then_light_edge():
+    # vertex 2 is reachable only by the weight-2 edge 0-1 followed by
+    # the weight-1 edge 1-2
+    graph = _hand_graph(3, [(0, 1, 2), (1, 2, 1)])
+    assert single_source_lengths(graph, 0) == [0, 2, 3]
+    assert single_source_lengths(graph, 2) == [3, 1, 0]
+    # the heavy edge 0-2 ties with the light path 0-1-2: vertex 2 is
+    # reached once, at 2, and vertex 3 behind it at 3
+    graph = _hand_graph(4, [(0, 2, 2), (2, 3, 1), (0, 1, 1), (1, 2, 1)])
+    assert single_source_lengths(graph, 0) == [0, 1, 2, 3]
+
+
+def test_light_graphs_have_no_weight_two_table():
+    for dims, cls in (((2, 3, 4), SC), ((4, 4, 4), CSSC)):
+        assert build_graph(enumerate_ideals(dims, cls)).adjacency[1] is None
+    tssc = build_graph(enumerate_ideals((6, 6, 6), TSSC))
+    assert tssc.adjacency[1] is not None
+
+
 def test_build_graph_rejects_an_escaping_neighbor():
     full = enumerate_ideals((2, 3, 4), SC)
     enum = EnumerationResult(full.poset, SC, full.masks[1:], "hand")
@@ -168,21 +208,24 @@ def test_build_graph_rejects_an_escaping_neighbor():
 
 
 def _patch_first_vertex(monkeypatch, edit):
-    """Replace ``flip_masks`` at vertex 0 of sc (2,3,4) by ``edit(pairs)``."""
+    """Replace the sc kernel at vertex 0 of sc (2,3,4) by ``edit(found)``.
+
+    The closure calls the same kernel, so the class is enumerated first.
+    """
     enum = enumerate_ideals((2, 3, 4), SC)
     first = enum.masks[0]
-    kernel = metric.flip_masks
+    kernel = metric.sc_flip_masks
 
-    def patched(p, mask, cls):
-        pairs = kernel(p, mask, cls)
-        return edit(pairs) if mask == first else pairs
+    def patched(p, masks, seed=None):
+        found = kernel(p, masks, seed)
+        return edit(found) if masks == (first,) else found
 
-    monkeypatch.setattr(metric, "flip_masks", patched)
+    monkeypatch.setattr(metric, "sc_flip_masks", patched)
     return enum
 
 
 def test_build_graph_rejects_a_one_way_flip(monkeypatch):
-    enum = _patch_first_vertex(monkeypatch, lambda pairs: pairs[1:])
+    enum = _patch_first_vertex(monkeypatch, lambda found: found[1:])
     with pytest.raises(
         RuntimeError, match=r"asymmetric flip between vertices 0 and \d+: \[1\]"
     ):
@@ -190,7 +233,7 @@ def test_build_graph_rejects_a_one_way_flip(monkeypatch):
 
 
 def test_build_graph_rejects_a_repeated_neighbor(monkeypatch):
-    enum = _patch_first_vertex(monkeypatch, lambda pairs: pairs + pairs[:1])
+    enum = _patch_first_vertex(monkeypatch, lambda found: found + found[:1])
     with pytest.raises(
         RuntimeError,
         match=r"asymmetric flip between vertices 0 and \d+: \[1, 1, 1\]",
@@ -201,15 +244,16 @@ def test_build_graph_rejects_a_repeated_neighbor(monkeypatch):
 def test_build_graph_rejects_a_neighbor_repeated_from_both_ends(monkeypatch):
     # every vertex emits each neighbor twice: the two sides still agree,
     # so only the check for repeated pairs catches it
-    kernel = metric.flip_masks
+    enum = enumerate_ideals((2, 3, 4), SC)
+    kernel = metric.sc_flip_masks
     monkeypatch.setattr(
-        metric, "flip_masks", lambda p, mask, cls: 2 * kernel(p, mask, cls)
+        metric, "sc_flip_masks", lambda p, masks: 2 * kernel(p, masks)
     )
     with pytest.raises(
         RuntimeError,
         match=r"asymmetric flip between vertices 0 and \d+: \[1, 1, 1, 1\]",
     ):
-        build_graph(enumerate_ideals((2, 3, 4), SC))
+        build_graph(enum)
 
 
 def test_distances_from_matches_pairwise():
@@ -289,6 +333,23 @@ def test_symmetry_closure_is_checked():
     a = good.masks[0]
     bad = sc_flip_masks(good.poset, (a,))[0]  # one sc flip: difference 1
     enum = EnumerationResult(good.poset, TSSC, tuple(sorted((a, bad))), "hand")
+    with pytest.raises(ValueError, match="not divisible by the orbit size"):
+        metric_report(enum)
+
+
+def test_diagonal_disagreement_is_checked():
+    # swapping a diagonal point for its dual keeps a mask sc and
+    # rotation-closed, but the difference of one diagonal pair is 1, so
+    # only the diagonal comparison catches it
+    good = enumerate_ideals((6, 6, 6), TSSC)
+    p = good.poset
+    a = good.masks[0]
+    r = p.rank((3, 3, 3))
+    bad = a ^ (1 << r) ^ (1 << (p.volume - 1 - r))
+    assert p.reverse_mask(bad) == p.full_mask & ~bad  # sc
+    assert p.permute_mask(bad) == bad
+    assert (a & ~bad).bit_count() == 1
+    enum = EnumerationResult(p, TSSC, tuple(sorted((a, bad))), "hand")
     with pytest.raises(ValueError, match="not divisible by the orbit size"):
         metric_report(enum)
 

@@ -59,6 +59,17 @@ def test_up_down_masks_are_cover_indicators():
             assert bool(p.down_masks[k] >> r & 1) == (a[k] > 1)
 
 
+@pytest.mark.parametrize(
+    "dims", [(1,), (1, 1), (1, 4), (3, 1, 2), (2, 1, 1, 3), (2, 3, 4)]
+)
+def test_cover_axes_leave_out_unit_axes(dims):
+    p = ChainProduct(dims)
+    assert all(up for _s, up in p.cover_axes)
+    assert [s for s, _up in p.cover_axes] == [
+        s for s, l in zip(p.strides, dims) if l > 1
+    ]
+
+
 def test_octant_masks_partition_even_cube():
     p = cube(4)
     masks = p.octant_masks
