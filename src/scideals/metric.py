@@ -23,15 +23,18 @@ same size, so ``|I \\ J| = |J \\ I|`` and the distance is a metric;
 rows, by the lower and upper bounds of Takes and Kosters (*Determining
 the diameter of small world networks*, CIKM 2011; *Computing the
 eccentricity distribution of large graphs*, Algorithms 2013), instead
-of all n.  For cssc and tssc it first checks, in O(n V), that the
-masks are sc and closed under the symmetry, so every division by 3 is
-exact.  The graph itself is kept as the slow cross-check:
-`build_graph` calls the class kernel directly at every vertex, and
-`single_source_lengths` searches it one distance level at a time (the
-weights are 1 or 2, so level ``d + 1`` comes from levels ``d`` and
-``d - 1``; sc and cssc graphs have no weight-2 edge, and their search
-skips level ``d - 1``); heap Dijkstra is the test oracle in
-``tests/oracles.py``.
+of all n.  Once the rows of every vertex still unresolved fit a fixed
+memory bound, it computes them as one numpy block and stops: a small
+class is one XOR, one popcount and one sum in all, and a large class
+refines its bounds a row at a time until the rest fit.  For cssc and
+tssc it first checks, in O(n V), that the masks are sc and closed under
+the symmetry, so every division by 3 is exact.  The graph itself is
+kept as the slow cross-check: `build_graph` calls the class kernel
+directly at every vertex, and `single_source_lengths` searches it one
+distance level at a time (the weights are 1 or 2, so level ``d + 1``
+comes from levels ``d`` and ``d - 1``; sc and cssc graphs have no
+weight-2 edge, and their search skips level ``d - 1``); heap Dijkstra
+is the test oracle in ``tests/oracles.py``.
 `graph_dot` and `graph_record` give a built graph as DOT text or as a
 JSON-ready dict; `eccentricity_csv` needs only the report.
 
@@ -44,7 +47,7 @@ in their own orbit (cssc, tssc); these never flip, because the needed
 cover would be removed by the flip itself.  Each kernel takes a whole
 bucket of masks and returns the children of all of them in one flat
 list, so the closure makes one call per key bucket, not one per
-vertex; `flip_masks` and `build_graph` pass one mask.  Without a
+vertex; `build_graph` passes one mask.  Without a
 ``seed`` a kernel returns every flip; with the closure's seed it
 returns only the reverse-search children, those whose highest
 backward flip undoes the flip that made them, so the closure in
@@ -190,17 +193,6 @@ def orbit_flip_masks(
 
 #: the symmetry group whose orbits flip in each symmetric class
 _GROUPS = {CSSC: CYCLIC, TSSC: FULL}
-
-
-def flip_masks(
-    p: ChainProduct, mask: int, cls: str
-) -> list[tuple[int, int]]:
-    """Neighbor (mask, weight) pairs for any class."""
-    if cls == SC:
-        return [(m, 1) for m in sc_flip_masks(p, (mask,))]
-    if cls in _GROUPS:
-        return orbit_flip_masks(p, (mask,), _GROUPS[cls])
-    raise ValueError(f"unknown ideal class {cls!r}")
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +354,9 @@ class MetricReport:
 
     An empty class reports zero diameter and radius with empty center
     and perimeter; a single vertex is both central and peripheral.
-    ``rows`` is the number of distance rows computed: bookkeeping only,
-    so it takes no part in equality and stays out of the record.
+    ``rows`` is the number of distance rows computed, those of the
+    final block included, so at most the vertex count: bookkeeping
+    only, so it takes no part in equality and stays out of the record.
     """
 
     dims: tuple[int, ...]
@@ -394,6 +387,11 @@ class MetricReport:
 
 #: soft bound (bytes) on the bits unpacked at once by the closure check
 _UNPACK_BYTES = 8 << 20
+#: soft bound (bytes) on the uint64 XOR temporary of the final block of
+#: rows in `_eccentricities`; the popcount and the summed rows are
+#: smaller.  Near 128 KiB the block covers most small classes whole and
+#: leaves the peak memory of a larger class where its single rows put it
+_BLOCK_BYTES = 128 << 10
 
 
 def _pack_masks(masks: tuple[int, ...], bits: int) -> np.ndarray:
@@ -460,17 +458,30 @@ def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
     triangle inequality, ``max(d, ecc(v) - d) <= ecc <= ecc(v) + d``
     everywhere.  Rows are taken from the unresolved vertices (``lo <
     hi``), alternately the largest ``hi`` and the smallest ``lo``, ties
-    to the lowest id, until every bound meets.
+    to the lowest id, until every bound meets.  Once the rows of all
+    ``left`` unresolved vertices fit `_BLOCK_BYTES` together, they are
+    computed as one (left, n) block, each of those vertices takes its
+    exact eccentricity as the maximum of its row, and the loop ends; on
+    a small class the first step is already the whole n x n block.  The
+    block's rows are counted, so the count is at most n.
     """
-    cap = 2 * 64 * half.shape[0]  # above every d + ecc(v)
-    n = half.shape[1]
+    limbs, n = half.shape
+    cap = 2 * 64 * limbs  # above every d + ecc(v)
     lo = np.zeros(n, dtype=np.int64)
     hi = np.full(n, cap, dtype=np.int64)
     rows = 0
     while True:
         unresolved = lo < hi
-        if not unresolved.any():
+        left = np.count_nonzero(unresolved)
+        if not left:
             return lo, rows
+        if 8 * left * n * limbs <= _BLOCK_BYTES:
+            sel = np.flatnonzero(unresolved)
+            d = np.bitwise_count(half[:, sel, None] ^ half[:, None, :]).sum(
+                axis=0, dtype=np.int64
+            )
+            lo[sel] = d.max(axis=1) // divisor
+            return lo, rows + left
         if rows % 2:
             v = np.where(unresolved, lo, cap).argmin()
         else:
@@ -496,10 +507,13 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     uint64 array of half masks.  Every member of a class has the same
     size, so ``|I \\ J| = |J \\ I|``: the distance is a metric, and
     the eccentricity bounds of Takes and Kosters (`_eccentricities`)
-    resolve every vertex exactly from far fewer than n rows.  For cssc
-    and tssc the full masks are first checked to be sc and closed under
-    the symmetry, which makes every division by 3 exact; an sc-tagged
-    enumeration is taken to hold sc masks, as flip closure makes them.
+    resolve every vertex exactly.  A large class takes far fewer than n
+    rows, the last of them computed as one block under `_BLOCK_BYTES`;
+    a small class is a single block of all n rows.  ``rows`` counts
+    every row, the block's included.  For cssc and tssc the full masks
+    are first checked to be sc and closed under the symmetry, which
+    makes every division by 3 exact; an sc-tagged enumeration is taken
+    to hold sc masks, as flip closure makes them.
     """
     cls = enum.symmetry
     if cls is None:

@@ -4,7 +4,8 @@ kernels, the flip closure and the metric report.
 These are the straightforward forms the fast code in ``scideals`` must
 agree with: the closed-form counts as products of rationals, the sc
 kernel as an explicit per-axis shifted-complement test, the orbit
-kernel as a loop over orbits with a whole-mask closure check, upper
+kernel as a loop over orbits with a whole-mask closure check (and
+``flip_masks`` choosing between the two by class), upper
 covers element by element (the reference for ``maximal_mask``), orbits
 found from ``unrank``/``rank`` and coordinate permutations, the axis
 masks as one shift per block and the halfspace and staircase seeds
@@ -16,6 +17,7 @@ paths as heap Dijkstra over the graph's edge list.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -155,24 +157,34 @@ def orbit_flip_masks(
     return out
 
 
+#: the symmetry group whose orbits flip in each symmetric class
+GROUPS = {CSSC: CYCLIC, TSSC: FULL}
+
+
+@functools.cache
+def _orbits(dims: tuple[int, ...], group: str) -> list[tuple[int, ...]]:
+    return orbits(ChainProduct(dims), group)
+
+
+def flip_masks(p: ChainProduct, mask: int, cls: str) -> list[tuple[int, int]]:
+    """Sorted (mask, weight) pairs one flip away, for any class: the sc
+    kernel, or the orbit kernel under the group the class flips by."""
+    if cls == SC:
+        return sorted((m, 1) for m in sc_flip_masks(p, mask))
+    if cls not in GROUPS:
+        raise ValueError(f"unknown ideal class {cls!r}")
+    group = GROUPS[cls]
+    return sorted(orbit_flip_masks(p, mask, group, _orbits(p.dims, group)))
+
+
 def bfs_masks(p: ChainProduct, cls: str, start: int) -> set[int]:
     """Closure of ``start`` under all flips, with a global visited set."""
-    if cls == SC:
-        def neighbors(m):
-            return sc_flip_masks(p, m)
-    else:
-        group = CYCLIC if cls == CSSC else FULL
-        orbit_list = orbits(p, group)
-
-        def neighbors(m):
-            return [nm for nm, _ in orbit_flip_masks(p, m, group, orbit_list)]
-
     visited = {start}
     frontier = [start]
     while frontier:
         fresh = []
         for m in frontier:
-            for nm in neighbors(m):
+            for nm, _ in flip_masks(p, m, cls):
                 if nm not in visited:
                     visited.add(nm)
                     fresh.append(nm)

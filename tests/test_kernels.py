@@ -22,7 +22,6 @@ from scideals.ideal import CSSC, SC, TSSC
 from scideals.poset import CYCLIC, FULL, ChainProduct, cube
 
 SETTINGS = settings(deadline=None, max_examples=80)
-GROUP = {CSSC: CYCLIC, TSSC: FULL}
 
 CLOSURE_CASES = [
     ((2, 3), SC), ((2, 3, 4), SC), ((3, 3, 4), SC),
@@ -126,21 +125,8 @@ def kernel(p, cls, masks, start=None):
     them, or with a seed ``start`` the reverse-search children only."""
     if cls == SC:
         return sorted((m, 1) for m in metric.sc_flip_masks(p, masks, start))
-    return sorted(metric.orbit_flip_masks(p, masks, GROUP[cls], start))
-
-
-@functools.cache
-def oracle_orbits(dims, group):
-    return oracles.orbits(ChainProduct(dims), group)
-
-
-def oracle_kernel(p, cls, mask):
-    if cls == SC:
-        return sorted((m, 1) for m in oracles.sc_flip_masks(p, mask))
-    group = GROUP[cls]
-    return sorted(
-        oracles.orbit_flip_masks(p, mask, group, oracle_orbits(p.dims, group))
-    )
+    group = oracles.GROUPS[cls]
+    return sorted(metric.orbit_flip_masks(p, masks, group, start))
 
 
 def rep(orbit):
@@ -153,7 +139,7 @@ def oracle_children(p, cls, mask, start):
     from the oracle kernel: the forward flips (moving out members of
     ``start`` only) whose incoming orbit outranks every orbit that a
     backward flip (moving out no member of ``start``) would move out."""
-    full = oracle_kernel(p, cls, mask)
+    full = oracles.flip_masks(p, mask, cls)
     top = max(
         (rep(mask & ~m) for m, _ in full if mask & ~m & start == 0),
         default=-1,
@@ -168,9 +154,7 @@ def oracle_children(p, cls, mask, start):
 @given(class_members())
 def test_kernels_match_oracle_kernels(drawn):
     p, cls, mask = drawn
-    want = oracle_kernel(p, cls, mask)
-    assert kernel(p, cls, (mask,)) == want
-    assert sorted(metric.flip_masks(p, mask, cls)) == want
+    assert kernel(p, cls, (mask,)) == oracles.flip_masks(p, mask, cls)
 
 
 @st.composite
@@ -220,7 +204,7 @@ def test_each_member_but_the_seed_has_one_parent(drawn):
     # the neighbours one step (of their flip's weight) nearer the seed
     key = (start & ~mask).bit_count()
     down = [
-        nm for nm, _ in oracle_kernel(p, cls, mask)
+        nm for nm, _ in oracles.flip_masks(p, mask, cls)
         if (start & ~nm).bit_count() < key
     ]
     if mask == start:
@@ -250,7 +234,7 @@ def test_a_bucket_gives_the_union_of_its_members_children(drawn):
     p, cls, bucket, start = drawn
     # the multiset unions, duplicates kept, of the per-mask oracle output
     assert kernel(p, cls, bucket) == sorted(
-        c for mask in bucket for c in oracle_kernel(p, cls, mask)
+        c for mask in bucket for c in oracles.flip_masks(p, mask, cls)
     )
     assert kernel(p, cls, bucket, start) == sorted(
         c for mask in bucket for c in oracle_children(p, cls, mask, start)

@@ -21,7 +21,6 @@ from scideals.metric import (
     distance,
     distances_from,
     eccentricity_csv,
-    flip_masks,
     graph_dot,
     graph_record,
     metric_report,
@@ -96,10 +95,10 @@ def test_flip_neighbors_are_mutual_and_unit_distance():
     enum = enumerate_ideals((2, 3, 4), SC)
     p = enum.poset
     for m in enum.masks:
-        for n, w in flip_masks(p, m, SC):
+        for n, w in oracles.flip_masks(p, m, SC):
             assert w == 1
             assert distance(Ideal(p, m), Ideal(p, n), SC) == 1
-            assert any(back == m for back, _w in flip_masks(p, n, SC))
+            assert any(back == m for back, _w in oracles.flip_masks(p, n, SC))
 
 
 def test_distance_is_difference_size():
@@ -318,6 +317,38 @@ def test_metric_report_matches_full_sweep():
         report = metric_report(enum)
         assert report == oracles.metric_report(enum), (dims, cls)
         assert 1 <= report.rows <= len(enum)
+
+
+@pytest.mark.parametrize("mode", ["never", "mid", "whole", "default"])
+@pytest.mark.parametrize(
+    "dims, cls",
+    HALF_MASK_CASES + [((2,), SC), ((6, 33), SC)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_final_block_matches_full_sweep(monkeypatch, mode, dims, cls):
+    # the final block of `_eccentricities` never fires (rows one at a
+    # time to the end), fires right after the first row, takes the whole
+    # class, or fits `_BLOCK_BYTES` as it stands (on sc (6,33) it takes
+    # the last 8 of 969 vertices, after 74 single rows)
+    enum = enumerate_ideals(dims, cls, force=True)
+    n = len(enum)
+    limbs = (enum.poset.volume // 2 + 63) // 64
+    if mode != "default":
+        fit = {"never": 0, "mid": n - 1, "whole": n}[mode]
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * fit * n * limbs)
+    report = metric_report(enum)
+    assert report == oracles.metric_report(enum)
+    assert 1 <= report.rows <= n
+    if mode == "whole":
+        assert report.rows == n
+
+
+def test_small_class_is_one_block():
+    # sc (2,) has one vertex and tssc r=2 two; sc (2,3,4) is 18 x 18
+    for dims, cls, n in (((2,), SC, 1), ((4, 4, 4), TSSC, 2),
+                         ((2, 3, 4), SC, 18)):
+        report = metric_report(enumerate_ideals(dims, cls))
+        assert report.n_vertices == report.rows == n, (dims, cls)
 
 
 def test_bounds_need_few_rows():
