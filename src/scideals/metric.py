@@ -23,13 +23,15 @@ same size, so ``|I \\ J| = |J \\ I|`` and the distance is a metric;
 rows, by the lower and upper bounds of Takes and Kosters (*Determining
 the diameter of small world networks*, CIKM 2011; *Computing the
 eccentricity distribution of large graphs*, Algorithms 2013), instead
-of all n.  Once the rows of every vertex still unresolved fit a fixed
-memory bound, it computes them as one numpy block and stops: a small
-class is one XOR, one popcount and one sum in all, and a large class
-refines its bounds a row at a time until the rest fit.  For cssc and
-tssc it first checks, in O(n V), that the masks are sc and closed under
-the symmetry, so every division by 3 is exact.  The graph itself is
-kept as the slow cross-check: `build_graph` calls the class kernel
+of all n.  Each step computes as many rows as a fixed memory bound
+holds, as one numpy block (one XOR, one popcount and one sum), and the
+step whose unresolved vertices all fit is the last: a small class is
+one block in all, a class of a few thousand refines its bounds a block
+of rows at a time, and a class too large for two rows in the bound
+takes them one at a time.  For cssc and tssc it first checks, in
+O(n V), that the masks are sc and closed under the symmetry, so every
+division by 3 is exact.  The graph itself is kept as the slow
+cross-check: `build_graph` calls the class kernel
 directly at every vertex, and `single_source_lengths` searches it one
 distance level at a time (the weights are 1 or 2, so level ``d + 1``
 comes from levels ``d`` and ``d - 1``; sc and cssc graphs have no
@@ -354,9 +356,9 @@ class MetricReport:
 
     An empty class reports zero diameter and radius with empty center
     and perimeter; a single vertex is both central and peripheral.
-    ``rows`` is the number of distance rows computed, those of the
-    final block included, so at most the vertex count: bookkeeping
-    only, so it takes no part in equality and stays out of the record.
+    ``rows`` is the number of distance rows computed, each row of each
+    block counted, so at most the vertex count: bookkeeping only, so it
+    takes no part in equality and stays out of the record.
     """
 
     dims: tuple[int, ...]
@@ -387,10 +389,11 @@ class MetricReport:
 
 #: soft bound (bytes) on the bits unpacked at once by the closure check
 _UNPACK_BYTES = 8 << 20
-#: soft bound (bytes) on the uint64 XOR temporary of the final block of
-#: rows in `_eccentricities`; the popcount and the summed rows are
-#: smaller.  Near 128 KiB the block covers most small classes whole and
-#: leaves the peak memory of a larger class where its single rows put it
+#: soft bound (bytes) on the uint64 XOR temporary of each block of rows
+#: in `_eccentricities`, which sets how many rows a step takes; the
+#: popcount and the summed rows are smaller.  Near 128 KiB a block covers
+#: most small classes whole and leaves the peak memory of a larger class
+#: where its single rows put it
 _BLOCK_BYTES = 128 << 10
 
 
@@ -456,45 +459,66 @@ def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
     Each vertex ``w`` carries bounds ``lo[w] <= ecc(w) <= hi[w]``.  One
     distance row from ``v`` gives ``ecc(v) = max d`` and, by the
     triangle inequality, ``max(d, ecc(v) - d) <= ecc <= ecc(v) + d``
-    everywhere.  Rows are taken from the unresolved vertices (``lo <
-    hi``), alternately the largest ``hi`` and the smallest ``lo``, ties
-    to the lowest id, until every bound meets.  Once the rows of all
-    ``left`` unresolved vertices fit `_BLOCK_BYTES` together, they are
-    computed as one (left, n) block, each of those vertices takes its
-    exact eccentricity as the maximum of its row, and the loop ends; on
-    a small class the first step is already the whole n x n block.  The
-    block's rows are counted, so the count is at most n.
+    everywhere.  Each step takes the rows of ``fit`` unresolved vertices
+    (``lo < hi``), as many as `_BLOCK_BYTES` holds and at least one, as
+    one (fit, n) block, and meets the bounds of all its rows at once.
+    They are the ``fit`` that rank first by largest ``hi`` on even steps
+    and by smallest ``lo`` on odd ones, ties to the lowest id; the first
+    step takes one row, since every bound is equal before it.  A class
+    whose two rows pass the bound takes one row a step.  Once the ``left``
+    unresolved vertices fit one block, their rows are computed, each
+    takes its exact eccentricity as the maximum of its row, and the loop
+    ends; on a small class the first step is already the whole n x n
+    block.  The bounds are kept undivided and divided once at the end.
+    Every row is counted, so the count is at most n.
     """
     limbs, n = half.shape
     cap = 2 * 64 * limbs  # above every d + ecc(v)
+    fit = max(1, _BLOCK_BYTES // (8 * n * limbs))
     lo = np.zeros(n, dtype=np.int64)
     hi = np.full(n, cap, dtype=np.int64)
-    rows = 0
+    rows = step = 0
     while True:
         unresolved = lo < hi
         left = np.count_nonzero(unresolved)
-        if not left:
-            return lo, rows
-        if 8 * left * n * limbs <= _BLOCK_BYTES:
-            sel = np.flatnonzero(unresolved)
-            d = np.bitwise_count(half[:, sel, None] ^ half[:, None, :]).sum(
-                axis=0, dtype=np.int64
-            )
-            lo[sel] = d.max(axis=1) // divisor
-            return lo, rows + left
-        if rows % 2:
-            v = np.where(unresolved, lo, cap).argmin()
+        if left <= fit:
+            break
+        # resolved vertices rank last
+        if step % 2:
+            key = np.where(unresolved, lo, cap)
         else:
-            v = np.where(unresolved, hi, -1).argmax()
-        d = np.bitwise_count(half ^ half[:, v:v + 1]).sum(
-            axis=0, dtype=np.int64
-        )
-        if divisor != 1:
-            d //= divisor
-        e = d.max()
-        np.maximum(lo, np.maximum(d, e - d), out=lo)
-        np.minimum(hi, d + e, out=hi)
-        rows += 1
+            key = np.where(unresolved, cap - hi, cap)
+        if step == 0 or fit == 1:
+            sel = key.argmin(keepdims=True)
+        else:  # ties to the lowest id
+            sel = np.argpartition(key * n + np.arange(n), fit - 1)[:fit]
+        d = _rows(half, sel)
+        e = d.max(axis=1, keepdims=True)
+        far = np.maximum(d, e - d)
+        near = d + e
+        if len(sel) > 1:
+            far = far.max(axis=0, keepdims=True)
+            near = near.min(axis=0, keepdims=True)
+        np.maximum(lo, far[0], out=lo)
+        np.minimum(hi, near[0], out=hi)
+        rows += len(sel)
+        step += 1
+    sel = np.flatnonzero(unresolved)
+    lo[sel] = _rows(half, sel).max(axis=1)
+    if divisor != 1:
+        lo //= divisor
+    return lo, rows + left
+
+
+def _rows(half: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """The undivided distance rows from the vertices ``sel``, one block.
+
+    The sums are int32, which holds every distance (at most V/2) in half
+    the bytes of int64, so the row arithmetic moves half the memory.
+    """
+    return np.bitwise_count(half[:, sel, None] ^ half[:, None, :]).sum(
+        axis=0, dtype=np.int32
+    )
 
 
 def metric_report(enum: EnumerationResult) -> MetricReport:
@@ -508,12 +532,12 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     size, so ``|I \\ J| = |J \\ I|``: the distance is a metric, and
     the eccentricity bounds of Takes and Kosters (`_eccentricities`)
     resolve every vertex exactly.  A large class takes far fewer than n
-    rows, the last of them computed as one block under `_BLOCK_BYTES`;
-    a small class is a single block of all n rows.  ``rows`` counts
-    every row, the block's included.  For cssc and tssc the full masks
-    are first checked to be sc and closed under the symmetry, which
-    makes every division by 3 exact; an sc-tagged enumeration is taken
-    to hold sc masks, as flip closure makes them.
+    rows, each step a block of as many as `_BLOCK_BYTES` holds; a small
+    class is a single block of all n rows.  ``rows`` counts every row of
+    every block.  For cssc and tssc the full masks are first checked to
+    be sc and closed under the symmetry, which makes every division by 3
+    exact, and the half masks are cut from them; an sc-tagged
+    enumeration is taken to hold sc masks, as flip closure makes them.
     """
     cls = enum.symmetry
     if cls is None:
@@ -521,11 +545,19 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     p = enum.poset
     if not enum.masks:
         return MetricReport(p.dims, cls, (), 0, 0, (), ())
-    divisor = 1
+    bits = p.volume // 2
     if cls in (CSSC, TSSC):
-        _check_orbit_closed(p, _pack_masks(enum.masks, p.volume))
+        full = _pack_masks(enum.masks, p.volume)
+        _check_orbit_closed(p, full)
         divisor = 3
-    half = np.ascontiguousarray(_pack_masks(enum.masks, p.volume // 2).T)
+        # the low half: the whole limbs it touches, copied limb-major,
+        # the top one cut to V/2 bits
+        half = full[:, :(bits + 63) // 64].T.copy()
+        if bits % 64:
+            half[-1] &= np.uint64((1 << bits % 64) - 1)
+    else:
+        divisor = 1
+        half = np.ascontiguousarray(_pack_masks(enum.masks, bits).T)
     ecc, rows = _eccentricities(half, divisor)
     diameter = int(ecc.max())
     radius = int(ecc.min())

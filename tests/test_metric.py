@@ -319,22 +319,33 @@ def test_metric_report_matches_full_sweep():
         assert 1 <= report.rows <= len(enum)
 
 
-@pytest.mark.parametrize("mode", ["never", "mid", "whole", "default"])
+#: sc shapes of about 1000 vertices whose half masks take 1, 2, 3 and 4
+#: limbs: (3,5,6) has 1000 vertices, (8,20) 1001, (4,88) and (5,88) 1035
+WIDE_SHAPES = ((3, 5, 6), (8, 20), (4, 88), (5, 88))
+
+
+@pytest.mark.parametrize(
+    "mode", ["never", "mid", "whole", "default", "two", "three", "third"]
+)
 @pytest.mark.parametrize(
     "dims, cls",
-    HALF_MASK_CASES + [((2,), SC), ((6, 33), SC)],
+    HALF_MASK_CASES
+    + [((2,), SC), ((6, 33), SC), ((2, 2, 33), SC)]
+    + [(dims, SC) for dims in WIDE_SHAPES],
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
 )
 def test_final_block_matches_full_sweep(monkeypatch, mode, dims, cls):
-    # the final block of `_eccentricities` never fires (rows one at a
-    # time to the end), fires right after the first row, takes the whole
-    # class, or fits `_BLOCK_BYTES` as it stands (on sc (6,33) it takes
-    # the last 8 of 969 vertices, after 74 single rows)
+    # `_BLOCK_BYTES` sets the rows a step of `_eccentricities` takes: one
+    # (the final block is then a single row), n - 1 (the final block
+    # comes right after the first row), n (the first step is the whole
+    # class), 2, 3 or n // 3 a step, or as many as the real bound holds
+    # (on sc (6,33), 969 vertices of 2 limbs, 8 rows a step)
     enum = enumerate_ideals(dims, cls, force=True)
     n = len(enum)
     limbs = (enum.poset.volume // 2 + 63) // 64
     if mode != "default":
-        fit = {"never": 0, "mid": n - 1, "whole": n}[mode]
+        fit = {"never": 0, "mid": n - 1, "whole": n, "two": 2, "three": 3,
+               "third": n // 3}[mode]
         monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * fit * n * limbs)
     report = metric_report(enum)
     assert report == oracles.metric_report(enum)
@@ -357,6 +368,8 @@ def test_bounds_need_few_rows():
     # pinned: any change to the row selection or the bounds moves it
     assert report.rows == 746 < len(enum) // 4
     assert "rows" not in report.to_record()
+    # pinned at the real bound, which holds 8 rows of sc (6,33)
+    assert metric_report(enumerate_ideals((6, 33), SC)).rows == 71
 
 
 def test_symmetry_closure_is_checked():
