@@ -483,25 +483,21 @@ def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
         left = np.count_nonzero(unresolved)
         if left <= fit:
             break
-        # resolved vertices rank last
+        # resolved vertices rank last, ties to the lowest id
         if step % 2:
             key = np.where(unresolved, lo, cap)
         else:
             key = np.where(unresolved, cap - hi, cap)
-        if step == 0 or fit == 1:
+        k = fit if step else 1
+        if k == 1:  # the same pick; argpartition slows tssc r=6 by a fifth
             sel = key.argmin(keepdims=True)
-        else:  # ties to the lowest id
-            sel = np.argpartition(key * n + np.arange(n), fit - 1)[:fit]
+        else:
+            sel = np.argpartition(key * n + np.arange(n), k - 1)[:k]
         d = _rows(half, sel)
         e = d.max(axis=1, keepdims=True)
-        far = np.maximum(d, e - d)
-        near = d + e
-        if len(sel) > 1:
-            far = far.max(axis=0, keepdims=True)
-            near = near.min(axis=0, keepdims=True)
-        np.maximum(lo, far[0], out=lo)
-        np.minimum(hi, near[0], out=hi)
-        rows += len(sel)
+        np.maximum(lo, np.maximum(d, e - d).max(axis=0), out=lo)
+        np.minimum(hi, (d + e).min(axis=0), out=hi)
+        rows += k
         step += 1
     sel = np.flatnonzero(unresolved)
     lo[sel] = _rows(half, sel).max(axis=1)
