@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .enumeration import EmptyClassError, _halfspace, _staircase
 from .ideal import CSSC, SC, TSSC, Ideal, SymmetryError
-from .poset import ChainProduct, Coords, ShapeError, cube
+from .poset import ChainProduct, Coords, ShapeError, as_dims, cube
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _wrap(name: str, params: dict, ideal: Ideal, symmetry: str | None,
 
 def sc_diameter_value(dims) -> int:
     """Exact sc flip-graph diameter: 0 / (V - l_k)/4 / V/4 by parity."""
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     volume = math.prod(dims)
     evens = [l for l in dims if l % 2 == 0]
     if not evens:
@@ -98,7 +98,7 @@ def sc_radius_bound(dims) -> Fraction:
     the remaining even-d shapes the radius is conjectured to be the
     ceiling (plus nothing more).
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     if any(l % 2 for l in dims):
         raise ShapeError("the radius bound needs every dimension even")
     d = len(dims)
@@ -141,7 +141,7 @@ def sc_diameter_pair(dims) -> tuple[Ideal, Ideal]:
     column to the lower half: the difference then misses exactly the
     central column, giving (V - l_k)/4.
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     p = ChainProduct(dims)
     evens = [i for i, l in enumerate(dims) if l % 2 == 0]
     if not evens:
@@ -172,7 +172,7 @@ def majority_ideal(dims) -> Ideal:
     Needs every dimension even (clean halves) and d odd (no ties);
     realizes the sc radius bound as its eccentricity.
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     if any(l % 2 for l in dims):
         raise ShapeError("majority ideal needs every dimension even")
     d = len(dims)
@@ -197,7 +197,7 @@ def mod4_center(dims) -> Ideal:
     of an element and its dual sum to 2d + 1, so exactly one of each
     dual pair passes: sc for either parity of d.
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     if any(l % 2 for l in dims):
         raise ShapeError("mod4 center needs every dimension even")
     div4 = [i for i, l in enumerate(dims) if l % 4 == 0]
@@ -354,7 +354,7 @@ def partitioned_center(dims) -> NamedIdeal:
     even dimension drew on the verified intersecting family, since
     that block's eccentricity bound is only conjectured sharp.
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     if math.prod(dims) % 2:
         raise EmptyClassError(f"{dims} has odd volume: no sc ideals")
     if all(l % 2 == 0 for l in dims):

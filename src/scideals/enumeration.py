@@ -34,7 +34,12 @@ raises the key by its weight (a forward flip), or moves in members of
 geodesic from ``J`` back to ``S`` the key falls strictly, so every
 vertex but the seed has a backward flip.  The closure expands the keys
 in increasing order, one bucket (a list of masks) per key, with one
-kernel call per bucket.
+kernel call per non-empty bucket.  The kernel's tables (the cover
+axes, the movable ranks cut by the seed, the sc pair table or the
+orbit tables) are built once per closure, as one `metric.flip_table`,
+not once per call: a small or path-like class has a few vertices per
+bucket (sc (2, 61) has one in each of its 31), so a set-up in every
+call would be paid about once per vertex.
 
 It is a reverse search (Avis and Fukuda, *Discrete Appl. Math.* 65,
 1996): the parent of ``J`` is ``J`` with its highest backward flip
@@ -48,9 +53,11 @@ ranks below ``b*``.  So ``b*`` is ``J``'s highest backward flip iff it
 outranks every backward flip of ``P``, which is the kernels' test, and
 every vertex but the seed is made exactly once, by its one parent in
 the bucket one weight below.  The buckets hold no repeats and need no
-set; no global visited set is needed either, only the buckets up to
-two keys ahead are kept, and ``enumerate_count`` sums bucket sizes
-without holding the whole class.
+set; no global visited set is needed either.  Every sc flip weighs 1,
+so the children of an sc bucket are the whole next bucket; cssc and
+tssc keep the buckets up to two keys ahead, since a six-element tssc
+orbit weighs 2.  ``enumerate_count`` sums bucket sizes without holding
+the whole class.
 
 An `EnumerationResult` holds the class as its sorted member masks.
 Everything computed over a class (the vertex index, the metric report,
@@ -78,7 +85,7 @@ from collections.abc import Iterator, Sequence
 
 from . import metric
 from .ideal import CLASSES, CSSC, SC, TSSC, Ideal, validate_mask
-from .poset import CYCLIC, FULL, ChainProduct, ShapeError
+from .poset import ChainProduct, ShapeError, as_dims
 
 BFS_FLIP = "bfs_flip"
 ORACLE_DFS = "oracle_dfs"
@@ -154,7 +161,7 @@ def count_closed(dims: Sequence[int], cls: str = SC) -> int:
     Raises ShapeError when no closed form applies (sc with d >= 4 and
     even volume, or a symmetric class off an even cube).
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     if cls not in CLASSES:
         raise ValueError(f"unknown ideal class {cls!r}")
     if cls in (CSSC, TSSC):
@@ -202,7 +209,7 @@ def seed(dims: Sequence[int], cls: str = SC) -> Ideal:
     classes use the staircase ideal ``a_1 + a_2 + a_3 <= 3r + 1``,
     which is totally symmetric hence a member of all three classes.
     """
-    p = ChainProduct(tuple(int(l) for l in dims))
+    p = ChainProduct(dims)
     return Ideal(p, _seed_mask(p, cls))
 
 
@@ -341,19 +348,24 @@ def _graded_closure(
     parent, in the bucket one weight below.  A bucket is therefore
     complete, and free of repeats, once every bucket below it has been
     expanded; it is yielded before it is expanded itself, by one kernel
-    call over the whole bucket.
+    call over the whole bucket.  The flip table is built once, for the
+    whole closure.
     """
-    group = CYCLIC if cls == CSSC else FULL
+    table = metric.flip_table(p, cls, start)
+    if cls == SC:
+        # every sc flip weighs 1: a bucket's children are the next bucket
+        level = [start]
+        while level:
+            yield level
+            level = metric.sc_flip_masks(table, level)
+        return
     # the buckets at keys k, k + 1 and k + 2
     level, ahead = [start], ([], [])
     while level or ahead[0] or ahead[1]:
         if level:
             yield level
-            if cls == SC:
-                ahead[0].extend(metric.sc_flip_masks(p, level, start))
-            else:
-                for nm, w in metric.orbit_flip_masks(p, level, group, start):
-                    ahead[w - 1].append(nm)
+            for nm, w in metric.orbit_flip_masks(table, level):
+                ahead[w - 1].append(nm)
         level, ahead = ahead[0], (ahead[1], [])
 
 
@@ -368,7 +380,7 @@ def enumerate_ideals(
     ``cap`` is checked after each finished key bucket, so the error
     reports the vertices of every bucket reached so far.
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     _check_guard(dims, cls, force)
     p = ChainProduct(dims)
     masks: list[int] = []
@@ -386,7 +398,7 @@ def enumerate_count(
     force: bool = False,
 ) -> int:
     """Vertex count by flip closure, holding only the live buckets."""
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     _check_guard(dims, cls, force)
     p = ChainProduct(dims)
     return sum(len(b) for b in _graded_closure(p, cls, _seed_mask(p, cls)))
@@ -433,7 +445,7 @@ def oracle_enumerate(
     class.  Guarded by volume: the scan touches every ideal whether or
     not it is retained.
     """
-    dims = tuple(int(l) for l in dims)
+    dims = as_dims(dims)
     p = ChainProduct(dims)
     guard = (
         ORACLE_FILTERED_VOLUME_GUARD if cls else ORACLE_VOLUME_GUARD

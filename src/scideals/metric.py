@@ -46,14 +46,19 @@ dual is already present" becomes a shifted-complement test, which for a
 maximal member always holds.  The only sharp corners are the elements
 one step below their own dual (sc), or below an element whose dual lies
 in their own orbit (cssc, tssc); these never flip, because the needed
-cover would be removed by the flip itself.  Each kernel takes a whole
-bucket of masks and returns the children of all of them in one flat
-list, so the closure makes one call per key bucket, not one per
-vertex; `build_graph` passes one mask.  Without a
-``seed`` a kernel returns every flip; with the closure's seed it
-returns only the reverse-search children, those whose highest
-backward flip undoes the flip that made them, so the closure in
-`enumeration` makes each class member once.
+cover would be removed by the flip itself.  A kernel reads a
+`FlipTable`, which `flip_table` builds once per poset, class and seed:
+the cover axes, the movable ranks cut by the seed, and the sc pair
+table or the class's orbit tables.  The closure builds one per
+enumeration and `build_graph` one per graph, so a kernel call does no
+set-up of its own.  Each kernel takes a whole bucket of masks and
+returns the children of all of them in one flat list, so the closure
+makes one call per key bucket, not one per vertex; `build_graph`
+passes one mask.  A table built without a seed makes its kernel
+return every flip; with the closure's seed it returns only the
+reverse-search children, those whose highest backward flip undoes the
+flip that made them, so the closure in `enumeration` makes each class
+member once.
 """
 
 from __future__ import annotations
@@ -61,12 +66,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
 from .ideal import CSSC, SC, TSSC, Ideal
-from .poset import CYCLIC, FULL, ChainProduct, ranks
+from .poset import CYCLIC, FULL, ChainProduct, OrbitFlips, ranks
 
 if TYPE_CHECKING:
     from .enumeration import EnumerationResult
@@ -75,44 +80,85 @@ if TYPE_CHECKING:
 # flip kernels
 
 
-def sc_flip_masks(
-    p: ChainProduct, masks: Iterable[int], seed: int | None = None
-) -> list[int]:
+#: the symmetry group whose orbits flip in each symmetric class
+_GROUPS = {CSSC: CYCLIC, TSSC: FULL}
+
+
+class FlipTable(NamedTuple):
+    """What a flip kernel reads, for one poset, class and seed.
+
+    ``axes`` is the poset's ``cover_axes`` and ``volume`` its V.
+    ``forward`` holds the movable ranks inside the seed (the flips that
+    may move a member out) and ``backward`` those outside it; without a
+    seed every movable rank is forward and none backward.  The movable
+    ranks are ``sc_movable`` for sc and the ``movable`` orbits of the
+    class's `OrbitFlips` for cssc and tssc.  ``pairs`` is the poset's
+    ``sc_flip_pairs`` (sc only) and ``orbits`` the `OrbitFlips` (cssc
+    and tssc only).
+    """
+
+    axes: tuple[tuple[int, int], ...]
+    forward: int
+    backward: int
+    volume: int
+    pairs: list[int] | None
+    orbits: OrbitFlips | None
+
+
+def flip_table(
+    p: ChainProduct, cls: str, seed: int | None = None
+) -> FlipTable:
+    """The flip table of ``cls`` on ``p``, cut by ``seed`` if one is given.
+
+    Built once per closure (with the closure's seed) or per graph
+    (without one), and passed to every kernel call that follows, so no
+    call reads the poset or cuts the movable ranks itself.
+    """
+    if cls == SC:
+        movable, pairs, orbits = p.sc_movable, p.sc_flip_pairs, None
+    elif cls in _GROUPS:
+        orbits = p.orbit_flips(_GROUPS[cls])
+        movable, pairs = orbits.movable, None
+    else:
+        raise ValueError(f"unknown ideal class {cls!r}")
+    if seed is None:
+        forward, backward = movable, 0
+    else:
+        forward, backward = movable & seed, movable & ~seed
+    return FlipTable(p.cover_axes, forward, backward, p.volume, pairs, orbits)
+
+
+def sc_flip_masks(table: FlipTable, masks: Iterable[int]) -> list[int]:
     """Masks one sc flip away from the masks of ``masks`` (each sc).
 
     A maximal member ``a`` is flippable iff for every axis ``k`` along
     which the dual ``b`` has a lower cover, that cover lies in
     ``I minus a``.  That cover is the dual of ``a + e_k``, and for a
     self-complementary mask it is a member exactly when ``a + e_k`` is
-    not: the cover test is maximality itself, save at the corners of
-    ``p.sc_movable``, where the needed cover is ``a``.
+    not: the cover test is maximality itself, save at the corners left
+    out of ``sc_movable``, where the needed cover is ``a``.
 
-    With ``seed=None`` every flip of every mask is returned, in one
-    flat list.  With ``seed=S`` only the reverse-search children are:
-    a child ``J = P - b + b*`` moves out a member ``b`` of ``S`` and is
-    kept iff its incoming dual ``b*`` outranks every backward flip of
-    ``P`` (a flippable member outside ``S``).  The backward flips of
-    ``J`` are those of ``P``, minus the lower covers of ``b*`` (which
-    rank below ``b*``), plus ``b*`` itself: ``b*`` is maximal and
-    movable in ``J``, and the members that ``b`` uncovers lie in
-    ``S``.  So the rule holds iff ``b*`` is the highest backward flip
-    of ``J``, and each ``J`` but ``S`` is made by one parent only:
-    ``J`` with that flip undone.  Since ``b* = V - 1 - b``, the rule
-    keeps the ranks ``b`` below ``V - h``, where ``h`` is the bit
-    length of the backward flips.
+    With a table built without a seed every flip of every mask is
+    returned, in one flat list.  With a table cut by the seed ``S``
+    only the reverse-search children are: a child ``J = P - b + b*``
+    moves out a member ``b`` of ``S`` and is kept iff its incoming dual
+    ``b*`` outranks every backward flip of ``P`` (a flippable member
+    outside ``S``).  The backward flips of ``J`` are those of ``P``,
+    minus the lower covers of ``b*`` (which rank below ``b*``), plus
+    ``b*`` itself: ``b*`` is maximal and movable in ``J``, and the
+    members that ``b`` uncovers lie in ``S``.  So the rule holds iff
+    ``b*`` is the highest backward flip of ``J``, and each ``J`` but
+    ``S`` is made by one parent only: ``J`` with that flip undone.
+    Since ``b* = V - 1 - b``, the rule keeps the ranks ``b`` below
+    ``V - h``, where ``h`` is the bit length of the backward flips.
 
-    Per mask the maximal members come from one inline walk of
-    ``p.cover_axes``, the walk of `ChainProduct.maximal_mask` without
+    Per mask the maximal members come from one inline walk of the
+    table's cover axes, the walk of `ChainProduct.maximal_mask` without
     its call, and the children come in descending rank of the member
-    moved out.  A flip is one XOR with ``p.sc_flip_pairs``, whose entry
-    for the rank moved out is filled here on its first use.
+    moved out.  A flip is one XOR with an entry of the table's
+    ``pairs``, filled here on the first flip of its rank.
     """
-    axes = p.cover_axes
-    movable = p.sc_movable
-    forward = movable if seed is None else movable & seed
-    backward = 0 if seed is None else movable & ~seed
-    V = p.volume
-    pairs = p.sc_flip_pairs
+    axes, forward, backward, V, pairs, _ = table
     out: list[int] = []
     append = out.append
     for mask in masks:
@@ -132,9 +178,9 @@ def sc_flip_masks(
 
 
 def orbit_flip_masks(
-    p: ChainProduct, masks: Iterable[int], group: str, seed: int | None = None
+    table: FlipTable, masks: Iterable[int]
 ) -> list[tuple[int, int]]:
-    """(mask, weight) pairs one orbit flip away (cyclic or full group).
+    """(mask, weight) pairs one orbit flip away, under the table's group.
 
     An orbit is flippable iff all its elements are maximal members and
     replacing it by its dual orbit stays downward closed.  Orbit
@@ -144,27 +190,23 @@ def orbit_flip_masks(
     in `sc_flip_masks` they are members when ``a`` is maximal, and they
     stay members unless they lie in the outgoing orbit.  Orbits of
     such corners, and diagonal points (singleton orbits), are left out
-    of ``p.orbit_flips(group).movable``.
+    of the ``movable`` orbits of the table's `OrbitFlips`.
 
-    ``seed`` works as in `sc_flip_masks`, with orbits ranked by their
+    A seed works as in `sc_flip_masks`, with orbits ranked by their
     smallest rank (their rep): walking the reps from the top, the
     first flippable orbit outside ``S`` gives its rep ``h`` (-1 if
     there is none), and an orbit ``O`` inside ``S`` is kept iff the
-    rep of its dual orbit, ``V - bit_length(O)``, exceeds ``h``.  An orbit touching a lower
-    cover ``c = a* - e_k`` of ``O*`` has a smaller rep than ``O*``:
-    the group permutation taking ``a*`` to the rep of ``O*`` takes
-    ``c`` to a lower cover of that rep.  So, as for sc, the dual orbit
-    ``O*`` is the highest backward orbit of the child, and each child
-    has one parent.  Maximality is walked inline, as in `sc_flip_masks`.
+    rep of its dual orbit, ``V - bit_length(O)``, exceeds ``h``.  An
+    orbit touching a lower cover ``c = a* - e_k`` of ``O*`` has a
+    smaller rep than ``O*``: the group permutation taking ``a*`` to the
+    rep of ``O*`` takes ``c`` to a lower cover of that rep.  So, as for
+    sc, the dual orbit ``O*`` is the highest backward orbit of the
+    child, and each child has one parent.  Maximality is walked inline,
+    as in `sc_flip_masks`.
     """
-    tables = p.orbit_flips(group)
-    axes = p.cover_axes
-    movable = tables.movable
-    forward = movable if seed is None else movable & seed
-    backward = 0 if seed is None else movable & ~seed
-    all_reps = tables.reps
-    swaps = tables.swaps
-    V = p.volume
+    axes, forward, backward, V, _, orbits = table
+    all_reps = orbits.reps
+    swaps = orbits.swaps
     out: list[tuple[int, int]] = []
     append = out.append
     for mask in masks:
@@ -191,10 +233,6 @@ def orbit_flip_masks(
             if ok & ob == ob and V - ob.bit_length() > h:
                 append((mask ^ swap, weight))
     return out
-
-
-#: the symmetry group whose orbits flip in each symmetric class
-_GROUPS = {CSSC: CYCLIC, TSSC: FULL}
 
 
 # ----------------------------------------------------------------------
@@ -256,23 +294,21 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
     is a bug worth crashing on.  Each hit ``(u, v, w)`` goes to ``fwd``
     when ``u < v`` and, as ``(v, u, w)``, to ``bwd`` otherwise; the
     check is that the two sorted lists are equal and repeat no pair.
-    The class kernel is called directly, one mask at a time, and every
-    sc hit has weight 1.
+    One flip table without a seed serves the whole graph, and the class
+    kernel is called directly, one mask at a time; every sc hit has
+    weight 1.
     """
     cls = enum.symmetry
     if cls is None:
         raise ValueError("build_graph needs a class-filtered enumeration")
-    group = _GROUPS.get(cls)
-    if group is None and cls != SC:
-        raise ValueError(f"unknown ideal class {cls!r}")
-    p = enum.poset
+    table = flip_table(enum.poset, cls)
     idx = enum.index
     fwd: list[tuple[int, int, int]] = []
     bwd: list[tuple[int, int, int]] = []
     escaped = "flip neighbor of vertex {} escaped the vertex set"
     for u, m in enumerate(enum.masks):
-        if group is None:
-            for nm in sc_flip_masks(p, (m,)):
+        if cls == SC:
+            for nm in sc_flip_masks(table, (m,)):
                 v = idx.get(nm)
                 if v is None:
                     raise RuntimeError(escaped.format(u))
@@ -281,7 +317,7 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
                 else:
                     bwd.append((v, u, 1))
         else:
-            for nm, w in orbit_flip_masks(p, (m,), group):
+            for nm, w in orbit_flip_masks(table, (m,)):
                 v = idx.get(nm)
                 if v is None:
                     raise RuntimeError(escaped.format(u))

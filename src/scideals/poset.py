@@ -17,31 +17,30 @@ set at construction (`up_masks` / `down_masks`) make downward-closure
 checks and maximal-element extraction a handful of big-integer shifts
 instead of per-element loops.  Each is a run of ones times a repunit
 (`below_mask`), so the shape tables cost O(d) big-integer operations.
-Every enumeration builds its own poset, so its tables are a fixed cost
-of each call.  Only the sc flip-pair table and, on cubes, the orbit
-tables are O(V); the pair table is filled one entry per rank flipped,
-and the orbit tables are built from one representative per orbit (the
-sorted triple under S3, the least rotation under Z3), not by visiting
-every element.
+Every enumeration builds its own poset, and its flip kernel reads these
+tables through one flip table built per enumeration (see `metric`), not
+once per kernel call.  Only the sc flip-pair table and, on cubes, the
+orbit tables are O(V); the pair table starts as V + 1 zeros and the sc
+kernel fills an entry on the first flip of its rank, and the orbit
+tables are built from one representative per orbit (the sorted triple
+under S3, the least rotation under Z3), whose distinct ranks follow
+from its equal coordinates, not by visiting every element.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Coords = tuple[int, ...]
 
+#: the symmetry groups of a cube's coordinates: the rotations (Z3) and
+#: all permutations (S3)
 CYCLIC = "cyclic"
 FULL = "full"
-
-#: the coordinate permutations of each symmetry group of a cube
-_GROUPS = {
-    CYCLIC: ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
-    FULL: tuple(itertools.permutations(range(3))),
-}
 
 
 class ShapeError(ValueError):
@@ -96,7 +95,8 @@ class ChainProduct:
     whose k-th coordinate can increase) and the ``down_masks`` (can
     decrease).  ``cover_axes`` holds the pairs (stride, up mask) of the
     axes of length at least 2: a unit axis has up mask 0 and covers
-    nothing, so the maximality walks skip it.
+    nothing, so the maximality walks skip it.  The sc flip tables
+    ``sc_movable`` and ``sc_flip_pairs`` are set at construction too.
     """
 
     dims: Coords
@@ -108,9 +108,22 @@ class ChainProduct:
     cover_axes: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False
     )
+    #: the ranks an sc flip may ever move out: all but the corners.  A
+    #: corner lies one step below its own dual along some axis,
+    #: ``2 r = V - 1 - s_k``: flipping it would add the dual without
+    #: that dual's lower cover, the corner itself.  The self-dual centre
+    #: of an odd volume never flips either
+    sc_movable: int = field(init=False, repr=False, compare=False)
+    #: per bit length ``b``, the rank ``b - 1`` and its dual ``V - b``:
+    #: an sc flip moving out the member of rank ``b - 1`` is one XOR
+    #: with entry ``b``.  The list starts as V + 1 zeros and the sc
+    #: kernel fills entry ``b`` on the first flip of that rank, so a
+    #: poset whose class flips few ranks builds few big integers; entry
+    #: 0 is unused and stays 0
+    sc_flip_pairs: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        dims = tuple(map(int, self.dims))
+        dims = as_dims(self.dims)
         if not dims:
             raise ShapeError("at least one dimension is required")
         if min(dims) < 1:
@@ -123,12 +136,20 @@ class ChainProduct:
         put(self, "dims", dims)
         put(self, "strides", tuple(strides))
         put(self, "volume", volume)
-        put(self, "full_mask", (1 << volume) - 1)
+        full = (1 << volume) - 1
+        put(self, "full_mask", full)
         up = tuple(self.below_mask(k, l - 1) for k, l in enumerate(dims))
         put(self, "up_masks", up)
         put(self, "down_masks", tuple(m << s for m, s in zip(up, strides)))
         axes = tuple((s, m) for s, m in zip(strides, up) if m)
         put(self, "cover_axes", axes)
+        stuck = 1 << (volume // 2) if volume % 2 else 0
+        for s, m in axes:
+            t = volume - 1 - s
+            if t % 2 == 0:
+                stuck |= m & (1 << (t // 2))
+        put(self, "sc_movable", full & ~stuck)
+        put(self, "sc_flip_pairs", [0] * (volume + 1))
 
     # ------------------------------------------------------------------
     # shape
@@ -215,35 +236,6 @@ class ChainProduct:
             covered |= up & (mask >> s)
         return mask & ~covered
 
-    @cached_property
-    def sc_movable(self) -> int:
-        """Ranks an sc flip may ever move out: all but the corners.
-
-        A corner lies one step below its own dual along some axis,
-        ``2 r = V - 1 - s_k``: flipping it would add the dual without
-        that dual's lower cover, the corner itself.  The self-dual
-        centre of an odd volume never flips either.
-        """
-        V = self.volume
-        stuck = 1 << (V // 2) if V % 2 else 0
-        for s, up in self.cover_axes:
-            t = V - 1 - s
-            if t % 2 == 0:
-                stuck |= up & (1 << (t // 2))
-        return self.full_mask & ~stuck
-
-    @cached_property
-    def sc_flip_pairs(self) -> list[int]:
-        """Per bit length ``b``: the rank ``b - 1`` and its dual ``V - b``.
-
-        An sc flip moving out the member of rank ``b - 1`` is one XOR
-        with ``sc_flip_pairs[b]``.  The table starts as V + 1 zeros and
-        `sc_flip_masks` fills entry ``b`` on its first use, so a poset
-        whose class flips few ranks builds few big integers; entry 0 is
-        unused and stays 0.
-        """
-        return [0] * (self.volume + 1)
-
     # ------------------------------------------------------------------
     # octants (all dims even)
 
@@ -310,8 +302,9 @@ class ChainProduct:
     def orbit_flips(self, group: str) -> OrbitFlips:
         """Orbit flip tables under ``group``, built once.
 
-        The flip kernel asks once per bucket, so a repeat call is one
-        dict lookup.
+        A flip table asks once per closure or graph; `build_graph`
+        after `enumerate_ideals` on the same poset asks again, and a
+        repeat call is one dict lookup.
         """
         found = self._flips_memo.get(group)
         if found is None:
@@ -320,7 +313,7 @@ class ChainProduct:
 
     def _orbits_by_rep(
         self, group: str
-    ) -> Iterator[tuple[Coords, list[int], int, int]]:
+    ) -> list[tuple[Coords, Coords, int, int]]:
         """Each orbit as (least element, ascending ranks, mask, dual
         mask), in order of its least rank.
 
@@ -330,31 +323,61 @@ class ChainProduct:
         the least rotation under Z3.  Those representatives are
         generated directly, in rank order.  A least rotation starts
         with a smallest coordinate ``x``; of ``(x, y, x)`` and
-        ``(x, x, y)`` with ``y > x`` only the second is least.
+        ``(x, x, y)`` with ``y > x`` only the second is least.  The
+        equal coordinates of a representative say which of its images
+        are distinct, so the ranks are written out directly, with no
+        set and no sort, in ascending order: the lexicographic order of
+        the images.  Under Z3, ``(y, z, x)`` precedes ``(z, x, y)``
+        iff ``y < z`` (at ``y = z`` the second is ``(y, x, y)``, and
+        ``x < y``).  The dual orbit holds the ranks ``V - 1 - q``, so
+        its least rank is ``V - 1`` minus the largest rank here, and
+        its mask, built once for itself, is the dual mask.
         """
         self._require_cube()
-        perms = _GROUPS.get(group)
-        if perms is None:
+        if group not in (CYCLIC, FULL):
             raise ValueError(f"unknown symmetry group {group!r}")
         l = self.dims[0]
         ll = l * l
-        v1 = self.volume - 1
+        found = []
         if group == FULL:
-            reps = itertools.combinations_with_replacement(range(l), 3)
+            triples = itertools.combinations_with_replacement(range(l), 3)
+            for x, y, z in triples:
+                if x == z:
+                    ranks = (x * (ll + l + 1),)
+                elif x == y:
+                    ranks = (x * (ll + l) + z, x * (ll + 1) + z * l,
+                             z * ll + x * (l + 1))
+                elif y == z:
+                    ranks = (x * ll + y * (l + 1), y * (ll + 1) + x * l,
+                             y * (ll + l) + x)
+                else:
+                    ranks = (x * ll + y * l + z, x * ll + z * l + y,
+                             y * ll + x * l + z, y * ll + z * l + x,
+                             z * ll + x * l + y, z * ll + y * l + x)
+                found.append(((x, y, z), ranks))
         else:
-            reps = (
-                (x, y, z)
-                for x in range(l)
-                for y in range(x, l)
-                for z in range(x + (y > x), l)
-            )
-        for a in reps:
-            ranks = sorted({a[i] * ll + a[j] * l + a[k] for i, j, k in perms})
-            mask = dmask = 0
+            for x in range(l):
+                for y in range(x, l):
+                    for z in range(x + (y > x), l):
+                        r = x * ll + y * l + z
+                        if x == z:
+                            ranks = (r,)
+                        elif y < z:
+                            ranks = (r, y * ll + z * l + x, z * ll + x * l + y)
+                        else:
+                            ranks = (r, z * ll + x * l + y, y * ll + z * l + x)
+                        found.append(((x, y, z), ranks))
+        mask_at = {}
+        for a, ranks in found:
+            mask = 0
             for q in ranks:
                 mask |= 1 << q
-                dmask |= 1 << (v1 - q)
-            yield a, ranks, mask, dmask
+            mask_at[ranks[0]] = mask
+        v1 = self.volume - 1
+        return [
+            (a, ranks, mask_at[ranks[0]], mask_at[v1 - ranks[-1]])
+            for a, ranks in found
+        ]
 
     def _build_orbits(self, group: str) -> tuple[list[Orbit], list[int]]:
         orbit_of = [-1] * self.volume
@@ -362,7 +385,7 @@ class ChainProduct:
         for _a, ranks, mask, dmask in self._orbits_by_rep(group):
             for q in ranks:
                 orbit_of[q] = len(orbits)
-            orbits.append(Orbit(tuple(ranks), mask, dmask))
+            orbits.append(Orbit(ranks, mask, dmask))
         return orbits, orbit_of
 
     def _build_flips(self, group: str) -> OrbitFlips:
@@ -373,7 +396,8 @@ class ChainProduct:
         l = self.dims[0]
         ll = l * l
         v1 = self.volume - 1
-        movable = reps = 0
+        movable = self.full_mask
+        reps = 0
         swaps: list[tuple[int, int, int] | None] = [None] * self.volume
         for (x, y, z), ranks, mask, dmask in self._orbits_by_rep(group):
             r = ranks[0]
@@ -382,8 +406,8 @@ class ChainProduct:
                 or (y < l - 1 and v1 - r - l in ranks)
                 or (z < l - 1 and v1 - r - 1 in ranks)
             ):
+                movable ^= mask  # few orbits are stuck: take them out
                 continue
-            movable |= mask
             reps |= 1 << r
             swaps[r] = (mask, mask | dmask, len(ranks) // 3)
         return OrbitFlips(movable, reps, swaps)
@@ -392,6 +416,21 @@ class ChainProduct:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ChainProduct{self.dims}"
+
+
+def as_dims(dims: Iterable[int]) -> Coords:
+    """``dims`` as a tuple of ints, by `operator.index`.
+
+    That accepts ints and integer types such as numpy's and refuses a
+    float or a string with ShapeError, where `int` would truncate 2.5
+    to 2 or parse ``'2'``.
+    """
+    try:
+        return tuple(map(operator.index, dims))
+    except TypeError:
+        raise ShapeError(
+            f"dimensions must be integers, got {dims!r}"
+        ) from None
 
 
 def cube(side: int) -> ChainProduct:

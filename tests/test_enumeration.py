@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 import oracles
@@ -19,7 +20,7 @@ from scideals.enumeration import (
     seed,
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal
-from scideals.poset import ShapeError
+from scideals.poset import ChainProduct, ShapeError
 
 
 @pytest.mark.parametrize("dims, want", [
@@ -89,6 +90,23 @@ def test_symmetric_classes_need_even_cubes():
 def test_no_closed_form_beyond_three_dimensions():
     with pytest.raises(ShapeError):
         count_closed((2, 2, 2, 2), SC)
+
+
+@pytest.mark.parametrize("dims", [(2.5, 3), (2.9, 4), ("2", "4"), (2, 4.0)])
+def test_non_integral_dims_are_refused(dims):
+    # int() would truncate 2.9 to 2 (and then count (2, 4)) or parse '2'
+    for build in (
+        ChainProduct, count_closed, enumerate_count, enumerate_ideals, seed
+    ):
+        with pytest.raises(ShapeError, match="dimensions must be integers"):
+            build(dims)
+
+
+def test_integer_types_are_taken_as_ints():
+    dims = (np.int64(2), np.uint8(4))
+    assert ChainProduct(dims).dims == (2, 4)
+    assert all(type(l) is int for l in ChainProduct(dims).dims)
+    assert enumerate_count(dims) == count_closed(dims) == 3
 
 
 def test_seed_validates():

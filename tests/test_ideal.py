@@ -13,7 +13,7 @@ from scideals.ideal import (
     SymmetryError,
     from_heights,
 )
-from scideals.metric import orbit_flip_masks, sc_flip_masks
+from scideals.metric import flip_table, orbit_flip_masks, sc_flip_masks
 from scideals.poset import CYCLIC, FULL, ChainProduct, ShapeError
 
 from reference_data import (
@@ -122,9 +122,12 @@ def test_symmetry_group_names():
     hub = from_heights((4,) * 3, CSSC_R2_HEIGHTS[0])
     p, m = hub.poset, hub.mask
     flips = functools.partial(oracles.flip_masks, p, m)
-    assert flips(SC) == sorted((n, 1) for n in sc_flip_masks(p, (m,)))
-    assert flips(CSSC) == sorted(orbit_flip_masks(p, (m,), CYCLIC))
-    assert flips(TSSC) == sorted(orbit_flip_masks(p, (m,), FULL))
+    table = functools.partial(flip_table, p)
+    assert flips(SC) == sorted((n, 1) for n in sc_flip_masks(table(SC), (m,)))
+    assert flips(CSSC) == sorted(orbit_flip_masks(table(CSSC), (m,)))
+    assert flips(TSSC) == sorted(orbit_flip_masks(table(TSSC), (m,)))
+    assert table(CSSC).orbits is p.orbit_flips(CYCLIC)
+    assert table(TSSC).orbits is p.orbit_flips(FULL)
     with pytest.raises(ValueError):
         flips("nope")
 

@@ -90,6 +90,22 @@ def test_orbits_by_coordinates_match_unrank(side, group):
     assert [o.ranks for o in orbits] == oracles.orbits(p, group)
     for i, o in enumerate(orbits):
         assert all(orbit_of[r] == i for r in o.ranks)
+    v1 = p.volume - 1
+    flips = p.orbit_flips(group)
+    movable = 0
+    for o in orbits:
+        assert o.mask == sum(1 << r for r in o.ranks)
+        assert o.dual_mask == sum(1 << (v1 - r) for r in o.ranks)
+        r = o.ranks[0]
+        if flips.reps >> r & 1:
+            assert flips.swaps[r] == (
+                o.mask, o.mask | o.dual_mask, len(o.ranks) // 3
+            )
+            movable |= o.mask
+        else:
+            assert flips.swaps[r] is None
+    assert flips.movable == movable
+    assert flips.reps.bit_count() == sum(map(bool, flips.swaps))
     rot, swp = p._perm_tables
     for r in range(p.volume):
         x, y, z = p.unrank(r)
@@ -123,10 +139,10 @@ def class_members(draw):
 def kernel(p, cls, masks, start=None):
     """The sorted (mask, weight) children of a bucket of masks, all of
     them, or with a seed ``start`` the reverse-search children only."""
+    table = metric.flip_table(p, cls, start)
     if cls == SC:
-        return sorted((m, 1) for m in metric.sc_flip_masks(p, masks, start))
-    group = oracles.GROUPS[cls]
-    return sorted(metric.orbit_flip_masks(p, masks, group, start))
+        return sorted((m, 1) for m in metric.sc_flip_masks(table, masks))
+    return sorted(metric.orbit_flip_masks(table, masks))
 
 
 def rep(orbit):
@@ -240,6 +256,38 @@ def test_a_bucket_gives_the_union_of_its_members_children(drawn):
         c for mask in bucket for c in oracle_children(p, cls, mask, start)
     )
     assert kernel(p, cls, []) == []
+
+
+@pytest.mark.parametrize("dims, cls", [
+    ((2, 61), SC), ((2, 3, 4), SC), ((3, 3, 4), SC), ((2, 2, 2, 2), SC),
+    ((4, 4, 4), CSSC), ((6, 6, 6), CSSC),
+    ((4, 4, 4), TSSC), ((6, 6, 6), TSSC), ((8, 8, 8), TSSC),
+])
+def test_closure_calls_its_kernel_once_per_nonempty_bucket(
+    monkeypatch, dims, cls
+):
+    # the buckets are the distinct distances from the seed; each is
+    # expanded by one call, and every member but the seed is the output
+    # of exactly one call, with or without the masks kept
+    calls = []
+    for name in ("sc_flip_masks", "orbit_flip_masks"):
+        def counted(table, masks, name=name, kernel=getattr(metric, name)):
+            out = kernel(table, masks)
+            calls.append((name, len(out)))
+            return out
+
+        monkeypatch.setattr(metric, name, counted)
+    enum = enumerate_ideals(dims, cls)
+    buckets = len(set(metric.distances_from(enum, seed(dims, cls))))
+    name = "sc_flip_masks" if cls == SC else "orbit_flip_masks"
+    for run in (
+        lambda: len(enumerate_ideals(dims, cls)),
+        lambda: enumerate_count(dims, cls),
+    ):
+        calls.clear()
+        assert run() == len(enum)
+        assert [c for c, _ in calls] == [name] * buckets
+        assert sum(hits for _, hits in calls) == len(enum) - 1
 
 
 @pytest.mark.parametrize(

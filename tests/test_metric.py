@@ -21,6 +21,7 @@ from scideals.metric import (
     distance,
     distances_from,
     eccentricity_csv,
+    flip_table,
     graph_dot,
     graph_record,
     metric_report,
@@ -215,8 +216,8 @@ def _patch_first_vertex(monkeypatch, edit):
     first = enum.masks[0]
     kernel = metric.sc_flip_masks
 
-    def patched(p, masks, seed=None):
-        found = kernel(p, masks, seed)
+    def patched(table, masks):
+        found = kernel(table, masks)
         return edit(found) if masks == (first,) else found
 
     monkeypatch.setattr(metric, "sc_flip_masks", patched)
@@ -246,7 +247,7 @@ def test_build_graph_rejects_a_neighbor_repeated_from_both_ends(monkeypatch):
     enum = enumerate_ideals((2, 3, 4), SC)
     kernel = metric.sc_flip_masks
     monkeypatch.setattr(
-        metric, "sc_flip_masks", lambda p, masks: 2 * kernel(p, masks)
+        metric, "sc_flip_masks", lambda table, masks: 2 * kernel(table, masks)
     )
     with pytest.raises(
         RuntimeError,
@@ -375,7 +376,8 @@ def test_bounds_need_few_rows():
 def test_symmetry_closure_is_checked():
     good = enumerate_ideals((6, 6, 6), TSSC)
     a = good.masks[0]
-    bad = sc_flip_masks(good.poset, (a,))[0]  # one sc flip: difference 1
+    # one sc flip: difference 1
+    bad = sc_flip_masks(flip_table(good.poset, SC), (a,))[0]
     enum = EnumerationResult(good.poset, TSSC, tuple(sorted((a, bad))), "hand")
     with pytest.raises(ValueError, match="not divisible by the orbit size"):
         metric_report(enum)
