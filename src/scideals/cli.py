@@ -102,6 +102,8 @@ def _cmd_enumerate(args, parser) -> int:
             f"the heights format is only defined for three dimensions, "
             f"got {len(args.dims)}"
         )
+    if args.cap is not None and args.cap < 0:
+        parser.error(f"--cap must be non-negative, got {args.cap}")
     enum = enumerate_ideals(args.dims, args.cls, cap=args.cap,
                             force=args.force)
     fmt = "heights" if args.format == "heights" else "members"
@@ -159,8 +161,10 @@ def _cmd_extremal(args, parser) -> int:
             )
     axis = args.axis
     if axis is not None:
-        if args.dims is None or not 1 <= axis <= len(args.dims):
-            parser.error(f"--axis must be in 1..{len(args.dims or ())}")
+        if args.dims is None:
+            parser.error("--axis needs --dims")
+        if not 1 <= axis <= len(args.dims):
+            parser.error(f"--axis must be in 1..{len(args.dims)}")
         axis -= 1  # the library indexes axes from zero
     try:
         built = build_named(

@@ -22,8 +22,10 @@ proven or conjectured metric role, at any size in its family:
 * ``tssc_extremes``      the unique minimal / maximal tssc pair under
                          the mandatory-region order, a diametral pair.
 
-The constructions validate themselves before returning; a failed
-validation is a bug, not a data condition, hence plain asserts.
+Each construction states its member set element by element, and
+`ChainProduct.mask_of` turns it into the mask.  The constructions
+validate themselves before returning; a failed validation is a bug,
+not a data condition, hence plain asserts.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ class NamedIdeal:
     name: str
     params: dict
     ideal: Ideal | None  # None when the member set is not downward closed
-    members: tuple[Coords, ...]
     symmetry: str | None
     conjectural: bool = False
     note: str = ""
+    members: tuple[Coords, ...] = ()  # set only when ideal is None
 
     def to_record(self, fmt: str = "members") -> dict:
         rec = {
@@ -65,14 +67,6 @@ class NamedIdeal:
         else:
             rec["members"] = [list(m) for m in self.members]
         return rec
-
-
-def _wrap(name: str, params: dict, ideal: Ideal, symmetry: str | None,
-          conjectural: bool = False, note: str = "") -> NamedIdeal:
-    return NamedIdeal(
-        name, params, ideal, tuple(ideal.members()), symmetry,
-        conjectural, note,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -151,16 +145,15 @@ def sc_diameter_pair(dims) -> tuple[Ideal, Ideal]:
     k = evens[0]
     odd_axes = [i for i in range(p.d) if i != k]
     mids = tuple((dims[i] + 1) // 2 for i in odd_axes)
-    half_k = dims[k] // 2
-    mask = 0
-    for rank, a in enumerate(p.elements()):
-        rest = tuple(a[i] for i in odd_axes)
-        # rest < mids in tuple order is exactly "below the central
-        # column in rank order": the canonical-minimum choice of the
-        # punctured product's self-complementary half
-        if rest < mids or (rest == mids and a[k] <= half_k):
-            mask |= 1 << rank
-    first = Ideal(p, mask)
+    # odd-axis coordinates < mids in tuple order is exactly "below the
+    # central column in rank order": the canonical-minimum choice of the
+    # punctured product's self-complementary half; on the column itself
+    # the lower half of the even axis is kept
+    top = mids + (dims[k] // 2,)
+    first = Ideal(p, p.mask_of(
+        a for a in p.elements()
+        if tuple(a[i] for i in odd_axes) + (a[k],) <= top
+    ))
     second = halfspace(p, k)
     assert first.validate(SC) and second.validate(SC)
     return first, second
@@ -179,12 +172,10 @@ def majority_ideal(dims) -> Ideal:
     if d % 2 == 0:
         raise ShapeError("majority ideal needs odd d (no half-low ties)")
     p = ChainProduct(dims)
-    mask = 0
-    for rank, a in enumerate(p.elements()):
-        low = sum(1 for c, l in zip(a, dims) if 2 * c <= l)
-        if 2 * low > d:
-            mask |= 1 << rank
-    out = Ideal(p, mask)
+    out = Ideal(p, p.mask_of(
+        a for a in p.elements()
+        if 2 * sum(2 * c <= l for c, l in zip(a, dims)) > d
+    ))
     assert out.validate(SC)
     return out
 
@@ -206,16 +197,16 @@ def mod4_center(dims) -> Ideal:
     k = div4[-1]
     d = len(dims)
     p = ChainProduct(dims)
-    mask = 0
-    for rank, a in enumerate(p.elements()):
+
+    def passes(a: Coords) -> bool:
         low = sum(
             1 for i, (c, l) in enumerate(zip(a, dims))
             if i != k and 2 * c <= l
         )
         quarter = -(-4 * a[k] // dims[k])
-        if 2 * low + (4 - quarter) > d:
-            mask |= 1 << rank
-    out = Ideal(p, mask)
+        return 2 * low + (4 - quarter) > d
+
+    out = Ideal(p, p.mask_of(filter(passes, p.elements())))
     assert out.validate(SC)
     return out
 
@@ -235,12 +226,12 @@ def hypercube_center(d: int) -> Ideal:
         raise ShapeError("the hypercube family construction needs even d")
     H = verified_family(d)
     p = ChainProduct((2,) * d)
-    mask = 0
-    for rank, a in enumerate(p.elements()):
+
+    def kept(a: Coords) -> bool:
         low = frozenset(i + 1 for i, c in enumerate(a) if c == 1)
-        if 2 * len(low) > d or (2 * len(low) == d and low not in H):
-            mask |= 1 << rank
-    out = Ideal(p, mask)
+        return 2 * len(low) > d or (2 * len(low) == d and low not in H)
+
+    out = Ideal(p, p.mask_of(filter(kept, p.elements())))
     assert out.validate(SC)
     return out
 
@@ -274,16 +265,16 @@ def _two_mod_four_center(dims: tuple[int, ...]) -> tuple[Ideal, str, bool]:
     d = len(dims)
     p = ChainProduct(dims)
     straddle = [((l + 2) // 4, (3 * l + 2) // 4) for l in dims]
-    mask = 0
 
     # block 0: straddling values on every axis, a [2]^d copy
     if d % 2:
         c0, used_family = majority_ideal((2,) * d), False
     else:
         c0, used_family = hypercube_center(d), True
-    for a in c0.members():
-        coords = tuple(straddle[i][a[i] - 1] for i in range(d))
-        mask |= 1 << p.rank(coords)
+    mask = p.mask_of(
+        tuple(straddle[i][c - 1] for i, c in enumerate(a))
+        for a in c0.members()
+    )
 
     # block i: axis i runs over the non-straddling values
     for i in range(d):
@@ -291,13 +282,11 @@ def _two_mod_four_center(dims: tuple[int, ...]) -> tuple[Ideal, str, bool]:
             continue  # [2] minus its two straddling values is empty
         others = [v for v in range(1, dims[i] + 1) if v not in straddle[i]]
         block_dims = dims[:i] + (dims[i] - 2,) + (2,) * (d - i - 1)
-        ci = mod4_center(block_dims)
-        for a in ci.members():
-            coords = list(a)
-            coords[i] = others[a[i] - 1]
-            for j in range(i + 1, d):
-                coords[j] = straddle[j][a[j] - 1]
-            mask |= 1 << p.rank(tuple(coords))
+        mask |= p.mask_of(
+            a[:i] + (others[a[i] - 1],)
+            + tuple(straddle[j][a[j] - 1] for j in range(i + 1, d))
+            for a in mod4_center(block_dims).members()
+        )
 
     out = Ideal(p, mask)
     assert out.size * 2 == p.volume
@@ -328,16 +317,17 @@ def _mixed_center(dims: tuple[int, ...]) -> tuple[Ideal, bool]:
             )
             block_ideal, _, block_family = _even_center(block_dims)
             used_family = used_family or block_family
-            for a in block_ideal.members():
+
+            def lift(a: Coords) -> Coords:
                 coords = [0] * d
                 for i in pinned:
                     coords[i] = mids[i]
-                for pos, i in enumerate(free):
-                    v = a[pos]
-                    if i in odd_axes and v >= mids[i]:
-                        v += 1  # skip the pinned midpoint value
-                    coords[i] = v
-                mask |= 1 << p.rank(tuple(coords))
+                for i, v in zip(free, a):
+                    # skip the pinned midpoint value
+                    coords[i] = v + (i in mids and v >= mids[i])
+                return tuple(coords)
+
+            mask |= p.mask_of(map(lift, block_ideal.members()))
     out = Ideal(p, mask)
     assert out.size * 2 == p.volume
     assert out.validate(SC), "block union failed to be an ideal"
@@ -362,7 +352,7 @@ def partitioned_center(dims) -> NamedIdeal:
     else:
         ideal, used_family = _mixed_center(dims)
         branch = "odd-midpoint-partition"
-    return _wrap(
+    return NamedIdeal(
         "partitioned-center", {"dims": dims}, ideal, SC,
         conjectural=used_family,
         note=f"branch: {branch}",
@@ -404,15 +394,12 @@ def pyramid_ideal(r: int) -> Ideal:
         raise ShapeError("r must be >= 1")
     n = 2 * r
     p = cube(n)
-    mask = 0
-    for rank, (x, y, z) in enumerate(p.elements()):
-        if (
-            (x + y <= n and x + z <= n + 1)
-            or (y + z <= n and x + y <= n + 1)
-            or (x + z <= n and y + z <= n + 1)
-        ):
-            mask |= 1 << rank
-    out = Ideal(p, mask)
+    out = Ideal(p, p.mask_of(
+        (x, y, z) for x, y, z in p.elements()
+        if (x + y <= n and x + z <= n + 1)
+        or (y + z <= n and x + y <= n + 1)
+        or (x + z <= n and y + z <= n + 1)
+    ))
     assert out.validate(CSSC)
     return out
 
@@ -437,11 +424,7 @@ def staircase_2d(r: int, k: int) -> Ideal:
     if not (r >= 2 and 0 <= k <= r - 2):
         raise ShapeError("need r >= 2 and 0 <= k <= r - 2")
     p = ChainProduct((r - k - 1, r + k))
-    mask = 0
-    for rank, (a1, a2) in enumerate(p.elements()):
-        if a1 + a2 <= r:
-            mask |= 1 << rank
-    out = Ideal(p, mask)
+    out = Ideal(p, p.mask_of(a for a in p.elements() if sum(a) <= r))
     assert out.validate(SC)
     return out
 
@@ -513,8 +496,9 @@ def shell_ideal(k: int, r: int) -> NamedIdeal:
     expected = (n**3 - (n - 2) ** 3) // 2
     assert len(shell) == expected, (k, r, len(shell), expected)
     return NamedIdeal(
-        "shell", {"r": r, "k": k}, None, tuple(sorted(shell)), None,
+        "shell", {"r": r, "k": k}, None, None,
         note="boundary member set, not itself an ideal",
+        members=tuple(sorted(shell)),
     )
 
 
@@ -527,16 +511,13 @@ def compose_shell(core: Ideal | None, shell) -> Ideal:
     members = shell.members if isinstance(shell, NamedIdeal) else tuple(shell)
     n = max(max(a) for a in members)
     p = cube(n)
-    mask = 0
-    for a in members:
-        mask |= 1 << p.rank(a)
+    mask = p.mask_of(members)
     if core is not None and core.size > 0:
         if core.poset.dims != (n - 2,) * 3:
             raise ShapeError(
                 f"core must live on {(n - 2,) * 3}, got {core.poset.dims}"
             )
-        for a in core.members():
-            mask |= 1 << p.rank(tuple(c + 1 for c in a))
+        mask |= p.mask_of(tuple(c + 1 for c in a) for a in core.members())
     out = Ideal(p, mask)
     if not out.is_ideal():
         raise SymmetryError("this shell does not fit that core")
@@ -558,15 +539,12 @@ def tssc_mandatory(r: int) -> Ideal:
         raise ShapeError("r must be >= 1")
     n = 2 * r
     p = cube(n)
-    mask = 0
-    for rank, (x, y, z) in enumerate(p.elements()):
-        if (
-            (x <= r and y + z <= n + 1)
-            or (y <= r and z + x <= n + 1)
-            or (z <= r and x + y <= n + 1)
-        ):
-            mask |= 1 << rank
-    return Ideal(p, mask)
+    return Ideal(p, p.mask_of(
+        (x, y, z) for x, y, z in p.elements()
+        if (x <= r and y + z <= n + 1)
+        or (y <= r and z + x <= n + 1)
+        or (z <= r and x + y <= n + 1)
+    ))
 
 
 def tssc_extremes(r: int) -> tuple[Ideal, Ideal]:
@@ -603,34 +581,34 @@ def build_named(name: str, **params) -> list[NamedIdeal]:
 
     if name == "halfspace":
         dims, axis = tuple(need("dims")), int(need("axis"))
-        return [_wrap(name, {"dims": dims, "axis": axis},
-                      halfspace(dims, axis), SC)]
+        return [NamedIdeal(name, {"dims": dims, "axis": axis},
+                           halfspace(dims, axis), SC)]
     if name == "sc-diameter-pair":
         dims = tuple(need("dims"))
         a, b = sc_diameter_pair(dims)
         note = f"distance realizes the sc diameter {sc_diameter_value(dims)}"
-        return [_wrap(name, {"dims": dims, "end": 0}, a, SC, note=note),
-                _wrap(name, {"dims": dims, "end": 1}, b, SC, note=note)]
+        return [NamedIdeal(name, {"dims": dims, "end": 0}, a, SC, note=note),
+                NamedIdeal(name, {"dims": dims, "end": 1}, b, SC, note=note)]
     if name == "majority":
         dims = tuple(need("dims"))
-        return [_wrap(name, {"dims": dims}, majority_ideal(dims), SC)]
+        return [NamedIdeal(name, {"dims": dims}, majority_ideal(dims), SC)]
     if name == "mod4-center":
         dims = tuple(need("dims"))
-        return [_wrap(name, {"dims": dims}, mod4_center(dims), SC)]
+        return [NamedIdeal(name, {"dims": dims}, mod4_center(dims), SC)]
     if name == "partitioned-center":
         return [partitioned_center(tuple(need("dims")))]
     if name in ("c2r", "staircase"):
         r = int(need("r"))
-        return [_wrap(
+        return [NamedIdeal(
             "c2r", {"r": r}, staircase_c2r(r), TSSC,
             note="cssc center witness; center uniqueness is conjectural",
         )]
     if name == "pyramid":
         r = int(need("r"))
-        return [_wrap(name, {"r": r}, pyramid_ideal(r), CSSC)]
+        return [NamedIdeal(name, {"r": r}, pyramid_ideal(r), CSSC)]
     if name == "octant":
         r = int(need("r"))
-        return [_wrap(name, {"r": r}, octant_ideal_cssc(r), TSSC)]
+        return [NamedIdeal(name, {"r": r}, octant_ideal_cssc(r), TSSC)]
     if name == "shell":
         r, k = int(need("r")), int(need("k"))
         return [shell_ideal(k, r)]
@@ -638,8 +616,8 @@ def build_named(name: str, **params) -> list[NamedIdeal]:
         r = int(need("r"))
         lo, hi = tssc_extremes(r)
         note = f"distance realizes the tssc diameter {tssc_diameter_value(r)}"
-        return [_wrap(name, {"r": r, "end": 0}, lo, TSSC, note=note),
-                _wrap(name, {"r": r, "end": 1}, hi, TSSC, note=note)]
+        return [NamedIdeal(name, {"r": r, "end": 0}, lo, TSSC, note=note),
+                NamedIdeal(name, {"r": r, "end": 1}, hi, TSSC, note=note)]
     raise ValueError(f"unknown construction {name!r}")
 
 

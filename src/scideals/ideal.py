@@ -130,17 +130,12 @@ class Ideal:
         if not (p.is_cube() and p.dims[0] % 2 == 0 and p.dims[0] >= 2):
             raise ShapeError(f"core/shell needs an even cube, got {p.dims}")
         side = p.dims[0]
-        inner = ChainProduct((side - 2,) * 3) if side > 2 else None
-        core_mask = 0
-        shell = []
-        for a in self.members():
-            if all(2 <= c <= side - 1 for c in a):
-                core_mask |= 1 << inner.rank(tuple(c - 1 for c in a))
-            else:
-                shell.append(a)
-        if inner is None:
-            return Ideal(ChainProduct((1, 1, 1)), 0), frozenset(shell)
-        return Ideal(inner, core_mask), frozenset(shell)
+        members = self.members()
+        core = [a for a in members if all(2 <= c < side for c in a)]
+        # side 2 has no interior: its empty core sits on [1]^3
+        inner = ChainProduct((max(side - 2, 1),) * 3)
+        core_mask = inner.mask_of(tuple(c - 1 for c in a) for a in core)
+        return Ideal(inner, core_mask), frozenset(members).difference(core)
 
     # ------------------------------------------------------------------
     # serialization
@@ -182,12 +177,13 @@ def validate_mask(
         raise ShapeError(
             f"{cls} ideals live on even cubes [2r]^3, not {p.dims}"
         )
-    if p.permute_mask(mask) != mask:
+    rot, swap = p._perm_tables
+    if map_ranks(mask, rot) != mask:
         return False
     if cls == CSSC:
         return True
     # full S3 invariance = cyclic invariance + one transposition
-    return map_ranks(mask, p._perm_tables[1]) == mask
+    return map_ranks(mask, swap) == mask
 
 
 # ----------------------------------------------------------------------

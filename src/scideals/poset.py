@@ -6,8 +6,9 @@ identified with its mixed-radix rank (coordinate 1 most significant),
 and that rank fixes a bit position: subsets of the poset are plain
 Python integers throughout the package, with bit ``r`` set iff the
 element of rank ``r`` belongs to the subset.  `ranks` walks the set
-bits of a mask in ascending order, and `map_ranks` sends them through a
-rank table such as a coordinate permutation.
+bits of a mask in ascending order, `ChainProduct.mask_of` is its
+inverse on elements, and `map_ranks` sends the bits through a rank
+table such as a coordinate permutation.
 
 The order-reversing involution ``phi(a) = (l_1+1-a_1, ..., l_d+1-a_d)``
 sends rank ``r`` to ``V-1-r`` where ``V`` is the number of elements, so
@@ -16,7 +17,8 @@ set is one whose bit reversal equals its complement.  The axis masks
 set at construction (`up_masks` / `down_masks`) make downward-closure
 checks and maximal-element extraction a handful of big-integer shifts
 instead of per-element loops.  Each is a run of ones times a repunit
-(`below_mask`), so the shape tables cost O(d) big-integer operations.
+(`below_mask`), so the shape tables cost O(d) big-integer operations,
+and so does each octant mask, an AND of one half per axis.
 Every enumeration builds its own poset, and its flip kernel reads these
 tables through one flip table built per enumeration (see `metric`), not
 once per kernel call.  Only the sc flip-pair table and, on cubes, the
@@ -24,7 +26,8 @@ orbit tables are O(V); the pair table starts as V + 1 zeros and the sc
 kernel fills an entry on the first flip of its rank, and the orbit
 tables are built from one representative per orbit (the sorted triple
 under S3, the least rotation under Z3), whose distinct ranks follow
-from its equal coordinates, not by visiting every element.
+from its equal coordinates, not by visiting every element.  No orbit
+list is kept: the flip tables are the only form the orbits take.
 """
 
 from __future__ import annotations
@@ -52,32 +55,19 @@ class ElementError(ValueError):
 
 
 @dataclass(frozen=True)
-class Orbit:
-    """A symmetry orbit of elements, with its dual image precomputed.
-
-    A flip of this orbit weighs |orbit| / 3 in the symmetric flip
-    graphs (1 for an orbit of three elements, 2 for a full S3 orbit of
-    six).  Diagonal points form singleton orbits and never flip: a
-    point with all coordinates equal can never swap with its dual
-    without breaking the symmetry one element at a time.
-    """
-
-    ranks: Coords
-    mask: int
-    dual_mask: int
-
-
-@dataclass(frozen=True)
 class OrbitFlips:
     """The tables of the bit-parallel orbit flip kernel for one group.
 
     ``movable`` is the union of the orbits that may ever flip: not a
-    fixed (diagonal) point, and not an orbit of corners, elements ``a``
-    with an upper cover ``a + e_k`` whose dual lies in the orbit of
-    ``a`` (the incoming dual orbit would need, as a lower cover, an
-    element the flip removes).  ``reps`` marks the smallest rank of
-    each movable orbit, and ``swaps[rep]`` holds ``(orbit mask, orbit
-    mask | dual orbit mask, weight)`` (None at other ranks).
+    fixed (diagonal) point, which can never swap with its dual without
+    breaking the symmetry one element at a time, and not an orbit of
+    corners, elements ``a`` with an upper cover ``a + e_k`` whose dual
+    lies in the orbit of ``a`` (the incoming dual orbit would need, as
+    a lower cover, an element the flip removes).  ``reps`` marks the
+    smallest rank of each movable orbit, and ``swaps[rep]`` holds
+    ``(orbit mask, orbit mask | dual orbit mask, weight)`` (None at
+    other ranks), where a flip weighs |orbit| / 3: 1 for an orbit of
+    three elements, 2 for a full S3 orbit of six.
     """
 
     movable: int
@@ -189,6 +179,14 @@ class ChainProduct:
         """All elements in rank order."""
         return itertools.product(*(range(1, l + 1) for l in self.dims))
 
+    def mask_of(self, elements: Iterable[Coords]) -> int:
+        """The mask of some elements, the inverse of `ranks`; each goes
+        through `rank`, so one outside the poset raises ElementError."""
+        mask = 0
+        for a in elements:
+            mask |= 1 << self.rank(a)
+        return mask
+
     # ------------------------------------------------------------------
     # duality
 
@@ -245,16 +243,19 @@ class ChainProduct:
 
         Only defined when every dimension is even, so the two halves
         are genuine halves and the involution swaps octant t with its
-        complement 1-t coordinatewise.
+        complement 1-t coordinatewise.  Octant t is the AND over the
+        axes k of the low half `below_mask(k, l_k / 2)`, or of its
+        complement where ``t_k = 1``.
         """
         if any(l % 2 for l in self.dims):
             raise ShapeError("octants need every dimension even")
-        masks: dict[Coords, int] = {
-            t: 0 for t in itertools.product((0, 1), repeat=self.d)
-        }
-        for r, a in enumerate(self.elements()):
-            t = tuple(int(c > l // 2) for c, l in zip(a, self.dims))
-            masks[t] |= 1 << r
+        lows = [self.below_mask(k, l // 2) for k, l in enumerate(self.dims)]
+        masks: dict[Coords, int] = {}
+        for t in itertools.product((0, 1), repeat=self.d):
+            mask = self.full_mask
+            for low, high in zip(lows, t):
+                mask &= ~low if high else low
+            masks[t] = mask
         return masks
 
     # ------------------------------------------------------------------
@@ -266,14 +267,12 @@ class ChainProduct:
                 f"coordinate symmetry needs a cube [l]^3, got {self.dims}"
             )
 
-    def permute_mask(self, mask: int) -> int:
-        """Image of a mask under one generator rotation (x,y,z)->(y,z,x)."""
-        return map_ranks(mask, self._perm_tables[0])
-
     @cached_property
     def _perm_tables(self) -> tuple[list[int], list[int]]:
         """Rank images under the rotation (x,y,z)->(y,z,x) and the swap
-        (x,y,z)->(x,z,y); together they generate S3 on coordinates."""
+        (x,y,z)->(x,z,y); together they generate S3 on coordinates.
+        `validate_mask` reads these, not the orbit tables the flip
+        kernels use, so the scan oracle's filter is independent of them."""
         self._require_cube()
         l = self.dims[0]
         ll = l * l
@@ -285,19 +284,8 @@ class ChainProduct:
         return rot, swp
 
     @cached_property
-    def _orbit_memo(self) -> dict[str, tuple[list[Orbit], list[int]]]:
-        return {}
-
-    @cached_property
     def _flips_memo(self) -> dict[str, OrbitFlips]:
         return {}
-
-    def orbit_structure(self, group: str) -> tuple[list[Orbit], list[int]]:
-        """(orbits, rank -> orbit index) under ``group``, built once."""
-        found = self._orbit_memo.get(group)
-        if found is None:
-            found = self._orbit_memo[group] = self._build_orbits(group)
-        return found
 
     def orbit_flips(self, group: str) -> OrbitFlips:
         """Orbit flip tables under ``group``, built once.
@@ -378,15 +366,6 @@ class ChainProduct:
             (a, ranks, mask_at[ranks[0]], mask_at[v1 - ranks[-1]])
             for a, ranks in found
         ]
-
-    def _build_orbits(self, group: str) -> tuple[list[Orbit], list[int]]:
-        orbit_of = [-1] * self.volume
-        orbits: list[Orbit] = []
-        for _a, ranks, mask, dmask in self._orbits_by_rep(group):
-            for q in ranks:
-                orbit_of[q] = len(orbits)
-            orbits.append(Orbit(ranks, mask, dmask))
-        return orbits, orbit_of
 
     def _build_flips(self, group: str) -> OrbitFlips:
         # a corner's images under the group are corners along the

@@ -584,13 +584,9 @@ def _suite_cssc(s: SuiteReport, run: _Run) -> None:
             conjectural=True,
             note="center membership proven; uniqueness only observed",
         )
-        must = [enum.poset.rank(a) for a in cssc_must_include_points(r)]
-        w1, w2 = (enum.poset.rank(a) for a in cssc_witness_pair(r))
-        bad = [
-            m for m in enum.masks
-            if not all(m >> i & 1 for i in must)
-            or not (m >> w1 | m >> w2) & 1
-        ]
+        must = enum.poset.mask_of(cssc_must_include_points(r))
+        witness = enum.poset.mask_of(cssc_witness_pair(r))
+        bad = [m for m in enum.masks if m & must != must or not m & witness]
         s.check(
             f"r={r}: mandatory diagonal points and witness pair "
             f"in all {len(enum)} vertices",

@@ -8,8 +8,9 @@ kernel as a loop over orbits with a whole-mask closure check (and
 ``flip_masks`` choosing between the two by class), upper
 covers element by element (the reference for ``maximal_mask``), orbits
 found from ``unrank``/``rank`` and coordinate permutations, the axis
-masks as one shift per block and the halfspace and staircase seeds
-element by element (the references for their closed forms), the closure
+masks as one shift per block, the halfspace and staircase seeds and the
+octant masks element by element (the references for their closed
+forms), the closure
 as a two-way breadth-first search with a global visited set, the
 metric report as the full n x n AND-NOT/popcount sweep, and shortest
 paths as heap Dijkstra over the graph's edge list.
@@ -111,6 +112,16 @@ def staircase_mask(p: ChainProduct, r: int) -> int:
     return sum(
         1 << q for q, a in enumerate(p.elements()) if sum(a) <= 3 * r + 1
     )
+
+
+def octant_masks(p: ChainProduct) -> dict[tuple[int, ...], int]:
+    """Each octant's mask keyed by its 0/1 half-tuple, element by
+    element: ``t_k = 1`` where ``a_k`` lies in the upper half."""
+    masks = {t: 0 for t in itertools.product((0, 1), repeat=p.d)}
+    for r, a in enumerate(p.elements()):
+        t = tuple(int(2 * c > l) for c, l in zip(a, p.dims))
+        masks[t] |= 1 << r
+    return masks
 
 
 def upper_covers(p: ChainProduct, a: tuple[int, ...]) -> list[tuple[int, ...]]:

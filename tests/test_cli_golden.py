@@ -2,8 +2,10 @@
 
 The digests pin the exact bytes each command writes, so any refactor
 that changes the output, even by whitespace or key order, fails here.
-They were recorded before the masks-first refactor of `enumeration`
-and must only change together with a deliberate change to the output.
+The enumeration digests were recorded before the masks-first refactor
+of `enumeration`, and the `extremal` digests before the construction
+masks were rebuilt through `ChainProduct.mask_of`.  They must only
+change together with a deliberate change to the output.
 """
 
 import hashlib
@@ -43,6 +45,28 @@ GOLDEN = {
         "5c95a5b3548d2c5ab9eb768e705f761b5b039c67bc8838c8d4e288c0d0205fb3",
     "graph --dims 6,6,6 --class tssc --format dot":
         "8361a6b9a4a98cbbcc3bf086c0da5cd0e49e6263acb26ac34bababd87d9e596b",
+    "extremal --name halfspace --dims 2,3,4 --axis 3":
+        "4550e1c27fd03425c6c5b3b7abd64182155f2c0b7fedc90a2a0c4cb65691b146",
+    "extremal --name sc-diameter-pair --dims 3,4,5":
+        "8d293fee3748c434575448c3e8e9e72dba9a88709a21812757097203ad9d411e",
+    "extremal --name majority --dims 2,4,6":
+        "c157de0cec9852c7dc0f7684f1eeb34df1ac662fbf1e9d1f9382d38a9ab4089e",
+    "extremal --name mod4-center --dims 4,6":
+        "bfb8822b9ae23a713b3dba1ee1a18e955eeffd33824539fc80fa8707e6a4edb9",
+    "extremal --name partitioned-center --dims 2,6,10":
+        "2a5ffc8d77526d7b551c5a5d2e3b54f68ac0d60c6a1b357a1986db39e05a4fd5",
+    "extremal --name partitioned-center --dims 3,5,8":
+        "edb44fae61b5aa89be1f4696a6b9150b8d5b94f971b697ada369ba81e5d42486",
+    "extremal --name c2r --r 3 --format heights":
+        "db7e917413549310d31058bf74bd35cf3b6507f7057fa3e9ad3ced3b83c332c5",
+    "extremal --name pyramid --r 3":
+        "f880c0d8029596334167a86407148a82c7b4b23d80a1349a59b0c89e0cbe472c",
+    "extremal --name octant --r 3 --format heights":
+        "6ab8df2a63273be396c307dc1ea38af537926ef58d41476a48bed8a20aed8036",
+    "extremal --name shell --r 3 --k 2":
+        "8138fb1408b2c7e1022ad8f5c8415fdced5f76f1d55ec93823175712740f3de1",
+    "extremal --name tssc-extremes --r 4":
+        "41580e922a8f512e8693080e2b8b7829d74aeb6dedf11a878013613c6a243441",
 }
 
 

@@ -86,22 +86,19 @@ def test_staircase_runs_match_element_wise_reference(side):
 @pytest.mark.parametrize("group", [CYCLIC, FULL])
 def test_orbits_by_coordinates_match_unrank(side, group):
     p = cube(side)
-    orbits, orbit_of = p.orbit_structure(group)
-    assert [o.ranks for o in orbits] == oracles.orbits(p, group)
-    for i, o in enumerate(orbits):
-        assert all(orbit_of[r] == i for r in o.ranks)
+    found = p._orbits_by_rep(group)
+    assert [ranks for _a, ranks, _m, _d in found] == oracles.orbits(p, group)
     v1 = p.volume - 1
     flips = p.orbit_flips(group)
     movable = 0
-    for o in orbits:
-        assert o.mask == sum(1 << r for r in o.ranks)
-        assert o.dual_mask == sum(1 << (v1 - r) for r in o.ranks)
-        r = o.ranks[0]
+    for a, ranks, mask, dual in found:
+        assert p.unrank(ranks[0]) == tuple(c + 1 for c in a)
+        assert mask == sum(1 << r for r in ranks)
+        assert dual == sum(1 << (v1 - r) for r in ranks)
+        r = ranks[0]
         if flips.reps >> r & 1:
-            assert flips.swaps[r] == (
-                o.mask, o.mask | o.dual_mask, len(o.ranks) // 3
-            )
-            movable |= o.mask
+            assert flips.swaps[r] == (mask, mask | dual, len(ranks) // 3)
+            movable |= mask
         else:
             assert flips.swaps[r] is None
     assert flips.movable == movable

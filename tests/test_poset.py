@@ -3,8 +3,18 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from scideals.poset import CYCLIC, FULL, ChainProduct, ShapeError, cube
+import oracles
+from scideals.poset import (
+    CYCLIC,
+    FULL,
+    ChainProduct,
+    ElementError,
+    ShapeError,
+    cube,
+    ranks,
+)
 
 
 def test_rank_unrank_roundtrip():
@@ -83,34 +93,67 @@ def test_octant_masks_partition_even_cube():
     assert union == (1 << p.volume) - 1
 
 
+@pytest.mark.parametrize(
+    "dims", [(2,), (4, 6), (2, 4, 6), (6, 6, 6), (2, 2, 2, 2)]
+)
+def test_octant_masks_match_element_wise_reference(dims):
+    # an octant keyed by the wrong half-tuple keeps every size, so
+    # compare the masks themselves
+    p = ChainProduct(dims)
+    assert p.octant_masks == oracles.octant_masks(p)
+    assert list(p.octant_masks) == list(oracles.octant_masks(p))
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+        lambda dims: st.tuples(
+            st.just(tuple(dims)),
+            st.integers(0, (1 << math.prod(dims)) - 1),
+        )
+    )
+)
+def test_mask_of_inverts_ranks(case):
+    dims, mask = case
+    p = ChainProduct(dims)
+    elements = [p.unrank(r) for r in ranks(mask)]
+    assert p.mask_of(elements) == sum(1 << p.rank(a) for a in elements)
+    assert p.mask_of(elements) == mask
+    assert p.mask_of(reversed(elements)) == mask  # order does not matter
+
+
+def test_mask_of_checks_each_element():
+    p = ChainProduct((2, 3))
+    assert p.mask_of([]) == 0
+    for bad in [(3, 1), (1, 0), (1, 1, 1), (1,)]:
+        with pytest.raises(ElementError):
+            p.mask_of([(1, 1), bad])
+
+
 def test_cyclic_orbits_have_size_one_or_three():
     p = cube(4)
-    orbits, table = p.orbit_structure(CYCLIC)
-    total = 0
-    for orbit in orbits:
-        assert len(orbit.ranks) in (1, 3)
-        if len(orbit.ranks) == 1:
-            a = p.unrank(orbit.ranks[0])
-            assert len(set(a)) == 1  # only diagonal points are fixed
-        total += len(orbit.ranks)
-    assert total == p.volume
-    # the lookup table inverts membership
-    for i, orbit in enumerate(orbits):
-        for r in orbit.ranks:
-            assert table[r] == i
+    found = p._orbits_by_rep(CYCLIC)
+    for rep, ranks, _mask, _dual in found:
+        assert len(ranks) in (1, 3)
+        # the representative is the orbit's least element, zero-based
+        assert p.unrank(ranks[0]) == tuple(c + 1 for c in rep)
+        if len(ranks) == 1:
+            assert len(set(rep)) == 1  # only diagonal points are fixed
+    # the orbits partition the ranks
+    every = sorted(r for _rep, ranks, _m, _d in found for r in ranks)
+    assert every == list(range(p.volume))
 
 
 def test_full_orbits_have_size_one_three_or_six():
     p = cube(4)
-    orbits, _table = p.orbit_structure(FULL)
-    sizes = sorted(len(o.ranks) for o in orbits)
+    found = p._orbits_by_rep(FULL)
+    sizes = sorted(len(ranks) for _rep, ranks, _m, _d in found)
     assert set(sizes) <= {1, 3, 6}
     assert sum(sizes) == p.volume
     # the orbit size is determined by how many coordinates repeat
-    for o in orbits:
-        coords = p.unrank(o.ranks[0])
-        want = {1: 1, 2: 3, 3: 6}[len(set(coords))]
-        assert len(o.ranks) == want
+    for rep, ranks, _mask, _dual in found:
+        assert rep == tuple(sorted(rep))  # the sorted triple
+        want = {1: 1, 2: 3, 3: 6}[len(set(rep))]
+        assert len(ranks) == want
 
 
 def test_maximal_mask_flags_maximal_elements():
@@ -131,7 +174,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         _ = cube(3).octant_masks
     with pytest.raises(ShapeError):
-        ChainProduct((2, 3)).orbit_structure(CYCLIC)  # symmetry needs a cube
+        ChainProduct((2, 3)).orbit_flips(CYCLIC)  # symmetry needs a cube
     with pytest.raises(ShapeError):
         ChainProduct((2, 3)).orbit_flips(FULL)
     with pytest.raises(ValueError, match="unknown symmetry group"):
@@ -141,7 +184,6 @@ def test_shape_errors():
 def test_orbit_tables_are_built_once_per_group():
     p = cube(4)
     for group in (CYCLIC, FULL):
-        assert p.orbit_structure(group) is p.orbit_structure(group)
         assert p.orbit_flips(group) is p.orbit_flips(group)
     assert p.orbit_flips(CYCLIC) != p.orbit_flips(FULL)
 

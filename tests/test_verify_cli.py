@@ -243,6 +243,38 @@ def test_extremal_halfspace_axis_is_one_based(capsys):
     assert exc.value.code == 2
 
 
+def test_extremal_axis_without_dims_names_the_missing_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["extremal", "--name", "halfspace", "--axis", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--axis needs --dims" in err
+    assert "1..0" not in err
+
+
+def test_enumerate_cap_bounds_the_closure(capsys):
+    code, out, _ = _run(capsys, ["enumerate", "--dims", "2,3,4",
+                                 "--cap", "18"])
+    assert code == 0 and json.loads(out)["count"] == 18
+    code, _, err = _run(capsys, ["enumerate", "--dims", "2,3,4",
+                                 "--cap", "0"])
+    assert code == 1 and "exceeded cap=0" in err
+
+
+def test_enumerate_refuses_a_negative_cap_before_the_work(
+    capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the usage check")
+
+    monkeypatch.setattr(cli, "enumerate_ideals", refuse)
+    for bad in ("-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", "--dims", "2,3,4", "--cap", bad])
+        assert exc.value.code == 2
+    assert "--cap must be non-negative" in capsys.readouterr().err
+
+
 def test_extremal_missing_params_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["extremal", "--name", "shell", "--r", "3"])
