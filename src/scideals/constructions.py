@@ -120,8 +120,10 @@ def tssc_diameter_value(r: int) -> int:
 
 
 def halfspace(dims, axis: int) -> Ideal:
-    """The sc ideal a_axis <= l_axis / 2."""
+    """The sc ideal a_axis <= l_axis / 2, for a zero-based axis."""
     p = dims if isinstance(dims, ChainProduct) else ChainProduct(tuple(dims))
+    if not 0 <= axis < p.d:
+        raise ShapeError(f"axis must be in 0..{p.d - 1}, got {axis}")
     return Ideal(p, _halfspace(p, axis))
 
 
@@ -555,6 +557,8 @@ def tssc_extremes(r: int) -> tuple[Ideal, Ideal]:
     low points it had to give up; the maximal one is the octant ideal.
     Their distance is (r-1) r (2r-1) / 6, the tssc diameter.
     """
+    if r < 1:
+        raise ShapeError("r must be >= 1")
     p = cube(2 * r)
     mand = tssc_mandatory(r).mask
     om = p.octant_masks

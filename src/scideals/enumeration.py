@@ -34,12 +34,12 @@ raises the key by its weight (a forward flip), or moves in members of
 geodesic from ``J`` back to ``S`` the key falls strictly, so every
 vertex but the seed has a backward flip.  The closure expands the keys
 in increasing order, one bucket (a list of masks) per key, with one
-kernel call per non-empty bucket.  The kernel's tables (the cover
-axes, the movable ranks cut by the seed, the sc pair table or the
-orbit tables) are built once per closure, as one `metric.flip_table`,
-not once per call: a small or path-like class has a few vertices per
-bucket (sc (2, 61) has one in each of its 31), so a set-up in every
-call would be paid about once per vertex.
+kernel call per non-empty bucket.  `metric` owns the kernels' tables
+(the movable ranks cut by the seed, the sc pair table or the orbit
+tables); they are built once per closure, as one `metric.flip_table`
+from the fresh poset, not once per call: a small or path-like class
+has a few vertices per bucket (sc (2, 61) has one in each of its 31),
+so a set-up in every call would be paid about once per vertex.
 
 It is a reverse search (Avis and Fukuda, *Discrete Appl. Math.* 65,
 1996): the parent of ``J`` is ``J`` with its highest backward flip
@@ -94,10 +94,9 @@ ORACLE_DFS = "oracle_dfs"
 DEFAULT_VERTEX_GUARD = 2_000_000
 #: refuse flip enumerations of unknown size above this many poset elements
 DEFAULT_VOLUME_GUARD = 36
-#: refuse the brute-force ideal scan above this many poset elements
-ORACLE_VOLUME_GUARD = 30
-#: ... unless a class filter keeps the retained set small
-ORACLE_FILTERED_VOLUME_GUARD = 36
+#: refuse the brute-force ideal scan above this many poset elements,
+#: filtered or not: the scan visits (and sorts) every ideal either way
+ORACLE_VOLUME_GUARD = 36
 
 
 class EnumerationGuardError(RuntimeError):
@@ -378,8 +377,11 @@ def enumerate_ideals(
     """Flip closure of the class seed, canonically sorted.
 
     ``cap`` is checked after each finished key bucket, so the error
-    reports the vertices of every bucket reached so far.
+    reports the vertices of every bucket reached so far; a negative
+    ``cap`` is refused before any work.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     dims = as_dims(dims)
     _check_guard(dims, cls, force)
     p = ChainProduct(dims)
@@ -447,13 +449,11 @@ def oracle_enumerate(
     """
     dims = as_dims(dims)
     p = ChainProduct(dims)
-    guard = (
-        ORACLE_FILTERED_VOLUME_GUARD if cls else ORACLE_VOLUME_GUARD
-    )
-    if not force and p.volume > guard:
+    if not force and p.volume > ORACLE_VOLUME_GUARD:
         raise EnumerationGuardError(
             f"oracle scan of {dims} (volume {p.volume}) exceeds the "
-            f"default guard of {guard} elements; pass force=True to insist"
+            f"default guard of {ORACLE_VOLUME_GUARD} elements; "
+            "pass force=True to insist"
         )
     masks = sorted(oracle_ideal_masks(p))
     if cls is not None:

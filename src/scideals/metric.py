@@ -46,15 +46,16 @@ dual is already present" becomes a shifted-complement test, which for a
 maximal member always holds.  The only sharp corners are the elements
 one step below their own dual (sc), or below an element whose dual lies
 in their own orbit (cssc, tssc); these never flip, because the needed
-cover would be removed by the flip itself.  A kernel reads a
-`FlipTable`, which `flip_table` builds once per poset, class and seed:
-the cover axes, the movable ranks cut by the seed, and the sc pair
-table or the class's orbit tables.  The closure builds one per
-enumeration and `build_graph` one per graph, so a kernel call does no
-set-up of its own.  Each kernel takes a whole bucket of masks and
-returns the children of all of them in one flat list, so the closure
-makes one call per key bucket, not one per vertex; `build_graph`
-passes one mask.  A table built without a seed makes its kernel
+cover would be removed by the flip itself.  This module owns that
+knowledge: a kernel reads a `FlipTable`, which `flip_table` builds
+from the poset's cover axes for one class and seed, with the movable
+ranks cut by the seed and the sc pair table or the class's orbit
+tables; the poset itself holds only the order.  The closure builds one
+table per enumeration and `build_graph` one per graph, so a kernel
+call does no set-up of its own.  Each kernel takes a whole bucket of
+masks and returns the children of all of them in one flat list, so the
+closure makes one call per key bucket, not one per vertex;
+`build_graph` passes one mask.  A table built without a seed makes its kernel
 return every flip; with the closure's seed it returns only the
 reverse-search children, those whose highest backward flip undoes the
 flip that made them, so the closure in `enumeration` makes each class
@@ -63,6 +64,7 @@ member once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,7 +73,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 
 from .ideal import CSSC, SC, TSSC, Ideal
-from .poset import CYCLIC, FULL, ChainProduct, OrbitFlips, ranks
+from .poset import ChainProduct, Coords, ranks
 
 if TYPE_CHECKING:
     from .enumeration import EnumerationResult
@@ -80,21 +82,33 @@ if TYPE_CHECKING:
 # flip kernels
 
 
-#: the symmetry group whose orbits flip in each symmetric class
-_GROUPS = {CSSC: CYCLIC, TSSC: FULL}
-
-
 class FlipTable(NamedTuple):
     """What a flip kernel reads, for one poset, class and seed.
 
     ``axes`` is the poset's ``cover_axes`` and ``volume`` its V.
     ``forward`` holds the movable ranks inside the seed (the flips that
     may move a member out) and ``backward`` those outside it; without a
-    seed every movable rank is forward and none backward.  The movable
-    ranks are ``sc_movable`` for sc and the ``movable`` orbits of the
-    class's `OrbitFlips` for cssc and tssc.  ``pairs`` is the poset's
-    ``sc_flip_pairs`` (sc only) and ``orbits`` the `OrbitFlips` (cssc
-    and tssc only).
+    seed every movable rank is forward and none backward.
+
+    For sc every rank is movable but the corners, each one step below
+    its own dual along some axis (``2 r = V - 1 - s_k``: flipping it
+    would add the dual without its lower cover, the corner itself), and
+    the self-dual centre of an odd volume.  ``pairs[b]`` joins rank
+    ``b - 1`` to its dual ``V - b``, so a flip is one XOR; the list
+    starts as V + 1 zeros and the sc kernel fills entry ``b`` on the
+    first flip of that rank, so a class that flips few ranks builds few
+    big integers (entry 0 stays 0).
+
+    For cssc and tssc the movable ranks are the orbits (cyclic, resp.
+    S3) that may ever flip: neither a fixed diagonal point, which cannot
+    swap with its dual one element at a time, nor an orbit of corners,
+    elements ``a`` with an upper cover ``a + e_k`` whose dual lies in
+    the orbit of ``a`` (the incoming dual orbit would need, as a lower
+    cover, an element the flip removes).  ``reps`` marks the least rank
+    of each movable orbit, and ``swaps[rep]`` holds ``(orbit mask,
+    orbit mask | dual orbit mask, weight)``, None at other ranks; a flip
+    weighs |orbit| / 3, 1 for three elements and 2 for six.  The other
+    class's fields are None (``reps`` is 0).
     """
 
     axes: tuple[tuple[int, int], ...]
@@ -102,7 +116,8 @@ class FlipTable(NamedTuple):
     backward: int
     volume: int
     pairs: list[int] | None
-    orbits: OrbitFlips | None
+    reps: int
+    swaps: list[tuple[int, int, int] | None] | None
 
 
 def flip_table(
@@ -112,20 +127,123 @@ def flip_table(
 
     Built once per closure (with the closure's seed) or per graph
     (without one), and passed to every kernel call that follows, so no
-    call reads the poset or cuts the movable ranks itself.
+    call reads the poset or cuts the movable ranks itself.  Only the
+    pair and orbit tables are O(V), and the orbit tables are built from
+    one representative per orbit (`_orbits_by_rep`), not per element.
     """
+    V = p.volume
+    pairs, reps, swaps = None, 0, None
     if cls == SC:
-        movable, pairs, orbits = p.sc_movable, p.sc_flip_pairs, None
-    elif cls in _GROUPS:
-        orbits = p.orbit_flips(_GROUPS[cls])
-        movable, pairs = orbits.movable, None
+        stuck = 1 << (V // 2) if V % 2 else 0
+        for s, m in p.cover_axes:
+            t = V - 1 - s
+            if t % 2 == 0:
+                stuck |= m & (1 << (t // 2))
+        movable = p.full_mask & ~stuck
+        pairs = [0] * (V + 1)
+    elif cls in (CSSC, TSSC):
+        movable, reps, swaps = _orbit_flips(p, cls)
     else:
         raise ValueError(f"unknown ideal class {cls!r}")
     if seed is None:
         forward, backward = movable, 0
     else:
         forward, backward = movable & seed, movable & ~seed
-    return FlipTable(p.cover_axes, forward, backward, p.volume, pairs, orbits)
+    return FlipTable(p.cover_axes, forward, backward, V, pairs, reps, swaps)
+
+
+def _orbits_by_rep(
+    p: ChainProduct, cls: str
+) -> list[tuple[Coords, Coords, int, int]]:
+    """Each orbit of the cube ``p`` under the group of ``cls`` (S3 for
+    tssc, the rotations Z3 for cssc), as (least element, ascending
+    ranks, mask, dual mask), in order of its least rank.
+
+    With zero-based coordinates the rank of ``(x, y, z)`` is
+    ``x l^2 + y l + z``, so an orbit's least rank belongs to its
+    lexicographically least element: the sorted triple under S3,
+    the least rotation under Z3.  Those representatives are
+    generated directly, in rank order.  A least rotation starts
+    with a smallest coordinate ``x``; of ``(x, y, x)`` and
+    ``(x, x, y)`` with ``y > x`` only the second is least.  The
+    equal coordinates of a representative say which of its images
+    are distinct, so the ranks are written out directly, with no
+    set and no sort, in ascending order: the lexicographic order of
+    the images.  Under Z3, ``(y, z, x)`` precedes ``(z, x, y)``
+    iff ``y < z`` (at ``y = z`` the second is ``(y, x, y)``, and
+    ``x < y``).  The dual orbit holds the ranks ``V - 1 - q``, so
+    its least rank is ``V - 1`` minus the largest rank here, and
+    its mask, built once for itself, is the dual mask.
+    """
+    p._require_cube()
+    l = p.dims[0]
+    ll = l * l
+    found = []
+    if cls == TSSC:
+        triples = itertools.combinations_with_replacement(range(l), 3)
+        for x, y, z in triples:
+            if x == z:
+                ranks = (x * (ll + l + 1),)
+            elif x == y:
+                ranks = (x * (ll + l) + z, x * (ll + 1) + z * l,
+                         z * ll + x * (l + 1))
+            elif y == z:
+                ranks = (x * ll + y * (l + 1), y * (ll + 1) + x * l,
+                         y * (ll + l) + x)
+            else:
+                ranks = (x * ll + y * l + z, x * ll + z * l + y,
+                         y * ll + x * l + z, y * ll + z * l + x,
+                         z * ll + x * l + y, z * ll + y * l + x)
+            found.append(((x, y, z), ranks))
+    else:
+        for x in range(l):
+            for y in range(x, l):
+                for z in range(x + (y > x), l):
+                    r = x * ll + y * l + z
+                    if x == z:
+                        ranks = (r,)
+                    elif y < z:
+                        ranks = (r, y * ll + z * l + x, z * ll + x * l + y)
+                    else:
+                        ranks = (r, z * ll + x * l + y, y * ll + z * l + x)
+                    found.append(((x, y, z), ranks))
+    mask_at = {ranks[0]: sum(1 << q for q in ranks) for _a, ranks in found}
+    v1 = p.volume - 1
+    return [
+        (a, ranks, mask_at[ranks[0]], mask_at[v1 - ranks[-1]])
+        for a, ranks in found
+    ]
+
+
+def _orbit_flips(
+    p: ChainProduct, cls: str
+) -> tuple[int, int, list[tuple[int, int, int] | None]]:
+    """The movable ranks, ``reps`` and ``swaps`` of a `FlipTable` for
+    cssc or tssc on the cube ``p``.
+
+    A corner's images under the group are corners along the permuted
+    axes, so testing each orbit's least element ``a`` of rank ``r``
+    suffices: it is a corner when the dual of an upper cover, rank
+    ``V - 1 - r - s_k``, lies in its own orbit.
+    """
+    l = p.dims[0]
+    ll = l * l
+    v1 = p.volume - 1
+    movable = p.full_mask
+    reps = 0
+    swaps: list[tuple[int, int, int] | None] = [None] * p.volume
+    for (x, y, z), ranks, mask, dmask in _orbits_by_rep(p, cls):
+        r = ranks[0]
+        if len(ranks) == 1 or (
+            (x < l - 1 and v1 - r - ll in ranks)
+            or (y < l - 1 and v1 - r - l in ranks)
+            or (z < l - 1 and v1 - r - 1 in ranks)
+        ):
+            movable ^= mask  # few orbits are stuck: take them out
+            continue
+        reps |= 1 << r
+        swaps[r] = (mask, mask | dmask, len(ranks) // 3)
+    return movable, reps, swaps
 
 
 def sc_flip_masks(table: FlipTable, masks: Iterable[int]) -> list[int]:
@@ -136,7 +254,7 @@ def sc_flip_masks(table: FlipTable, masks: Iterable[int]) -> list[int]:
     ``I minus a``.  That cover is the dual of ``a + e_k``, and for a
     self-complementary mask it is a member exactly when ``a + e_k`` is
     not: the cover test is maximality itself, save at the corners left
-    out of ``sc_movable``, where the needed cover is ``a``.
+    out of the table's movable ranks, where the needed cover is ``a``.
 
     With a table built without a seed every flip of every mask is
     returned, in one flat list.  With a table cut by the seed ``S``
@@ -158,7 +276,7 @@ def sc_flip_masks(table: FlipTable, masks: Iterable[int]) -> list[int]:
     moved out.  A flip is one XOR with an entry of the table's
     ``pairs``, filled here on the first flip of its rank.
     """
-    axes, forward, backward, V, pairs, _ = table
+    axes, forward, backward, V, pairs, _, _ = table
     out: list[int] = []
     append = out.append
     for mask in masks:
@@ -190,7 +308,7 @@ def orbit_flip_masks(
     in `sc_flip_masks` they are members when ``a`` is maximal, and they
     stay members unless they lie in the outgoing orbit.  Orbits of
     such corners, and diagonal points (singleton orbits), are left out
-    of the ``movable`` orbits of the table's `OrbitFlips`.
+    of the table's movable ranks.
 
     A seed works as in `sc_flip_masks`, with orbits ranked by their
     smallest rank (their rep): walking the reps from the top, the
@@ -204,9 +322,7 @@ def orbit_flip_masks(
     child, and each child has one parent.  Maximality is walked inline,
     as in `sc_flip_masks`.
     """
-    axes, forward, backward, V, _, orbits = table
-    all_reps = orbits.reps
-    swaps = orbits.swaps
+    axes, forward, backward, V, _, all_reps, swaps = table
     out: list[tuple[int, int]] = []
     append = out.append
     for mask in masks:

@@ -19,15 +19,9 @@ checks and maximal-element extraction a handful of big-integer shifts
 instead of per-element loops.  Each is a run of ones times a repunit
 (`below_mask`), so the shape tables cost O(d) big-integer operations,
 and so does each octant mask, an AND of one half per axis.
-Every enumeration builds its own poset, and its flip kernel reads these
-tables through one flip table built per enumeration (see `metric`), not
-once per kernel call.  Only the sc flip-pair table and, on cubes, the
-orbit tables are O(V); the pair table starts as V + 1 zeros and the sc
-kernel fills an entry on the first flip of its rank, and the orbit
-tables are built from one representative per orbit (the sorted triple
-under S3, the least rotation under Z3), whose distinct ranks follow
-from its equal coordinates, not by visiting every element.  No orbit
-list is kept: the flip tables are the only form the orbits take.
+A poset holds the order only.  Which elements and orbits may flip is
+the flip kernels' knowledge: `metric.flip_table` builds those tables,
+once per enumeration or graph, from the cover axes set here.
 """
 
 from __future__ import annotations
@@ -40,11 +34,6 @@ from typing import Iterable, Iterator, Sequence
 
 Coords = tuple[int, ...]
 
-#: the symmetry groups of a cube's coordinates: the rotations (Z3) and
-#: all permutations (S3)
-CYCLIC = "cyclic"
-FULL = "full"
-
 
 class ShapeError(ValueError):
     """The poset's shape does not support the requested operation."""
@@ -52,27 +41,6 @@ class ShapeError(ValueError):
 
 class ElementError(ValueError):
     """A coordinate tuple or rank lies outside the poset."""
-
-
-@dataclass(frozen=True)
-class OrbitFlips:
-    """The tables of the bit-parallel orbit flip kernel for one group.
-
-    ``movable`` is the union of the orbits that may ever flip: not a
-    fixed (diagonal) point, which can never swap with its dual without
-    breaking the symmetry one element at a time, and not an orbit of
-    corners, elements ``a`` with an upper cover ``a + e_k`` whose dual
-    lies in the orbit of ``a`` (the incoming dual orbit would need, as
-    a lower cover, an element the flip removes).  ``reps`` marks the
-    smallest rank of each movable orbit, and ``swaps[rep]`` holds
-    ``(orbit mask, orbit mask | dual orbit mask, weight)`` (None at
-    other ranks), where a flip weighs |orbit| / 3: 1 for an orbit of
-    three elements, 2 for a full S3 orbit of six.
-    """
-
-    movable: int
-    reps: int
-    swaps: list[tuple[int, int, int] | None]
 
 
 @dataclass(frozen=True)
@@ -85,8 +53,7 @@ class ChainProduct:
     whose k-th coordinate can increase) and the ``down_masks`` (can
     decrease).  ``cover_axes`` holds the pairs (stride, up mask) of the
     axes of length at least 2: a unit axis has up mask 0 and covers
-    nothing, so the maximality walks skip it.  The sc flip tables
-    ``sc_movable`` and ``sc_flip_pairs`` are set at construction too.
+    nothing, so the maximality walks skip it.
     """
 
     dims: Coords
@@ -98,19 +65,6 @@ class ChainProduct:
     cover_axes: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False
     )
-    #: the ranks an sc flip may ever move out: all but the corners.  A
-    #: corner lies one step below its own dual along some axis,
-    #: ``2 r = V - 1 - s_k``: flipping it would add the dual without
-    #: that dual's lower cover, the corner itself.  The self-dual centre
-    #: of an odd volume never flips either
-    sc_movable: int = field(init=False, repr=False, compare=False)
-    #: per bit length ``b``, the rank ``b - 1`` and its dual ``V - b``:
-    #: an sc flip moving out the member of rank ``b - 1`` is one XOR
-    #: with entry ``b``.  The list starts as V + 1 zeros and the sc
-    #: kernel fills entry ``b`` on the first flip of that rank, so a
-    #: poset whose class flips few ranks builds few big integers; entry
-    #: 0 is unused and stays 0
-    sc_flip_pairs: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = as_dims(self.dims)
@@ -126,20 +80,12 @@ class ChainProduct:
         put(self, "dims", dims)
         put(self, "strides", tuple(strides))
         put(self, "volume", volume)
-        full = (1 << volume) - 1
-        put(self, "full_mask", full)
+        put(self, "full_mask", (1 << volume) - 1)
         up = tuple(self.below_mask(k, l - 1) for k, l in enumerate(dims))
         put(self, "up_masks", up)
         put(self, "down_masks", tuple(m << s for m, s in zip(up, strides)))
         axes = tuple((s, m) for s, m in zip(strides, up) if m)
         put(self, "cover_axes", axes)
-        stuck = 1 << (volume // 2) if volume % 2 else 0
-        for s, m in axes:
-            t = volume - 1 - s
-            if t % 2 == 0:
-                stuck |= m & (1 << (t // 2))
-        put(self, "sc_movable", full & ~stuck)
-        put(self, "sc_flip_pairs", [0] * (volume + 1))
 
     # ------------------------------------------------------------------
     # shape
@@ -282,114 +228,6 @@ class ChainProduct:
             rot.append(y * ll + z * l + x)
             swp.append(x * ll + z * l + y)
         return rot, swp
-
-    @cached_property
-    def _flips_memo(self) -> dict[str, OrbitFlips]:
-        return {}
-
-    def orbit_flips(self, group: str) -> OrbitFlips:
-        """Orbit flip tables under ``group``, built once.
-
-        A flip table asks once per closure or graph; `build_graph`
-        after `enumerate_ideals` on the same poset asks again, and a
-        repeat call is one dict lookup.
-        """
-        found = self._flips_memo.get(group)
-        if found is None:
-            found = self._flips_memo[group] = self._build_flips(group)
-        return found
-
-    def _orbits_by_rep(
-        self, group: str
-    ) -> list[tuple[Coords, Coords, int, int]]:
-        """Each orbit as (least element, ascending ranks, mask, dual
-        mask), in order of its least rank.
-
-        With zero-based coordinates the rank of ``(x, y, z)`` is
-        ``x l^2 + y l + z``, so an orbit's least rank belongs to its
-        lexicographically least element: the sorted triple under S3,
-        the least rotation under Z3.  Those representatives are
-        generated directly, in rank order.  A least rotation starts
-        with a smallest coordinate ``x``; of ``(x, y, x)`` and
-        ``(x, x, y)`` with ``y > x`` only the second is least.  The
-        equal coordinates of a representative say which of its images
-        are distinct, so the ranks are written out directly, with no
-        set and no sort, in ascending order: the lexicographic order of
-        the images.  Under Z3, ``(y, z, x)`` precedes ``(z, x, y)``
-        iff ``y < z`` (at ``y = z`` the second is ``(y, x, y)``, and
-        ``x < y``).  The dual orbit holds the ranks ``V - 1 - q``, so
-        its least rank is ``V - 1`` minus the largest rank here, and
-        its mask, built once for itself, is the dual mask.
-        """
-        self._require_cube()
-        if group not in (CYCLIC, FULL):
-            raise ValueError(f"unknown symmetry group {group!r}")
-        l = self.dims[0]
-        ll = l * l
-        found = []
-        if group == FULL:
-            triples = itertools.combinations_with_replacement(range(l), 3)
-            for x, y, z in triples:
-                if x == z:
-                    ranks = (x * (ll + l + 1),)
-                elif x == y:
-                    ranks = (x * (ll + l) + z, x * (ll + 1) + z * l,
-                             z * ll + x * (l + 1))
-                elif y == z:
-                    ranks = (x * ll + y * (l + 1), y * (ll + 1) + x * l,
-                             y * (ll + l) + x)
-                else:
-                    ranks = (x * ll + y * l + z, x * ll + z * l + y,
-                             y * ll + x * l + z, y * ll + z * l + x,
-                             z * ll + x * l + y, z * ll + y * l + x)
-                found.append(((x, y, z), ranks))
-        else:
-            for x in range(l):
-                for y in range(x, l):
-                    for z in range(x + (y > x), l):
-                        r = x * ll + y * l + z
-                        if x == z:
-                            ranks = (r,)
-                        elif y < z:
-                            ranks = (r, y * ll + z * l + x, z * ll + x * l + y)
-                        else:
-                            ranks = (r, z * ll + x * l + y, y * ll + z * l + x)
-                        found.append(((x, y, z), ranks))
-        mask_at = {}
-        for a, ranks in found:
-            mask = 0
-            for q in ranks:
-                mask |= 1 << q
-            mask_at[ranks[0]] = mask
-        v1 = self.volume - 1
-        return [
-            (a, ranks, mask_at[ranks[0]], mask_at[v1 - ranks[-1]])
-            for a, ranks in found
-        ]
-
-    def _build_flips(self, group: str) -> OrbitFlips:
-        # a corner's images under the group are corners along the
-        # permuted axes, so testing each orbit's least element ``a`` of
-        # rank ``r`` suffices: it is a corner when the dual of an upper
-        # cover, rank ``V - 1 - r - s_k``, lies in its own orbit
-        l = self.dims[0]
-        ll = l * l
-        v1 = self.volume - 1
-        movable = self.full_mask
-        reps = 0
-        swaps: list[tuple[int, int, int] | None] = [None] * self.volume
-        for (x, y, z), ranks, mask, dmask in self._orbits_by_rep(group):
-            r = ranks[0]
-            if len(ranks) == 1 or (
-                (x < l - 1 and v1 - r - ll in ranks)
-                or (y < l - 1 and v1 - r - l in ranks)
-                or (z < l - 1 and v1 - r - 1 in ranks)
-            ):
-                movable ^= mask  # few orbits are stuck: take them out
-                continue
-            reps |= 1 << r
-            swaps[r] = (mask, mask | dmask, len(ranks) // 3)
-        return OrbitFlips(movable, reps, swaps)
 
     # ------------------------------------------------------------------
 

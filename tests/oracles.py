@@ -28,7 +28,12 @@ import numpy as np
 
 from scideals.ideal import CSSC, SC, TSSC
 from scideals.metric import MetricReport
-from scideals.poset import CYCLIC, FULL, ChainProduct
+from scideals.poset import ChainProduct
+
+#: the symmetry groups of a cube's coordinates: the rotations (Z3) and
+#: all permutations (S3)
+CYCLIC = "cyclic"
+FULL = "full"
 
 #: soft bound (bytes) on one pairwise block of the metric sweep
 SWEEP_BLOCK_BYTES = 32 << 20

@@ -27,6 +27,7 @@ from scideals.constructions import (
     tssc_extremes,
 )
 from scideals.enumeration import (
+    ORACLE_VOLUME_GUARD,
     EmptyClassError,
     count_closed,
     enumerate_count,
@@ -264,7 +265,7 @@ def test_criterion_9_invariants_exhaustive_at_guard_scale():
     # flip closure agrees with the mask-scan oracle wherever the
     # oracle's own volume guard allows it to run
     for dims, cls in instances:
-        if math.prod(dims) > 30:
+        if math.prod(dims) > ORACLE_VOLUME_GUARD:
             continue
         if oracle_enumerate(dims, cls).masks != \
                 enumerate_ideals(dims, cls, force=True).masks:

@@ -4,7 +4,10 @@ The digests pin the exact bytes each command writes, so any refactor
 that changes the output, even by whitespace or key order, fails here.
 The enumeration digests were recorded before the masks-first refactor
 of `enumeration`, and the `extremal` digests before the construction
-masks were rebuilt through `ChainProduct.mask_of`.  They must only
+masks were rebuilt through `ChainProduct.mask_of`.  The last four,
+which reach the flip tables at sizes the others do not (tssc and cssc
+on the cube of side 8, tssc of side 10, a unit axis), were recorded
+before those tables moved from `poset` into `metric`.  They must only
 change together with a deliberate change to the output.
 """
 
@@ -67,6 +70,14 @@ GOLDEN = {
         "8138fb1408b2c7e1022ad8f5c8415fdced5f76f1d55ec93823175712740f3de1",
     "extremal --name tssc-extremes --r 4":
         "41580e922a8f512e8693080e2b8b7829d74aeb6dedf11a878013613c6a243441",
+    "graph --dims 8,8,8 --class tssc --format json":
+        "793944f5371fe646f2b4b9793c4bd3fabbe91fc313e036192c36710cc75974d4",
+    "graph --dims 8,8,8 --class cssc --format dot":
+        "f9aa59f98b4c4d8220f176b7e4a6b80c28433ccd900100ca30fd4ccccc538dbf",
+    "enumerate --dims 10,10,10 --class tssc --format heights":
+        "93f11503f127bab4d45ed171e4735e4d57f1047cb509885da04499174f486aa6",
+    "graph --dims 1,4,6 --format json":
+        "cc1179819e8f977f6e0cad3e2519b66a2a5ac58f542d1f37367f0626d91b5302",
 }
 
 

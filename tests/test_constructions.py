@@ -97,6 +97,15 @@ def test_halfspace_is_sc():
         assert ideal.size * 2 == ideal.poset.volume
 
 
+@pytest.mark.parametrize("axis", [-1, -3, 3])
+def test_halfspace_refuses_an_axis_outside_the_poset(axis):
+    # a negative axis must not wrap round to count from the last one
+    with pytest.raises(ShapeError, match=r"axis must be in 0\.\.2"):
+        halfspace((2, 3, 4), axis)
+    with pytest.raises(ShapeError, match="axis must be in"):
+        build_named("halfspace", dims=(2, 3, 4), axis=axis)
+
+
 def test_sc_diameter_pair_two_even_axes_matches_reference():
     a, b = sc_diameter_pair((5, 6, 4))
     assert _heights(a) == SC_5x6x4_PAIR[0]
@@ -276,6 +285,12 @@ def test_tssc_extremes_match_reference_and_realize_diameter():
     assert hi.mask == octant_ideal_cssc(5).mask
     assert lo.validate(TSSC) and hi.validate(TSSC)
     assert distance(lo, hi, TSSC) == tssc_diameter_value(5) == 30
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_tssc_extremes_refuses_r_below_one(r):
+    with pytest.raises(ShapeError, match="r must be >= 1"):
+        tssc_extremes(r)
 
 
 # ----------------------------------------------------------------------

@@ -183,8 +183,20 @@ def test_vertex_guard_and_force():
 
 
 def test_oracle_volume_guard():
-    with pytest.raises(EnumerationGuardError):
-        oracle_enumerate((4, 4, 4), CSSC)
+    # one guard, filtered or not: an unfiltered scan at volume 36 runs
+    assert len(oracle_enumerate((2, 2, 3, 3))) == 8790
+    for cls in (None, CSSC):
+        with pytest.raises(EnumerationGuardError, match="guard of 36"):
+            oracle_enumerate((4, 4, 4), cls)
+
+
+def test_negative_cap_is_refused_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(enumeration, "_graded_closure", refuse)
+    with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+        enumerate_ideals((2, 3, 4), SC, cap=-1)
 
 
 def test_partial_enumeration_cap(capsys):

@@ -19,7 +19,7 @@ from scideals.enumeration import (
     seed,
 )
 from scideals.ideal import CSSC, SC, TSSC
-from scideals.poset import CYCLIC, FULL, ChainProduct, cube
+from scideals.poset import ChainProduct, cube
 
 SETTINGS = settings(deadline=None, max_examples=80)
 
@@ -83,13 +83,14 @@ def test_staircase_runs_match_element_wise_reference(side):
 
 
 @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 6, 8, 10])
-@pytest.mark.parametrize("group", [CYCLIC, FULL])
-def test_orbits_by_coordinates_match_unrank(side, group):
+@pytest.mark.parametrize("cls", [CSSC, TSSC], ids=["cyclic", "full"])
+def test_orbits_by_coordinates_match_unrank(side, cls):
     p = cube(side)
-    found = p._orbits_by_rep(group)
-    assert [ranks for _a, ranks, _m, _d in found] == oracles.orbits(p, group)
+    found = metric._orbits_by_rep(p, cls)
+    want = oracles.orbits(p, oracles.GROUPS[cls])
+    assert [ranks for _a, ranks, _m, _d in found] == want
     v1 = p.volume - 1
-    flips = p.orbit_flips(group)
+    flips = metric.flip_table(p, cls)
     movable = 0
     for a, ranks, mask, dual in found:
         assert p.unrank(ranks[0]) == tuple(c + 1 for c in a)
@@ -101,7 +102,7 @@ def test_orbits_by_coordinates_match_unrank(side, group):
             movable |= mask
         else:
             assert flips.swaps[r] is None
-    assert flips.movable == movable
+    assert flips.forward == movable and flips.backward == 0
     assert flips.reps.bit_count() == sum(map(bool, flips.swaps))
     rot, swp = p._perm_tables
     for r in range(p.volume):
@@ -302,7 +303,8 @@ def test_unit_axes_change_no_mask_or_edge(dims, padded):
     flat = enumerate_ideals(dims, SC, force=True)
     pad = enumerate_ideals(padded, SC, force=True)
     assert pad.masks == flat.masks
-    assert pad.poset.sc_movable == flat.poset.sc_movable
+    pad_table = metric.flip_table(pad.poset, SC)
+    assert pad_table.forward == metric.flip_table(flat.poset, SC).forward
     for m in flat.masks + (flat.poset.full_mask,):
         assert pad.poset.maximal_mask(m) == flat.poset.maximal_mask(m)
     assert metric.build_graph(pad).edges == metric.build_graph(flat).edges
@@ -310,12 +312,14 @@ def test_unit_axes_change_no_mask_or_edge(dims, padded):
 
 @pytest.mark.parametrize("dims", [(2,), (1, 4), (2, 3), (3, 4), (2, 3, 4)])
 def test_sc_flip_pairs_join_each_rank_to_its_dual(dims):
-    # the table is filled on first use: after a closure every filled
-    # entry joins its rank to the dual, and entry 0 stays empty (an
-    # odd volume has no sc ideal, so its table is never filled)
+    # the table is filled on first use: after flipping every member
+    # each filled entry joins its rank to the dual, and entry 0 stays
+    # empty (an odd volume has no sc ideal, so its table is never filled)
     enum = enumerate_ideals(dims, SC, force=True)
     p = enum.poset
-    pairs = p.sc_flip_pairs
+    table = metric.flip_table(p, SC)
+    metric.sc_flip_masks(table, enum.masks)
+    pairs = table.pairs
     assert len(pairs) == p.volume + 1 and pairs[0] == 0
     assert any(pairs) == (len(enum) > 1)
     for r in range(p.volume):
@@ -323,4 +327,4 @@ def test_sc_flip_pairs_join_each_rank_to_its_dual(dims):
             a = p.unrank(r)
             dual = p.rank(tuple(l + 1 - c for c, l in zip(a, dims)))
             assert pairs[r + 1] == (1 << r) | (1 << dual)
-    assert p.sc_flip_pairs is pairs  # built once per poset
+    assert metric.flip_table(p, SC).pairs == [0] * (p.volume + 1)  # fresh

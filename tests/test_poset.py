@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from scideals.ideal import CSSC, SC, TSSC
+from scideals.metric import _orbits_by_rep, flip_table
 from scideals.poset import (
-    CYCLIC,
-    FULL,
     ChainProduct,
     ElementError,
     ShapeError,
@@ -131,7 +131,7 @@ def test_mask_of_checks_each_element():
 
 def test_cyclic_orbits_have_size_one_or_three():
     p = cube(4)
-    found = p._orbits_by_rep(CYCLIC)
+    found = _orbits_by_rep(p, CSSC)
     for rep, ranks, _mask, _dual in found:
         assert len(ranks) in (1, 3)
         # the representative is the orbit's least element, zero-based
@@ -145,7 +145,7 @@ def test_cyclic_orbits_have_size_one_or_three():
 
 def test_full_orbits_have_size_one_three_or_six():
     p = cube(4)
-    found = p._orbits_by_rep(FULL)
+    found = _orbits_by_rep(p, TSSC)
     sizes = sorted(len(ranks) for _rep, ranks, _m, _d in found)
     assert set(sizes) <= {1, 3, 6}
     assert sum(sizes) == p.volume
@@ -174,18 +174,20 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         _ = cube(3).octant_masks
     with pytest.raises(ShapeError):
-        ChainProduct((2, 3)).orbit_flips(CYCLIC)  # symmetry needs a cube
+        flip_table(ChainProduct((2, 3)), CSSC)  # symmetry needs a cube
     with pytest.raises(ShapeError):
-        ChainProduct((2, 3)).orbit_flips(FULL)
-    with pytest.raises(ValueError, match="unknown symmetry group"):
-        cube(2).orbit_flips("dihedral")
+        flip_table(ChainProduct((2, 3)), TSSC)
+    with pytest.raises(ValueError, match="unknown ideal class"):
+        flip_table(cube(2), "dihedral")
 
 
-def test_orbit_tables_are_built_once_per_group():
+def test_cyclic_and_full_flip_tables_differ():
     p = cube(4)
-    for group in (CYCLIC, FULL):
-        assert p.orbit_flips(group) is p.orbit_flips(group)
-    assert p.orbit_flips(CYCLIC) != p.orbit_flips(FULL)
+    cyclic, full = flip_table(p, CSSC), flip_table(p, TSSC)
+    assert cyclic.swaps != full.swaps and cyclic.reps != full.reps
+    assert flip_table(p, CSSC) == cyclic  # no memo, the same table
+    # only the sc table has pairs, only the orbit tables swaps
+    assert cyclic.pairs is None and flip_table(p, SC).swaps is None
 
 
 def test_volume_and_strides():

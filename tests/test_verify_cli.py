@@ -243,6 +243,14 @@ def test_extremal_halfspace_axis_is_one_based(capsys):
     assert exc.value.code == 2
 
 
+def test_extremal_tssc_extremes_refuses_r_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["extremal", "--name", "tssc-extremes", "--r", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "r must be >= 1" in err and "dimensions" not in err
+
+
 def test_extremal_axis_without_dims_names_the_missing_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["extremal", "--name", "halfspace", "--axis", "1"])
