@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import EmptyClassError, _halfspace, _staircase
 from .ideal import CSSC, SC, TSSC, Ideal, SymmetryError
-from .poset import ChainProduct, Coords, ShapeError, as_dims, cube
+from .poset import ChainProduct, Coords, ShapeError, as_dims, cube, even_cube
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,10 @@ def tssc_diameter_value(r: int) -> int:
 def halfspace(dims, axis: int) -> Ideal:
     """The sc ideal a_axis <= l_axis / 2, for a zero-based axis."""
     p = dims if isinstance(dims, ChainProduct) else ChainProduct(tuple(dims))
+    try:
+        axis = operator.index(axis)
+    except TypeError:
+        raise ShapeError(f"axis must be an integer, got {axis!r}") from None
     if not 0 <= axis < p.d:
         raise ShapeError(f"axis must be in 0..{p.d - 1}, got {axis}")
     return Ideal(p, _halfspace(p, axis))
@@ -317,6 +322,8 @@ def _mixed_center(dims: tuple[int, ...]) -> tuple[Ideal, bool]:
             block_dims = tuple(
                 dims[i] - 1 if i in odd_axes else dims[i] for i in free
             )
+            if 0 in block_dims:
+                continue  # a unit axis has no value off its midpoint
             block_ideal, _, block_family = _even_center(block_dims)
             used_family = used_family or block_family
 
@@ -367,17 +374,13 @@ def partitioned_center(dims) -> NamedIdeal:
 
 def staircase_c2r(r: int) -> Ideal:
     """The staircase a1 + a2 + a3 <= 3r + 1: tssc, and the cssc center."""
-    if r < 1:
-        raise ShapeError("r must be >= 1")
-    p = cube(2 * r)
+    p = even_cube(r)
     return Ideal(p, _staircase(p, r))
 
 
 def octant_ideal_cssc(r: int) -> Ideal:
     """Three low octants plus the low-low-high octant; tssc, size 4r^3."""
-    if r < 1:
-        raise ShapeError("r must be >= 1")
-    p = cube(2 * r)
+    p = even_cube(r)
     om = p.octant_masks
     mask = om[0, 0, 0] | om[0, 0, 1] | om[0, 1, 0] | om[1, 0, 0]
     out = Ideal(p, mask)
@@ -392,10 +395,8 @@ def pyramid_ideal(r: int) -> Ideal:
     2r + 1}; cyclic by construction, self-complementary and downward
     closed by the choice of the two thresholds (asserted).
     """
-    if r < 1:
-        raise ShapeError("r must be >= 1")
+    p = even_cube(r)
     n = 2 * r
-    p = cube(n)
     out = Ideal(p, p.mask_of(
         (x, y, z) for x, y, z in p.elements()
         if (x + y <= n and x + z <= n + 1)
@@ -453,11 +454,9 @@ def shell_ideal(k: int, r: int) -> NamedIdeal:
     follows by cyclic closure, the complement rule on dual pairs, and
     the fact that every sc ideal contains the whole low octant.
     """
-    if r < 1:
-        raise ShapeError("r must be >= 1")
-    if not 1 <= k <= 2 * r - 1:
-        raise ValueError(f"shell index must be in 1..{2 * r - 1}, got {k}")
-    n = 2 * r
+    n = even_cube(r).dims[0]
+    if k not in range(1, n):
+        raise ValueError(f"shell index must be in 1..{n - 1}, got {k}")
     if k >= r:
         kk, transpose = 2 * r - 1 - k, False
     else:
@@ -474,10 +473,10 @@ def shell_ideal(k: int, r: int) -> NamedIdeal:
             domain.add((1, a2, a3))
             if a3 - r <= r - 1 - kk or a2 - 1 <= kk:
                 trace.add((1, a2, a3))
-    for a1 in range(1, r + 1):  # top layer a3 = 2r
+    for a1 in range(1, r + 1):  # top layer a3 = 2r: no column is low
         for a2 in range(2, r + 1):
             domain.add((a1, a2, n))
-            if a1 + r - 1 <= r - 1 - kk or a2 - 1 <= kk:
+            if a2 - 1 <= kk:
                 trace.add((a1, a2, n))
 
     shell: set[Coords] = set()
@@ -537,10 +536,8 @@ def tssc_mandatory(r: int) -> Ideal:
     2r + 1}; symmetric and downward closed, but strictly smaller than
     half the cube for r >= 2.
     """
-    if r < 1:
-        raise ShapeError("r must be >= 1")
+    p = even_cube(r)
     n = 2 * r
-    p = cube(n)
     return Ideal(p, p.mask_of(
         (x, y, z) for x, y, z in p.elements()
         if (x <= r and y + z <= n + 1)
@@ -557,9 +554,7 @@ def tssc_extremes(r: int) -> tuple[Ideal, Ideal]:
     low points it had to give up; the maximal one is the octant ideal.
     Their distance is (r-1) r (2r-1) / 6, the tssc diameter.
     """
-    if r < 1:
-        raise ShapeError("r must be >= 1")
-    p = cube(2 * r)
+    p = even_cube(r)
     mand = tssc_mandatory(r).mask
     om = p.octant_masks
     high2 = om[1, 1, 0] | om[1, 0, 1] | om[0, 1, 1]
@@ -584,7 +579,7 @@ def build_named(name: str, **params) -> list[NamedIdeal]:
         return params[key]
 
     if name == "halfspace":
-        dims, axis = tuple(need("dims")), int(need("axis"))
+        dims, axis = tuple(need("dims")), need("axis")
         return [NamedIdeal(name, {"dims": dims, "axis": axis},
                            halfspace(dims, axis), SC)]
     if name == "sc-diameter-pair":
@@ -601,23 +596,23 @@ def build_named(name: str, **params) -> list[NamedIdeal]:
         return [NamedIdeal(name, {"dims": dims}, mod4_center(dims), SC)]
     if name == "partitioned-center":
         return [partitioned_center(tuple(need("dims")))]
-    if name in ("c2r", "staircase"):
-        r = int(need("r"))
+    if name == "c2r":
+        r = need("r")
         return [NamedIdeal(
             "c2r", {"r": r}, staircase_c2r(r), TSSC,
             note="cssc center witness; center uniqueness is conjectural",
         )]
     if name == "pyramid":
-        r = int(need("r"))
+        r = need("r")
         return [NamedIdeal(name, {"r": r}, pyramid_ideal(r), CSSC)]
     if name == "octant":
-        r = int(need("r"))
+        r = need("r")
         return [NamedIdeal(name, {"r": r}, octant_ideal_cssc(r), TSSC)]
     if name == "shell":
-        r, k = int(need("r")), int(need("k"))
+        r, k = need("r"), need("k")
         return [shell_ideal(k, r)]
     if name == "tssc-extremes":
-        r = int(need("r"))
+        r = need("r")
         lo, hi = tssc_extremes(r)
         note = f"distance realizes the tssc diameter {tssc_diameter_value(r)}"
         return [NamedIdeal(name, {"r": r, "end": 0}, lo, TSSC, note=note),

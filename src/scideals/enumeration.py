@@ -85,7 +85,7 @@ from collections.abc import Iterator, Sequence
 
 from . import metric
 from .ideal import CLASSES, CSSC, SC, TSSC, Ideal, validate_mask
-from .poset import ChainProduct, ShapeError, as_dims
+from .poset import ChainProduct, ShapeError, as_dims, even_cube_r, ranks
 
 BFS_FLIP = "bfs_flip"
 ORACLE_DFS = "oracle_dfs"
@@ -136,15 +136,6 @@ def _plane_partition_box(a: int, b: int, c: int) -> int:
     return num // den
 
 
-def _symmetric_cube_r(dims: Sequence[int], cls: str) -> int:
-    dims = tuple(dims)
-    if len(dims) != 3 or len(set(dims)) != 1:
-        raise ShapeError(f"{cls} ideals live on cubes [2r]^3, not {dims}")
-    if dims[0] % 2:
-        raise ShapeError(f"{cls} ideals need an even cube, not {dims}")
-    return dims[0] // 2
-
-
 def _symmetric_count(r: int) -> int:
     """``prod_{j<r} (3j+1)! / (r+j)!`` as one exact integer division."""
     num = den = 1
@@ -164,8 +155,7 @@ def count_closed(dims: Sequence[int], cls: str = SC) -> int:
     if cls not in CLASSES:
         raise ValueError(f"unknown ideal class {cls!r}")
     if cls in (CSSC, TSSC):
-        r = _symmetric_cube_r(dims, cls)
-        n = _symmetric_count(r)
+        n = _symmetric_count(even_cube_r(dims, f"the {cls} class"))
         return n * n if cls == CSSC else n
 
     volume = math.prod(dims)
@@ -216,7 +206,7 @@ def _seed_mask(p: ChainProduct, cls: str) -> int:
     if cls not in CLASSES:
         raise ValueError(f"unknown ideal class {cls!r}")
     if cls in (CSSC, TSSC):
-        return _staircase(p, _symmetric_cube_r(p.dims, cls))
+        return _staircase(p, even_cube_r(p.dims, f"the {cls} class"))
     evens = [i for i, l in enumerate(p.dims) if l % 2 == 0]
     if not evens:
         raise EmptyClassError(
@@ -414,12 +404,9 @@ def oracle_ideal_masks(p: ChainProduct) -> list[int]:
     """All downward-closed member masks, by depth-first rank scan."""
     V = p.volume
     lower = [0] * V
-    for k in range(p.d):
-        s = p.strides[k]
-        down = p.down_masks[k]
-        for r in range(V):
-            if down >> r & 1:
-                lower[r] |= 1 << (r - s)
+    for s, up in p.cover_axes:
+        for r in ranks(up):
+            lower[r + s] |= 1 << r
     out: list[int] = []
     # stack of (next rank to decide, mask so far); exclusion first so
     # inclusion is popped first and masks come out roughly ascending

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poset import ChainProduct, Coords, ShapeError, map_ranks, ranks
+from .poset import (
+    ChainProduct, Coords, ShapeError, even_cube_r, map_ranks, ranks,
+)
 
 SC = "sc"
 CSSC = "cssc"
@@ -126,10 +128,7 @@ class Ideal:
         coordinate equal to 1 or 2r.  The interior of an ideal is again
         an ideal, and for the symmetric classes it inherits the class.
         """
-        p = self.poset
-        if not (p.is_cube() and p.dims[0] % 2 == 0 and p.dims[0] >= 2):
-            raise ShapeError(f"core/shell needs an even cube, got {p.dims}")
-        side = p.dims[0]
+        side = 2 * even_cube_r(self.poset.dims, "the core/shell split")
         members = self.members()
         core = [a for a in members if all(2 <= c < side for c in a)]
         # side 2 has no interior: its empty core sits on [1]^3
@@ -173,10 +172,7 @@ def validate_mask(
         return False
     if cls == SC:
         return True
-    if not (p.is_cube() and p.dims[0] % 2 == 0):
-        raise ShapeError(
-            f"{cls} ideals live on even cubes [2r]^3, not {p.dims}"
-        )
+    even_cube_r(p.dims, f"the {cls} class")
     rot, swap = p._perm_tables
     if map_ranks(mask, rot) != mask:
         return False

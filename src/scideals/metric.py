@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 
 from .ideal import CSSC, SC, TSSC, Ideal
-from .poset import ChainProduct, Coords, ranks
+from .poset import ChainProduct, Coords, ShapeError, ranks
 
 if TYPE_CHECKING:
     from .enumeration import EnumerationResult
@@ -726,6 +726,8 @@ def distances_from(enum: EnumerationResult, ideal: Ideal) -> list[int]:
 
     ``|I \\ J|`` is taken as ``|I| - |I & J|``: no mask is complemented.
     """
+    if ideal.poset.dims != enum.poset.dims:
+        raise ShapeError("ideals live on different posets")
     m = ideal.mask
     size = m.bit_count()
     row = [size - (m & o).bit_count() for o in enum.masks]

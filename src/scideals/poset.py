@@ -13,15 +13,17 @@ table such as a coordinate permutation.
 The order-reversing involution ``phi(a) = (l_1+1-a_1, ..., l_d+1-a_d)``
 sends rank ``r`` to ``V-1-r`` where ``V`` is the number of elements, so
 the dual image of a mask is its bit reversal and a self-complementary
-set is one whose bit reversal equals its complement.  The axis masks
-set at construction (`up_masks` / `down_masks`) make downward-closure
-checks and maximal-element extraction a handful of big-integer shifts
-instead of per-element loops.  Each is a run of ones times a repunit
+set is one whose bit reversal equals its complement.  The axis table
+set at construction (`cover_axes`) makes downward-closure checks and
+maximal-element extraction a handful of big-integer shifts instead of
+per-element loops.  Each of its masks is a run of ones times a repunit
 (`below_mask`), so the shape tables cost O(d) big-integer operations,
-and so does each octant mask, an AND of one half per axis.
-A poset holds the order only.  Which elements and orbits may flip is
-the flip kernels' knowledge: `metric.flip_table` builds those tables,
-once per enumeration or graph, from the cover axes set here.
+and so does each octant mask, an AND of one half per axis.  Only this
+module decides which shapes are legal: `as_dims` checks every shape,
+`even_cube_r` and `even_cube` the cube ``[2r]^3`` of the symmetric
+classes.  A poset holds the order only.  Which elements and orbits
+may flip is the flip kernels' knowledge: `metric.flip_table` builds
+those tables, once per enumeration or graph, from the cover axes.
 """
 
 from __future__ import annotations
@@ -49,29 +51,22 @@ class ChainProduct:
 
     The shape tables, each O(d) integers, are set at construction:
     ``volume``, the mixed-radix ``strides`` (coordinate 1 most
-    significant), ``full_mask``, and per axis k the ``up_masks`` (ranks
-    whose k-th coordinate can increase) and the ``down_masks`` (can
-    decrease).  ``cover_axes`` holds the pairs (stride, up mask) of the
-    axes of length at least 2: a unit axis has up mask 0 and covers
-    nothing, so the maximality walks skip it.
+    significant), ``full_mask`` and the axis table ``cover_axes``: per
+    axis of length at least 2, its stride ``s`` and up mask, the ranks
+    ``r`` whose coordinate on that axis can increase, to ``r + s``.  A
+    unit axis covers nothing, so the table and its walks leave it out.
     """
 
     dims: Coords
     volume: int = field(init=False, repr=False, compare=False)
     strides: Coords = field(init=False, repr=False, compare=False)
     full_mask: int = field(init=False, repr=False, compare=False)
-    up_masks: Coords = field(init=False, repr=False, compare=False)
-    down_masks: Coords = field(init=False, repr=False, compare=False)
     cover_axes: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         dims = as_dims(self.dims)
-        if not dims:
-            raise ShapeError("at least one dimension is required")
-        if min(dims) < 1:
-            raise ShapeError(f"dimensions must be positive, got {dims}")
         strides = [1] * len(dims)
         for k in range(len(dims) - 1, 0, -1):
             strides[k - 1] = strides[k] * dims[k]
@@ -81,11 +76,10 @@ class ChainProduct:
         put(self, "strides", tuple(strides))
         put(self, "volume", volume)
         put(self, "full_mask", (1 << volume) - 1)
-        up = tuple(self.below_mask(k, l - 1) for k, l in enumerate(dims))
-        put(self, "up_masks", up)
-        put(self, "down_masks", tuple(m << s for m, s in zip(up, strides)))
-        axes = tuple((s, m) for s, m in zip(strides, up) if m)
-        put(self, "cover_axes", axes)
+        put(self, "cover_axes", tuple(
+            (s, self.below_mask(k, l - 1))
+            for k, (s, l) in enumerate(zip(strides, dims)) if l > 1
+        ))
 
     # ------------------------------------------------------------------
     # shape
@@ -93,9 +87,6 @@ class ChainProduct:
     @property
     def d(self) -> int:
         return len(self.dims)
-
-    def is_cube(self) -> bool:
-        return self.d == 3 and len(set(self.dims)) == 1
 
     # ------------------------------------------------------------------
     # elements <-> ranks
@@ -163,9 +154,8 @@ class ChainProduct:
         """True iff the member mask is closed under lower covers."""
         if mask < 0 or mask > self.full_mask:
             raise ElementError("mask has bits outside the poset")
-        for k in range(self.d):
-            s = self.strides[k]
-            if ((mask & self.down_masks[k]) >> s) & ~mask:
+        for s, up in self.cover_axes:
+            if (mask >> s) & up & ~mask:
                 return False
         return True
 
@@ -208,7 +198,7 @@ class ChainProduct:
     # coordinate symmetry (cubes only)
 
     def _require_cube(self) -> None:
-        if not self.is_cube():
+        if self.d != 3 or len(set(self.dims)) != 1:
             raise ShapeError(
                 f"coordinate symmetry needs a cube [l]^3, got {self.dims}"
             )
@@ -236,23 +226,48 @@ class ChainProduct:
 
 
 def as_dims(dims: Iterable[int]) -> Coords:
-    """``dims`` as a tuple of ints, by `operator.index`.
+    """``dims`` as a tuple of at least one int, each at least 1, or
+    ShapeError: every shape a public function takes passes through here.
 
-    That accepts ints and integer types such as numpy's and refuses a
-    float or a string with ShapeError, where `int` would truncate 2.5
-    to 2 or parse ``'2'``.
+    `operator.index` accepts ints and integer types such as numpy's and
+    refuses a float or a string, where `int` would truncate 2.5 or parse
+    ``'2'``.
     """
     try:
-        return tuple(map(operator.index, dims))
+        dims = tuple(map(operator.index, dims))
     except TypeError:
         raise ShapeError(
             f"dimensions must be integers, got {dims!r}"
         ) from None
+    if not dims:
+        raise ShapeError("at least one dimension is required")
+    if min(dims) < 1:
+        raise ShapeError(f"dimensions must be positive, got {dims}")
+    return dims
 
 
 def cube(side: int) -> ChainProduct:
     """The cube [side]^3, home of the symmetric ideal classes."""
     return ChainProduct((side, side, side))
+
+
+def even_cube_r(dims: Coords, what: str) -> int:
+    """``r`` if the checked ``dims`` are the even cube ``[2r]^3`` that
+    ``what`` needs (a symmetric class, the core/shell split)."""
+    if len(dims) != 3 or len(set(dims)) != 1 or dims[0] % 2:
+        raise ShapeError(f"{what} needs an even cube [2r]^3, got {dims}")
+    return dims[0] // 2
+
+
+def even_cube(r: int) -> ChainProduct:
+    """The cube ``[2r]^3`` for an integer ``r >= 1``, else ShapeError."""
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise ShapeError(f"r must be an integer, got {r!r}") from None
+    if r < 1:
+        raise ShapeError("r must be >= 1")
+    return cube(2 * r)
 
 
 def ranks(mask: int) -> Iterator[int]:

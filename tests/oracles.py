@@ -74,13 +74,12 @@ def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:
     flip = p.maximal_mask(mask)
     if V % 2:
         flip &= ~(1 << ((V - 1) // 2))
-    for k in range(p.d):
-        s = p.strides[k]
+    for s, up in zip(p.strides, axis_masks(p)):
         cond = comp >> s
         t = V - 1 - s
         if t % 2 == 0:
             cond &= ~(1 << (t // 2))
-        flip &= ~p.up_masks[k] | cond
+        flip &= ~up | cond
     out = []
     v1 = V - 1
     while flip:
@@ -91,19 +90,17 @@ def sc_flip_masks(p: ChainProduct, mask: int) -> list[int]:
     return out
 
 
-def axis_masks(p: ChainProduct) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(up masks, down masks) per axis, one shifted run per block of
-    ``l_k * s_k`` ranks: the ranks with ``a_k < l_k``, and their images
-    one step up."""
-    up, down = [], []
+def axis_masks(p: ChainProduct) -> tuple[int, ...]:
+    """The up mask of each axis, one run per block of ``l_k * s_k``
+    ranks: the ranks with ``a_k < l_k``, 0 on a unit axis."""
+    up = []
     for l, s in zip(p.dims, p.strides):
         unit = (1 << ((l - 1) * s)) - 1
         m = 0
         for start in range(0, p.volume, l * s):
             m |= unit << start
         up.append(m)
-        down.append(m << s)
-    return tuple(up), tuple(down)
+    return tuple(up)
 
 
 def halfspace_mask(p: ChainProduct, axis: int) -> int:

@@ -7,8 +7,11 @@ of `enumeration`, and the `extremal` digests before the construction
 masks were rebuilt through `ChainProduct.mask_of`.  The last four,
 which reach the flip tables at sizes the others do not (tssc and cssc
 on the cube of side 8, tssc of side 10, a unit axis), were recorded
-before those tables moved from `poset` into `metric`.  They must only
-change together with a deliberate change to the output.
+before those tables moved from `poset` into `metric`.  The four after
+them (shells with k > r, k = r and a transposed one, and a d = 4
+enumeration with no closed form) were recorded before the shape checks
+moved into `poset`.  They must only change together with a deliberate
+change to the output.
 """
 
 import hashlib
@@ -78,6 +81,14 @@ GOLDEN = {
         "93f11503f127bab4d45ed171e4735e4d57f1047cb509885da04499174f486aa6",
     "graph --dims 1,4,6 --format json":
         "cc1179819e8f977f6e0cad3e2519b66a2a5ac58f542d1f37367f0626d91b5302",
+    "extremal --name shell --r 5 --k 7":
+        "0220566c465e91ea6ad6fb5f31b5484f7999f64e12a28e31d9c76d6f3d05e802",
+    "extremal --name shell --r 5 --k 5":
+        "2fbbe3eb14fd0455a84f56892afb427402d16e4cf3ed9adedf2d88e100826b4b",
+    "extremal --name shell --r 4 --k 1":
+        "80415fd1f37d5f2a6bdc15bb3a2f359be12aeeafa31b33e6cb01b00e5df7be7b",
+    "enumerate --dims 2,2,2,2":
+        "7dcad8dc84f0e461e50adbc2de1a04bcc2ecf02cf049ce3b86a55dee17e934b5",
 }
 
 

@@ -26,8 +26,9 @@ from scideals.constructions import (
     tssc_extremes,
     tssc_mandatory,
 )
+from scideals.enumeration import enumerate_ideals
 from scideals.ideal import CSSC, SC, TSSC, from_heights
-from scideals.metric import distance
+from scideals.metric import distance, distances_from, metric_report
 from scideals.poset import ShapeError
 
 from reference_data import (
@@ -177,6 +178,19 @@ def test_partitioned_center_branches_and_flags():
     assert "odd-midpoint" in mixed.note
 
 
+@pytest.mark.parametrize("dims", [
+    (1, 2), (1, 4), (1, 2, 3), (1, 1, 2), (1, 6), (2, 6, 1), (1, 3, 4),
+    (1, 2, 6), (1, 1, 6), (1, 5, 6), (1, 4, 4), (1, 2, 2), (1, 6, 6),
+])
+def test_partitioned_center_on_a_unit_axis_is_central(dims):
+    # a unit axis sits at its midpoint in every block: the blocks that
+    # move it off are empty and skipped
+    ideal = partitioned_center(dims).ideal
+    assert ideal.validate(SC)
+    enum = enumerate_ideals(dims)
+    assert max(distances_from(enum, ideal)) == metric_report(enum).radius
+
+
 # ----------------------------------------------------------------------
 # cssc constructions
 
@@ -291,6 +305,46 @@ def test_tssc_extremes_match_reference_and_realize_diameter():
 def test_tssc_extremes_refuses_r_below_one(r):
     with pytest.raises(ShapeError, match="r must be >= 1"):
         tssc_extremes(r)
+
+
+CUBE_CONSTRUCTIONS = {
+    "staircase_c2r": staircase_c2r,
+    "octant_ideal_cssc": octant_ideal_cssc,
+    "pyramid_ideal": pyramid_ideal,
+    "shell_ideal": lambda r: shell_ideal(1, r),
+    "tssc_mandatory": tssc_mandatory,
+    "tssc_extremes": tssc_extremes,
+}
+CUBE_NAMES = ("c2r", "pyramid", "octant", "shell", "tssc-extremes")
+
+
+@pytest.mark.parametrize("r", [0, -1, 2.5])
+@pytest.mark.parametrize("build", list(CUBE_CONSTRUCTIONS))
+def test_cube_constructions_refuse_bad_r(build, r):
+    with pytest.raises(ShapeError, match="^r must be"):
+        CUBE_CONSTRUCTIONS[build](r)
+
+
+@pytest.mark.parametrize("r", [0, -1, 2.5])
+@pytest.mark.parametrize("name", CUBE_NAMES)
+def test_build_named_refuses_bad_r(name, r):
+    # r goes through unchanged: 2.5 is refused, not truncated to 2
+    with pytest.raises(ShapeError, match="^r must be"):
+        build_named(name, r=r, k=1)
+
+
+def test_parameters_are_not_truncated():
+    with pytest.raises(ShapeError, match="r must be an integer, got 2.9"):
+        build_named("c2r", r=2.9)
+    for axis in (2.0, 2.9):
+        with pytest.raises(ShapeError, match="axis must be an integer"):
+            build_named("halfspace", dims=(2, 3, 4), axis=axis)
+        with pytest.raises(ShapeError, match="axis must be an integer"):
+            halfspace((2, 3, 4), axis)
+    with pytest.raises(ValueError, match="shell index"):
+        build_named("shell", r=3, k=2.5)
+    with pytest.raises(ValueError, match="unknown construction"):
+        build_named("staircase", r=2)  # c2r has one name
 
 
 # ----------------------------------------------------------------------

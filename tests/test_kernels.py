@@ -62,11 +62,13 @@ def test_graded_closure_matches_bfs_oracle(dims, cls):
 
 
 def test_closed_form_masks_match_element_wise_references():
-    # the axis masks and the halfspace seed are one run of ones times a
+    # the cover axes and the halfspace seed are one run of ones times a
     # repunit; on every closure shape, every even axis seeds a halfspace
     for dims in sorted({dims for dims, _ in CLOSURE_CASES}):
         p = ChainProduct(dims)
-        assert (p.up_masks, p.down_masks) == oracles.axis_masks(p), dims
+        assert p.cover_axes == tuple(
+            (s, up) for s, up in zip(p.strides, oracles.axis_masks(p)) if up
+        ), dims
         for axis, l in enumerate(dims):
             if l % 2 == 0:
                 assert _halfspace(p, axis) == oracles.halfspace_mask(

@@ -28,7 +28,7 @@ from scideals.metric import (
     sc_flip_masks,
     single_source_lengths,
 )
-from scideals.poset import map_ranks
+from scideals.poset import ShapeError, map_ranks
 
 from reference_data import (
     CSSC_R2_EDGES,
@@ -263,6 +263,15 @@ def test_distances_from_matches_pairwise():
             assert distances_from(enum, v) == [
                 distance(v, w, cls) for w in enum.vertices
             ], (dims, cls)
+
+
+def test_distances_from_refuses_an_ideal_of_another_poset():
+    # as `distance` does; the volumes differ, so no row would be right
+    enum = enumerate_ideals((2, 3, 4))
+    with pytest.raises(ShapeError, match="different posets"):
+        distances_from(enum, seed((4, 4, 4)))
+    with pytest.raises(ShapeError, match="different posets"):
+        distance(enum.vertices[0], seed((4, 4, 4)))
 
 
 def test_distances_from_checks_divisibility(tssc_and_foreign_sc):

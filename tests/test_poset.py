@@ -6,13 +6,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from scideals.ideal import CSSC, SC, TSSC
+from scideals.constructions import (
+    majority_ideal,
+    mod4_center,
+    partitioned_center,
+    sc_diameter_pair,
+    sc_diameter_value,
+    sc_radius_bound,
+)
+from scideals.enumeration import (
+    count_closed,
+    enumerate_count,
+    enumerate_ideals,
+    oracle_enumerate,
+    seed,
+)
+from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights, validate_mask
 from scideals.metric import _orbits_by_rep, flip_table
 from scideals.poset import (
     ChainProduct,
     ElementError,
     ShapeError,
     cube,
+    even_cube,
+    even_cube_r,
     ranks,
 )
 
@@ -61,12 +78,16 @@ def test_reverse_mask_mirrors_membership():
 
 
 def test_up_down_masks_are_cover_indicators():
+    # rank r is in the up mask of axis k iff a_k < l_k, and then r + s_k
+    # is its upper cover along k: the down mask is the up mask shifted
     p = ChainProduct((2, 3, 4))
-    for k in range(3):
+    assert [s for s, _up in p.cover_axes] == list(p.strides)
+    for k, (s, up) in enumerate(p.cover_axes):
         for r in range(p.volume):
             a = p.unrank(r)
-            assert bool(p.up_masks[k] >> r & 1) == (a[k] < p.dims[k])
-            assert bool(p.down_masks[k] >> r & 1) == (a[k] > 1)
+            assert bool(up >> r & 1) == (a[k] < p.dims[k])
+            if a[k] < p.dims[k]:
+                assert p.unrank(r + s) == a[:k] + (a[k] + 1,) + a[k + 1:]
 
 
 @pytest.mark.parametrize(
@@ -179,6 +200,46 @@ def test_shape_errors():
         flip_table(ChainProduct((2, 3)), TSSC)
     with pytest.raises(ValueError, match="unknown ideal class"):
         flip_table(cube(2), "dihedral")
+
+
+SHAPE_DOORS = {
+    "ChainProduct": ChainProduct,
+    "count_closed": count_closed,
+    "enumerate_count": enumerate_count,
+    "enumerate_ideals": enumerate_ideals,
+    "oracle_enumerate": oracle_enumerate,
+    "sc_diameter_value": sc_diameter_value,
+    "sc_radius_bound": sc_radius_bound,
+    "sc_diameter_pair": sc_diameter_pair,
+    "majority_ideal": majority_ideal,
+    "mod4_center": mod4_center,
+    "partitioned_center": partitioned_center,
+    "from_heights": lambda dims: from_heights(dims, []),
+}
+
+
+@pytest.mark.parametrize("dims", [(), (0, 2), (2, -1), (2.5, 2)])
+@pytest.mark.parametrize("door", list(SHAPE_DOORS))
+def test_every_shape_door_refuses_a_malformed_shape(door, dims):
+    with pytest.raises(ShapeError):
+        SHAPE_DOORS[door](dims)
+
+
+def test_even_cube_r_accepts_only_even_cubes():
+    assert even_cube_r((6, 6, 6), "it") == 3
+    for dims in [(3, 3, 3), (2, 4), (4, 4, 6), (2, 2, 2, 2), (4,)]:
+        with pytest.raises(ShapeError, match="it needs an even cube"):
+            even_cube_r(dims, "it")
+    assert even_cube(3) == cube(6)
+    # the callers: closed form, seed, class check and core/shell split
+    with pytest.raises(ShapeError, match="the cssc class needs"):
+        count_closed((3, 3, 3), CSSC)
+    with pytest.raises(ShapeError, match="the tssc class needs"):
+        seed((2, 4), TSSC)
+    with pytest.raises(ShapeError, match="the cssc class needs"):
+        validate_mask(ChainProduct((2, 2)), 0b0011, CSSC)
+    with pytest.raises(ShapeError, match="core/shell split needs"):
+        Ideal(cube(3), 0).core_shell()
 
 
 def test_cyclic_and_full_flip_tables_differ():
