@@ -41,7 +41,7 @@ from .metric import (
     graph_record,
     metric_report,
 )
-from .poset import ShapeError
+from .poset import ShapeError, as_dims
 from .verify import SUITES, junit_xml, overall_status, run_all
 
 
@@ -52,11 +52,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"dims must be comma-separated integers, got {text!r}"
         )
-    if not dims or any(l < 1 for l in dims):
-        raise argparse.ArgumentTypeError(
-            f"dims must be positive, got {text!r}"
-        )
-    return dims
+    try:
+        return as_dims(dims)
+    except ShapeError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _meta(args, method: str) -> dict:
@@ -182,7 +181,7 @@ def _cmd_extremal(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    names = None if "all" in args.suite else args.suite
+    names = None if args.suite is None or "all" in args.suite else args.suite
     progress = None if args.quiet else (
         lambda line: print(line, file=sys.stderr, flush=True)
     )
@@ -273,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "suite", None) is None and args.command == "verify":
-        args.suite = ["all"]
     try:
         return args.func(args, parser)
     except (EmptyClassError, EnumerationGuardError, PartialEnumerationError,

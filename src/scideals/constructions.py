@@ -19,6 +19,9 @@ proven or conjectured metric role, at any size in its family:
 * ``octant_ideal_cssc``  three low octants plus one high one;
 * ``shell_ideal``        the boundary shells S_(k, 2r) that furthest-
                          from-center cssc ideals wear;
+* ``core_shell``         splits an ideal of [2r]^3 into its [2r-2]^3
+                         core and its shell, and ``compose_shell``
+                         puts the two back together;
 * ``tssc_extremes``      the unique minimal / maximal tssc pair under
                          the mandatory-region order, a diametral pair.
 
@@ -36,9 +39,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chvatal import verified_family
 from .enumeration import EmptyClassError, _halfspace, _staircase
 from .ideal import CSSC, SC, TSSC, Ideal, SymmetryError
-from .poset import ChainProduct, Coords, ShapeError, as_dims, cube, even_cube
+from .poset import (
+    ChainProduct, Coords, ShapeError, as_dims, cube, even_cube, even_cube_r,
+)
 
 
 @dataclass(frozen=True)
@@ -227,8 +233,6 @@ def hypercube_center(d: int) -> Ideal:
     complementary pair, so this is sc, and any sc ideal's low sets
     pairwise intersect, which is what caps |I \\ C| at the family bound.
     """
-    from .chvatal import verified_family
-
     if d % 2:
         raise ShapeError("the hypercube family construction needs even d")
     H = verified_family(d)
@@ -503,22 +507,46 @@ def shell_ideal(k: int, r: int) -> NamedIdeal:
     )
 
 
-def compose_shell(core: Ideal | None, shell) -> Ideal:
-    """Embed a [2r-2]^3 core at offset (1,1,1) and wrap a shell around it.
+def _core_cube(side: int) -> ChainProduct:
+    """Where the core of ``[side]^3`` lives: ``[side-2]^3``, whose
+    ``(1,1,1)`` sits at ``(2,2,2)`` of the cube.  Side 2 has no interior;
+    its empty core sits on ``[1]^3``."""
+    return cube(max(side - 2, 1))
 
-    The shell (a NamedIdeal or plain member collection) fixes the cube
-    side 2r, since it always reaches the top boundary layer.
+
+def core_shell(ideal: Ideal) -> tuple[Ideal, frozenset[Coords]]:
+    """Split an ideal of ``[2r]^3`` into its core and its shell.
+
+    The core is the sub-cube ``2 <= a_k <= 2r-1``, reindexed to
+    ``[2r-2]^3``; the shell is every member with some coordinate equal
+    to 1 or 2r.  The core of an ideal is again an ideal, and for the
+    symmetric classes it inherits the class.
     """
-    members = shell.members if isinstance(shell, NamedIdeal) else tuple(shell)
+    side = 2 * even_cube_r(ideal.poset.dims, "the core/shell split")
+    members = ideal.members()
+    core = [a for a in members if all(2 <= c < side for c in a)]
+    inner = _core_cube(side)
+    core_mask = inner.mask_of(tuple(c - 1 for c in a) for a in core)
+    return Ideal(inner, core_mask), frozenset(members).difference(core)
+
+
+def compose_shell(core: Ideal, members) -> Ideal:
+    """Wrap the shell ``members`` around ``core``: the inverse of
+    `core_shell`.
+
+    The shell fixes the cube side 2r, since it always reaches the top
+    boundary layer; the core must live on ``[2r-2]^3``.
+    """
+    members = tuple(members)
     n = max(max(a) for a in members)
+    inner = _core_cube(n)
+    if core.poset.dims != inner.dims:
+        raise ShapeError(
+            f"core must live on {inner.dims}, got {core.poset.dims}"
+        )
     p = cube(n)
     mask = p.mask_of(members)
-    if core is not None and core.size > 0:
-        if core.poset.dims != (n - 2,) * 3:
-            raise ShapeError(
-                f"core must live on {(n - 2,) * 3}, got {core.poset.dims}"
-            )
-        mask |= p.mask_of(tuple(c + 1 for c in a) for a in core.members())
+    mask |= p.mask_of(tuple(c + 1 for c in a) for a in core.members())
     out = Ideal(p, mask)
     if not out.is_ideal():
         raise SymmetryError("this shell does not fit that core")

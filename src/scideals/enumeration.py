@@ -2,20 +2,21 @@
 
 Closed-form counts
 ------------------
-For ``d <= 3`` the self-complementary ideals of ``[l_1] x ... x [l_d]``
-are counted by binomials and boxed plane-partition products: with the
-even dimension rotated last,
+For ``d = 3`` the self-complementary ideals of ``[l_1] x [l_2] x [l_3]``
+are counted by a product of two boxed plane-partition counts: with the
+last even dimension rotated into third place,
 
-    d = 1:  1 when l_1 is even,
-    d = 2:  C(floor(l_1/2) + floor(l_2/2), floor(l_1/2)),
-    d = 3:  PP(floor(l_1/2), ceil(l_2/2), l_3/2)
-            * PP(ceil(l_1/2), floor(l_2/2), l_3/2),
+    PP(floor(l_1/2), ceil(l_2/2), l_3/2)
+    * PP(ceil(l_1/2), floor(l_2/2), l_3/2),
 
 where ``PP(a, b, c)`` is the number of plane partitions in an
 ``a x b x c`` box (MacMahon's product, evaluated here as one exact
-integer division).  An all-odd product has odd volume, hence no sc
-ideals at all.  No closed form is implemented for ``d >= 4`` with even
-volume.
+integer division).  A shape with ``d < 3`` is counted as the same shape
+with unit axes padded in front.  Since ``PP(0, b, c) = 1`` and
+``PP(1, b, c) = C(b + c, c)``, that gives 1 for ``d = 1`` (``l_1``
+even) and ``C(floor(l_1/2) + floor(l_2/2), floor(l_1/2))`` for
+``d = 2``.  An all-odd product has odd volume, hence no sc ideals at
+all.  No closed form is implemented for ``d >= 4`` with even volume.
 
 On even cubes ``[2r]^3`` the cyclically symmetric sc ideals are counted
 by the square of ``prod_{j<r} (3j+1)!/(r+j)!`` and the totally
@@ -162,22 +163,20 @@ def count_closed(dims: Sequence[int], cls: str = SC) -> int:
     if volume % 2:
         return 0  # odd volume: membership of the fixed point is undecidable
     d = len(dims)
-    if d == 1:
-        return 1
-    if d == 2:
-        a, b = dims[0] // 2, dims[1] // 2
-        return math.comb(a + b, a)
-    if d == 3:
-        # rotate the last even dimension into third place
-        k = max(i for i, l in enumerate(dims) if l % 2 == 0)
-        m1, m2 = (dims[i] for i in range(3) if i != k)
-        half = dims[k] // 2
-        return _plane_partition_box(
-            m1 // 2, (m2 + 1) // 2, half
-        ) * _plane_partition_box((m1 + 1) // 2, m2 // 2, half)
-    raise ShapeError(
-        f"no closed-form sc count for d = {d} dims {dims}; enumerate instead"
-    )
+    if d > 3:
+        raise ShapeError(
+            f"no closed-form sc count for d = {d} dims {dims}; "
+            "enumerate instead"
+        )
+    # d < 3 is the d = 3 product with unit axes in front; then rotate
+    # the last even dimension into third place
+    box = (1,) * (3 - d) + dims
+    k = max(i for i, l in enumerate(box) if l % 2 == 0)
+    m1, m2 = (box[i] for i in range(3) if i != k)
+    half = box[k] // 2
+    return _plane_partition_box(
+        m1 // 2, (m2 + 1) // 2, half
+    ) * _plane_partition_box((m1 + 1) // 2, m2 // 2, half)
 
 
 def _count_or_none(dims: tuple[int, ...], cls: str) -> int | None:

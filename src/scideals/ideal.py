@@ -3,10 +3,9 @@
 An ideal is a downward-closed member set, stored as a bit mask over the
 poset's rank order.  The mask is the data: an enumerated class is a
 tuple of masks, and `validate_mask` checks one mask without wrapping
-it.  `Ideal` is a view of one mask, for printing, records, heights
-matrices and the core/shell split; the flip kernels and the metrics
-work on masks directly.  The three symmetry classes build on each
-other:
+it.  `Ideal` is a view of one mask, for printing, records and heights
+matrices; the flip kernels and the metrics work on masks directly.
+The three symmetry classes build on each other:
 
 * ``sc``    self-complementary: ``a`` is a member iff its dual is not,
             so the mask's bit reversal equals its complement and the
@@ -116,25 +115,6 @@ class Ideal:
                 row.append(h)
             rows.append(tuple(row))
         return tuple(rows)
-
-    # ------------------------------------------------------------------
-    # core / shell decomposition (even cubes)
-
-    def core_shell(self) -> tuple["Ideal", frozenset[Coords]]:
-        """Split into the interior ideal and the boundary member set.
-
-        On ``[2r]^3`` the interior is the sub-cube ``2 <= a_k <= 2r-1``,
-        reindexed to ``[2r-2]^3``; the shell is every member with some
-        coordinate equal to 1 or 2r.  The interior of an ideal is again
-        an ideal, and for the symmetric classes it inherits the class.
-        """
-        side = 2 * even_cube_r(self.poset.dims, "the core/shell split")
-        members = self.members()
-        core = [a for a in members if all(2 <= c < side for c in a)]
-        # side 2 has no interior: its empty core sits on [1]^3
-        inner = ChainProduct((max(side - 2, 1),) * 3)
-        core_mask = inner.mask_of(tuple(c - 1 for c in a) for a in core)
-        return Ideal(inner, core_mask), frozenset(members).difference(core)
 
     # ------------------------------------------------------------------
     # serialization

@@ -41,6 +41,7 @@ from xml.etree import ElementTree
 from . import chvatal
 from .constructions import (
     compose_shell,
+    core_shell,
     cssc_diameter_value,
     cssc_must_include_points,
     cssc_radius_value,
@@ -68,7 +69,7 @@ from .enumeration import (
     enumerate_ideals,
     oracle_enumerate,
 )
-from .ideal import CSSC, SC, TSSC, Ideal
+from .ideal import CSSC, SC, TSSC
 from .metric import (
     MetricReport,
     build_graph,
@@ -555,25 +556,17 @@ def _suite_even_d(s: SuiteReport, run: _Run) -> None:
         )
 
 
-def _cssc_furthest(
-    run: _Run, r: int
-) -> tuple[EnumerationResult, Ideal, list[int]]:
-    enum = run.enum((2 * r,) * 3, CSSC)
-    center = staircase_c2r(r)
-    dist = distances_from(enum, center)
-    radius = cssc_radius_value(r)
-    return enum, center, [i for i, d in enumerate(dist) if d == radius]
-
-
 def _suite_cssc(s: SuiteReport, run: _Run) -> None:
     """The cyclically symmetric cube battery, r <= 4."""
+    furthest: dict[int, list[int]] = {}
     for r in (1, 2, 3, 4):
         dims = (2 * r,) * 3
         enum = run.enum(dims, CSSC)
         rep = run.report(dims, CSSC)
         s.equal(f"r={r}: diameter", rep.diameter, cssc_diameter_value(r))
         s.equal(f"r={r}: radius", rep.radius, cssc_radius_value(r))
-        c_idx = enum.index[staircase_c2r(r).mask]
+        center = staircase_c2r(r)
+        c_idx = enum.index[center.mask]
         s.equal(
             f"r={r}: staircase eccentricity equals the radius",
             rep.eccentricities[c_idx], rep.radius,
@@ -595,17 +588,20 @@ def _suite_cssc(s: SuiteReport, run: _Run) -> None:
             observed=f"{len(bad)} vertices missing points" if bad else
                      "none missing",
         )
-        _e, _c, furthest = _cssc_furthest(run, r)
+        furthest[r] = [
+            i for i, d in enumerate(distances_from(enum, center))
+            if d == cssc_radius_value(r)
+        ]
         s.equal(
             f"r={r}: vertices furthest from the staircase",
-            len(furthest), 3 ** (r - 1),
+            len(furthest[r]), 3 ** (r - 1),
         )
         s.check(
             f"r={r}: perimeter within the furthest set",
-            set(rep.perimeter) <= set(furthest),
+            set(rep.perimeter) <= set(furthest[r]),
             expected="subset",
             observed=f"perimeter {len(rep.perimeter)} of "
-                     f"{len(furthest)} furthest",
+                     f"{len(furthest[r])} furthest",
             note="strictly smaller from r=4 on" if r >= 4 else "",
         )
     for r in (2, 3, 4, 5):
@@ -616,41 +612,33 @@ def _suite_cssc(s: SuiteReport, run: _Run) -> None:
         )
     # shells: every furthest vertex is a furthest core wearing a shell,
     # and the shells that extend a core are the two boundary ones plus
-    # the successor of the core's own
-    for r in (2, 3):
-        enum, center, furthest = _cssc_furthest(run, r)
-        shells = {shell_ideal(k, r).members: k for k in range(1, 2 * r)}
-        # map each furthest vertex of the previous level to the index of
-        # the shell it wears (at r-1 = 1 the whole vertex is shell 1)
-        p_enum, _pc, p_f = _cssc_furthest(run, r - 1)
-        prev_furthest: dict[int, int] = {}
-        if r - 1 == 1:
-            prev_furthest = {p_enum.masks[i]: 1 for i in p_f}
-        else:
-            prev_shells = {
-                shell_ideal(k, r - 1).members: k
-                for k in range(1, 2 * (r - 1))
-            }
-            for i in p_f:
-                _core, sh = p_enum.vertices[i].core_shell()
-                prev_furthest[p_enum.masks[i]] = prev_shells[
-                    tuple(sorted(sh))
-                ]
-        decompose_ok = True
-        predicted: set[tuple[int, int]] = set()
-        for mask, k_core in prev_furthest.items():
-            for k in {1, 2 * r - 1, k_core + 1}:
-                predicted.add((mask, k))
+    # the successor of the core's own.  The walk starts from the empty
+    # core of [1]^3 wearing shell 0, so the lone r=1 vertex is S_(1,2);
+    # each level maps its furthest masks to their shells for the next
+    cores = {0: 0}
+    for r in (1, 2, 3):
+        enum = run.enum((2 * r,) * 3, CSSC)
+        shells = {
+            frozenset(shell_ideal(k, r).members): k for k in range(1, 2 * r)
+        }
+        predicted = {
+            (mask, k)
+            for mask, k_core in cores.items()
+            for k in (1, 2 * r - 1, k_core + 1)
+        }
         observed: set[tuple[int, int]] = set()
-        for i in furthest:
-            core, sh = enum.vertices[i].core_shell()
-            key = tuple(sorted(sh))
-            if key not in shells or core.mask not in prev_furthest:
-                decompose_ok = False
-                break
-            observed.add((core.mask, shells[key]))
-            rebuilt = compose_shell(core, sh)
-            decompose_ok = decompose_ok and rebuilt.mask == enum.masks[i]
+        level: dict[int, int] = {}
+        for i in furthest[r]:
+            core, shell = core_shell(enum.vertices[i])
+            k = shells.get(shell)
+            if k is not None and core.mask in cores and \
+                    compose_shell(core, shell).mask == enum.masks[i]:
+                observed.add((core.mask, k))
+                level[enum.masks[i]] = k
+        decompose_ok = len(level) == len(furthest[r])
+        cores = level
+        if r == 1:
+            continue
         s.check(
             f"r={r}: furthest = furthest core + shell, composing back",
             decompose_ok,
@@ -819,13 +807,9 @@ def run_all(names=None, progress=None) -> list[SuiteReport]:
 
 
 def overall_status(reports) -> str:
-    """pass / conjecture-violated / fail across suites."""
-    statuses = {r.status for r in reports}
-    if "fail" in statuses:
-        return "fail"
-    if "conjecture-violated" in statuses:
-        return "conjecture-violated"
-    return "pass"
+    """pass / conjecture-violated / fail across suites: the status of
+    one report holding every check."""
+    return SuiteReport("all", [c for r in reports for c in r.checks]).status
 
 
 def junit_xml(reports) -> str:

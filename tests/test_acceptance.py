@@ -1,9 +1,10 @@
 """Acceptance gate: one numbered criterion per test family.
 
-Each criterion is self-contained, asserts exact values (no tolerances:
-everything here is integer or rational arithmetic), and enforces its
-own wall-clock budget.  The terminal summary hook in conftest prints
-one verdict line per criterion number.
+Each criterion asserts exact values (no tolerances: everything here is
+integer or rational arithmetic) and enforces its own wall-clock budget.
+Criteria 3, 4a and 5 read one shared run of their four suites, whose
+seconds count in full against each of their budgets.  The terminal
+summary hook in conftest prints one verdict line per criterion number.
 
 Criterion 7 carries a deliberately failing strict-xfail twin: the
 externally specified center-size sequence for the fully symmetric
@@ -37,7 +38,7 @@ from scideals.enumeration import (
 from scideals.ideal import CSSC, SC, TSSC, from_heights
 from scideals.metric import build_graph, distance, metric_report
 from scideals.poset import ShapeError
-from scideals.verify import run_suite, sc_sweep
+from scideals.verify import run_all, run_suite, sc_sweep
 
 from reference_data import TSSC_CENTER_R5_HEIGHTS
 
@@ -97,13 +98,26 @@ def test_criterion_2_distances_equal_shortest_paths():
 # 3. the sc diameter formula, against every desk-scale flip graph
 
 
-def test_criterion_3_sc_diameter_formula_exhaustive():
+@pytest.fixture(scope="module")
+def all_pairs_run():
+    """One run of the suites over the sc all-pairs reports, shared by
+    criteria 3, 4a and 5, and its seconds: they count against each of
+    those criteria's budgets in full."""
+    t0 = time.monotonic()
+    reports = run_all(
+        ["sc-diameter", "sc-radius", "sc-radius-lb", "correlation"]
+    )
+    return {r.name: r for r in reports}, time.monotonic() - t0
+
+
+def test_criterion_3_sc_diameter_formula_exhaustive(all_pairs_run):
+    reports, shared_s = all_pairs_run
     t0 = time.monotonic()
     assert sc_diameter_value((3, 3, 2)) == 4
-    report = run_suite("sc-diameter")
+    report = reports["sc-diameter"]
     assert report.status == "pass", report.hard_failures
     assert report.counts["fail"] == 0
-    assert time.monotonic() - t0 < 120
+    assert shared_s + time.monotonic() - t0 < 120
 
 
 # ----------------------------------------------------------------------
@@ -111,12 +125,13 @@ def test_criterion_3_sc_diameter_formula_exhaustive():
 #    dichotomy, and the conjectured even-d values (labeled, verified)
 
 
-def test_criterion_4a_sc_radius_exact_cases_and_dichotomy():
+def test_criterion_4a_sc_radius_exact_cases_and_dichotomy(all_pairs_run):
+    reports, shared_s = all_pairs_run
     t0 = time.monotonic()
     for name in ("sc-radius", "sc-radius-lb"):
-        report = run_suite(name)
+        report = reports[name]
         assert report.status == "pass", (name, report.hard_failures)
-    assert time.monotonic() - t0 < 180
+    assert shared_s + time.monotonic() - t0 < 180
 
 
 def test_criterion_4b_named_radius_values():
@@ -140,12 +155,13 @@ def test_criterion_4b_named_radius_values():
 #    pairs overlap in at least a quarter of the poset (plus slack)
 
 
-def test_criterion_5_correlation_bounds():
+def test_criterion_5_correlation_bounds(all_pairs_run):
+    reports, shared_s = all_pairs_run
     t0 = time.monotonic()
-    report = run_suite("correlation")
+    report = reports["correlation"]
     assert report.status == "pass", report.hard_failures
     assert report.counts["fail"] == 0
-    assert time.monotonic() - t0 < 60
+    assert shared_s + time.monotonic() - t0 < 60
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from scideals.constructions import (
     CONSTRUCTION_NAMES,
     build_named,
     compose_shell,
+    core_shell,
     cssc_diameter_value,
     cssc_radius_value,
     halfspace,
@@ -233,7 +234,7 @@ def test_shell_index_bounds():
 def test_carrier_core_shell_matches_shell_ideal():
     carrier = from_heights((8, 8, 8), CSSC_SHELL6_CARRIER_R4)
     assert carrier.validate(CSSC)
-    core, shell = carrier.core_shell()
+    core, shell = core_shell(carrier)
     assert set(shell) == set(shell_ideal(6, 4).members)
     assert core.poset.dims == (6, 6, 6)
     assert core.validate(CSSC)
@@ -244,10 +245,10 @@ def test_composed_shells_round_trip():
     for heights, k in zip(COMPOSED_R5_HEIGHTS, COMPOSED_R5_SHELL_INDICES):
         composed = from_heights((10, 10, 10), heights)
         assert composed.validate(CSSC)
-        core, shell = composed.core_shell()
+        core, shell = core_shell(composed)
         assert core.members() == carrier.members()
         assert set(shell) == set(shell_ideal(k, 5).members)
-        rebuilt = compose_shell(core, shell_ideal(k, 5))
+        rebuilt = compose_shell(core, shell_ideal(k, 5).members)
         assert rebuilt.mask == composed.mask
         # the composed vertex sits on the perimeter around the center
         assert distance(
@@ -257,7 +258,8 @@ def test_composed_shells_round_trip():
 
 def test_compose_shell_shape_guards():
     with pytest.raises(ShapeError):
-        compose_shell(staircase_c2r(2), shell_ideal(1, 5))  # core too small
+        # core too small
+        compose_shell(staircase_c2r(2), shell_ideal(1, 5).members)
 
 
 def test_furthest_tree_levels_match_reference():
@@ -266,7 +268,7 @@ def test_furthest_tree_levels_match_reference():
     for ideal in ideals:
         assert ideal.validate(CSSC)
     for parent, child in TREE_EDGES:
-        core, shell = ideals[child].core_shell()
+        core, shell = core_shell(ideals[child])
         assert core.members() == ideals[parent].members()
         r = max(max(a) for a in shell) // 2
         assert any(

@@ -5,6 +5,7 @@ import functools
 import pytest
 
 import oracles
+from scideals.constructions import core_shell
 from scideals.ideal import (
     CSSC,
     SC,
@@ -173,7 +174,7 @@ def test_maximal_elements():
 
 def test_core_shell_roundtrip():
     ideal = from_heights((8,) * 3, CSSC_SHELL6_CARRIER_R4)
-    core, shell = ideal.core_shell()
+    core, shell = core_shell(ideal)
     assert core.poset.dims == (6, 6, 6)
     assert core.validate(CSSC)
     # every shell member touches the boundary; the interior re-embeds

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from scideals.constructions import (
+    core_shell,
     majority_ideal,
     mod4_center,
     partitioned_center,
@@ -239,7 +240,7 @@ def test_even_cube_r_accepts_only_even_cubes():
     with pytest.raises(ShapeError, match="the cssc class needs"):
         validate_mask(ChainProduct((2, 2)), 0b0011, CSSC)
     with pytest.raises(ShapeError, match="core/shell split needs"):
-        Ideal(cube(3), 0).core_shell()
+        core_shell(Ideal(cube(3), 0))
 
 
 def test_cyclic_and_full_flip_tables_differ():

@@ -1,6 +1,7 @@
 """The verification runner and the command-line front end."""
 
 import collections
+import dataclasses
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -42,6 +43,25 @@ def test_wrong_closed_form_is_a_recorded_failure(monkeypatch):
     report = run_suite("tssc")
     assert report.status == "fail"
     assert any("closed form" in c.name for c in report.hard_failures)
+
+
+def test_wrong_shell_is_a_recorded_failure(monkeypatch):
+    real = verify.shell_ideal
+
+    def short(k, r):
+        shell = real(k, r)
+        if (k, r) == (1, 2):  # S_(1,4) loses one member
+            return dataclasses.replace(shell, members=shell.members[1:])
+        return shell
+
+    monkeypatch.setattr(verify, "shell_ideal", short)
+    report = run_suite("cssc")
+    assert report.status == "fail"
+    assert [c.name for c in report.hard_failures] == [
+        "r=2: furthest = furthest core + shell, composing back",
+        "r=2: the (core, shell) tree rule",
+        "r=3: furthest = furthest core + shell, composing back",
+    ]
 
 
 def _count_enumerations(monkeypatch) -> collections.Counter:
