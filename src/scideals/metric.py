@@ -16,27 +16,33 @@ orbits, so the division is exact).  Every member of a class is sc, so
 it is fixed by its low half ``h = mask & (2^(V/2) - 1)``, and each
 rank ``r < V/2`` that two members disagree on puts exactly one of ``r``
 and ``V - 1 - r`` into ``I \\ J``: ``|I \\ J| = popcount(h_I ^ h_J)``.
+A cssc or tssc member is fixed by less: it holds one whole orbit of
+each dual pair of non-diagonal Z3 orbits, so one witness bit per pair,
+about V/6 bits, fixes it, and the popcount of the XOR of two members'
+witness bits is ``|I \\ J| / 3`` itself.
 One row of distances is therefore one XOR and popcount of half masks
-over a limb-major numpy uint64 array.  Every member of a class has the
+(sc) or witness bits (cssc, tssc) over a limb-major numpy uint64
+array, with no division.  Every member of a class has the
 same size, so ``|I \\ J| = |J \\ I|`` and the distance is a metric;
 `metric_report` uses that to get every eccentricity exactly from a few
 rows, by the lower and upper bounds of Takes and Kosters (*Determining
 the diameter of small world networks*, CIKM 2011; *Computing the
 eccentricity distribution of large graphs*, Algorithms 2013), instead
-of all n.  Each step computes as many rows as a fixed memory bound
+of all n.  A small class is one n x n block, with no bounds at all.
+Past that, each step computes as many rows as a fixed memory bound
 holds, as one numpy block (one XOR, one popcount and one sum), and the
-step whose unresolved vertices all fit is the last: a small class is
-one block in all, a class of a few thousand refines its bounds a block
-of rows at a time, and a class too large for two rows in the bound
-takes them one at a time.  For cssc and tssc it first checks, in
-O(n V), that the masks are sc and closed under the symmetry, so every
-division by 3 is exact.  The graph itself is kept as the slow
-cross-check: `build_graph` calls the class kernel
-directly at every vertex, and `single_source_lengths` searches it one
-distance level at a time (the weights are 1 or 2, so level ``d + 1``
-comes from levels ``d`` and ``d - 1``; sc and cssc graphs have no
-weight-2 edge, and their search skips level ``d - 1``); heap Dijkstra
-is the test oracle in ``tests/oracles.py``.
+step whose unresolved vertices all fit is the last: a class of a few
+thousand refines its bounds a block of rows at a time, and a class too
+large for two rows in the bound takes them one at a time.  For cssc
+and tssc it first checks, in O(n V), that the masks are sc and closed
+under the symmetry, which is what makes a witness bit fix an orbit
+pair, and reads the witness bits from the bits that check unpacks.
+The graph itself is kept as the slow cross-check: `build_graph` calls
+the class kernel directly at every vertex, and `single_source_lengths`
+searches it one distance level at a time (the weights are 1 or 2, so
+level ``d + 1`` comes from levels ``d`` and ``d - 1``; sc and cssc
+graphs have no weight-2 edge, and their search skips level ``d - 1``);
+heap Dijkstra is the test oracle in ``tests/oracles.py``.
 `graph_dot` and `graph_record` give a built graph as DOT text or as a
 JSON-ready dict; `eccentricity_csv` needs only the report.
 
@@ -49,14 +55,19 @@ in their own orbit (cssc, tssc); these never flip, because the needed
 cover would be removed by the flip itself.  This module owns that
 knowledge: a kernel reads a `FlipTable`, which `flip_table` builds
 from the poset's cover axes for one class and seed, with the movable
-ranks cut by the seed and the sc pair table or the class's orbit
-tables; the poset itself holds only the order.  The closure builds one
-table per enumeration and `build_graph` one per graph, so a kernel
-call does no set-up of its own.  Each kernel takes a whole bucket of
-masks and returns the children of all of them in one flat list, so the
-closure makes one call per key bucket, not one per vertex;
-`build_graph` passes one mask.  A table built without a seed makes its kernel
-return every flip; with the closure's seed it returns only the
+ranks cut by the seed and an empty sc pair list or orbit swap list,
+filled on first use; the poset itself holds only the order.  The
+closure builds one table per enumeration and `build_graph` one per
+graph, so a kernel call does no set-up of its own.  Each kernel takes a
+whole bucket of masks and returns the children of all of them in one
+flat list, so the closure makes one call per key bucket, not one per
+vertex; `build_graph` passes one mask.  The orbit kernel works one
+orbit at a time, as the sc kernel works one element at a time: a
+cssc or tssc member is fixed by its group, so one rank stands for each
+orbit, its top among the forward flips and its rep among the backward
+ones, and the flips of a mask are one contiguous cut of its maximal
+members in both kernels.  A table built without a seed makes its
+kernel return every flip; with the closure's seed it returns only the
 reverse-search children, those whose highest backward flip undoes the
 flip that made them, so the closure in `enumeration` makes each class
 member once.
@@ -73,7 +84,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 
 from .ideal import CSSC, SC, TSSC, Ideal
-from .poset import ChainProduct, Coords, ShapeError, ranks
+from .poset import ChainProduct, ShapeError, ranks
 
 if TYPE_CHECKING:
     from .enumeration import EnumerationResult
@@ -99,16 +110,22 @@ class FlipTable(NamedTuple):
     first flip of that rank, so a class that flips few ranks builds few
     big integers (entry 0 stays 0).
 
-    For cssc and tssc the movable ranks are the orbits (cyclic, resp.
-    S3) that may ever flip: neither a fixed diagonal point, which cannot
+    For cssc and tssc the movable orbits (cyclic, resp. S3) are those
+    that may ever flip: neither a fixed diagonal point, which cannot
     swap with its dual one element at a time, nor an orbit of corners,
     elements ``a`` with an upper cover ``a + e_k`` whose dual lies in
     the orbit of ``a`` (the incoming dual orbit would need, as a lower
-    cover, an element the flip removes).  ``reps`` marks the least rank
-    of each movable orbit, and ``swaps[rep]`` holds ``(orbit mask,
-    orbit mask | dual orbit mask, weight)``, None at other ranks; a flip
-    weighs |orbit| / 3, 1 for three elements and 2 for six.  The other
-    class's fields are None (``reps`` is 0).
+    cover, an element the flip removes).  One rank stands for each
+    orbit: its top (largest) rank in ``forward`` and its rep (least)
+    rank in ``backward``.  ``group`` holds one triple ``(c_x, c_y,
+    c_z)`` per group element, the identity ``(l^2, l, 1)`` first: the
+    image of ``(x, y, z)`` (zero-based) has rank ``x c_x + y c_y + z
+    c_z``.  ``swaps[b]`` is ``(orbit mask | dual orbit mask, weight)``
+    for the orbit whose top is rank ``b - 1``; the list starts as V + 1
+    Nones and the orbit kernel fills an entry on the first flip of its
+    orbit, as the sc kernel fills ``pairs``.  A flip weighs |orbit| / 3,
+    1 for three elements and 2 for six.  The other class's fields are
+    None.
     """
 
     axes: tuple[tuple[int, int], ...]
@@ -116,8 +133,8 @@ class FlipTable(NamedTuple):
     backward: int
     volume: int
     pairs: list[int] | None
-    reps: int
-    swaps: list[tuple[int, int, int] | None] | None
+    swaps: list[tuple[int, int] | None] | None
+    group: tuple[tuple[int, int, int], ...] | None
 
 
 def flip_table(
@@ -128,122 +145,86 @@ def flip_table(
     Built once per closure (with the closure's seed) or per graph
     (without one), and passed to every kernel call that follows, so no
     call reads the poset or cuts the movable ranks itself.  Only the
-    pair and orbit tables are O(V), and the orbit tables are built from
-    one representative per orbit (`_orbits_by_rep`), not per element.
+    pair and swap lists are O(V), and both start empty; the orbit cuts
+    are O(l^2) runs of ranks (`_orbit_table`), not one mask per orbit.
     """
     V = p.volume
-    pairs, reps, swaps = None, 0, None
+    pairs = swaps = group = None
     if cls == SC:
         stuck = 1 << (V // 2) if V % 2 else 0
         for s, m in p.cover_axes:
             t = V - 1 - s
             if t % 2 == 0:
                 stuck |= m & (1 << (t // 2))
-        movable = p.full_mask & ~stuck
+        # an element is its own orbit: its rank is both top and rep
+        tops = reps = p.full_mask & ~stuck
         pairs = [0] * (V + 1)
     elif cls in (CSSC, TSSC):
-        movable, reps, swaps = _orbit_flips(p, cls)
+        reps, tops, group = _orbit_table(p, cls)
+        swaps = [None] * (V + 1)
     else:
         raise ValueError(f"unknown ideal class {cls!r}")
     if seed is None:
-        forward, backward = movable, 0
+        forward, backward = tops, 0
     else:
-        forward, backward = movable & seed, movable & ~seed
-    return FlipTable(p.cover_axes, forward, backward, V, pairs, reps, swaps)
+        forward, backward = tops & seed, reps & ~seed
+    return FlipTable(p.cover_axes, forward, backward, V, pairs, swaps, group)
 
 
-def _orbits_by_rep(
+def _orbit_table(
     p: ChainProduct, cls: str
-) -> list[tuple[Coords, Coords, int, int]]:
-    """Each orbit of the cube ``p`` under the group of ``cls`` (S3 for
-    tssc, the rotations Z3 for cssc), as (least element, ascending
-    ranks, mask, dual mask), in order of its least rank.
+) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """The rep mask and the top mask of the movable orbits of the cube
+    ``p`` under the group of ``cls`` (S3 for tssc, the rotations Z3 for
+    cssc), one bit at the least, resp. largest, rank of each orbit, and
+    the `FlipTable` ``group`` of ``cls``.
 
     With zero-based coordinates the rank of ``(x, y, z)`` is
     ``x l^2 + y l + z``, so an orbit's least rank belongs to its
-    lexicographically least element: the sorted triple under S3,
-    the least rotation under Z3.  Those representatives are
-    generated directly, in rank order.  A least rotation starts
-    with a smallest coordinate ``x``; of ``(x, y, x)`` and
-    ``(x, x, y)`` with ``y > x`` only the second is least.  The
-    equal coordinates of a representative say which of its images
-    are distinct, so the ranks are written out directly, with no
-    set and no sort, in ascending order: the lexicographic order of
-    the images.  Under Z3, ``(y, z, x)`` precedes ``(z, x, y)``
-    iff ``y < z`` (at ``y = z`` the second is ``(y, x, y)``, and
-    ``x < y``).  The dual orbit holds the ranks ``V - 1 - q``, so
-    its least rank is ``V - 1`` minus the largest rank here, and
-    its mask, built once for itself, is the dual mask.
+    lexicographically least element: the sorted triple under S3, the
+    least rotation under Z3.  Off the diagonal, those with a given
+    ``x <= y`` are one run of ``z``: ``y <= z`` (``y < z`` when ``y =
+    x``) under S3, and ``x < z`` under Z3 (of ``(x, y, x)`` and ``(x,
+    x, y)`` only the second is least).  So the reps are l (l + 1) / 2
+    runs.  The dual orbit holds the ranks ``V - 1 - q``, so the top of
+    an orbit is ``V - 1`` minus the rep of its dual: the tops are the
+    reps reversed.  A corner orbit holds the dual of an upper cover of
+    its rep ``a`` (rank ``V - 1 - r - s_k``).  Its elements share one
+    coordinate sum ``s``, and that dual has sum ``3 (l - 1) - s - 1``,
+    so corner orbits lie on the level ``2 s = 3 (l - 1) - 1`` alone
+    (an odd side has none, and the test finds none on the level
+    below); only the reps of that level are tested, and a corner
+    orbit leaves both masks.
     """
     p._require_cube()
     l = p.dims[0]
     ll = l * l
-    found = []
-    if cls == TSSC:
-        triples = itertools.combinations_with_replacement(range(l), 3)
-        for x, y, z in triples:
-            if x == z:
-                ranks = (x * (ll + l + 1),)
-            elif x == y:
-                ranks = (x * (ll + l) + z, x * (ll + 1) + z * l,
-                         z * ll + x * (l + 1))
-            elif y == z:
-                ranks = (x * ll + y * (l + 1), y * (ll + 1) + x * l,
-                         y * (ll + l) + x)
-            else:
-                ranks = (x * ll + y * l + z, x * ll + z * l + y,
-                         y * ll + x * l + z, y * ll + z * l + x,
-                         z * ll + x * l + y, z * ll + y * l + x)
-            found.append(((x, y, z), ranks))
-    else:
-        for x in range(l):
-            for y in range(x, l):
-                for z in range(x + (y > x), l):
-                    r = x * ll + y * l + z
-                    if x == z:
-                        ranks = (r,)
-                    elif y < z:
-                        ranks = (r, y * ll + z * l + x, z * ll + x * l + y)
-                    else:
-                        ranks = (r, z * ll + x * l + y, y * ll + z * l + x)
-                    found.append(((x, y, z), ranks))
-    mask_at = {ranks[0]: sum(1 << q for q in ranks) for _a, ranks in found}
-    v1 = p.volume - 1
-    return [
-        (a, ranks, mask_at[ranks[0]], mask_at[v1 - ranks[-1]])
-        for a, ranks in found
-    ]
-
-
-def _orbit_flips(
-    p: ChainProduct, cls: str
-) -> tuple[int, int, list[tuple[int, int, int] | None]]:
-    """The movable ranks, ``reps`` and ``swaps`` of a `FlipTable` for
-    cssc or tssc on the cube ``p``.
-
-    A corner's images under the group are corners along the permuted
-    axes, so testing each orbit's least element ``a`` of rank ``r``
-    suffices: it is a corner when the dual of an upper cover, rank
-    ``V - 1 - r - s_k``, lies in its own orbit.
-    """
-    l = p.dims[0]
-    ll = l * l
-    v1 = p.volume - 1
-    movable = p.full_mask
+    m = l - 1
     reps = 0
-    swaps: list[tuple[int, int, int] | None] = [None] * p.volume
-    for (x, y, z), ranks, mask, dmask in _orbits_by_rep(p, cls):
-        r = ranks[0]
-        if len(ranks) == 1 or (
-            (x < l - 1 and v1 - r - ll in ranks)
-            or (y < l - 1 and v1 - r - l in ranks)
-            or (z < l - 1 and v1 - r - 1 in ranks)
-        ):
-            movable ^= mask  # few orbits are stuck: take them out
+    for x in range(l):
+        for y in range(x, l):
+            z = y + (y == x) if cls == TSSC else x + 1
+            reps |= ((1 << (l - z)) - 1) << (x * ll + y * l + z)
+    tops = p.reverse_mask(reps)
+    order = (ll, l, 1)
+    if cls == CSSC:
+        group = tuple(order[i:] + order[:i] for i in range(3))
+    else:
+        group = tuple(itertools.permutations(order))
+    v1 = p.volume - 1
+    s = (3 * m - 1) // 2
+    corners = 0
+    for x, y in itertools.product(range(l), repeat=2):
+        z = s - x - y
+        r = x * ll + y * l + z
+        if not 0 <= z < l or not reps >> r & 1:
             continue
-        reps |= 1 << r
-        swaps[r] = (mask, mask | dmask, len(ranks) // 3)
-    return movable, reps, swaps
+        orbit = {x * cx + y * cy + z * cz for cx, cy, cz in group}
+        if any(c < m and v1 - r - o in orbit
+               for c, o in zip((x, y, z), order)):
+            for q in orbit:
+                corners |= 1 << q
+    return reps & ~corners, tops & ~corners, group
 
 
 def sc_flip_masks(table: FlipTable, masks: Iterable[int]) -> list[int]:
@@ -302,6 +283,11 @@ def orbit_flip_masks(
 ) -> list[tuple[int, int]]:
     """(mask, weight) pairs one orbit flip away, under the table's group.
 
+    The masks must be class members (cssc for the cyclic table, tssc
+    for the full one): each is fixed by the group, so an orbit is
+    either inside a mask or outside it, and one rank of an orbit tells
+    both.  The closure and `build_graph` pass members only.
+
     An orbit is flippable iff all its elements are maximal members and
     replacing it by its dual orbit stays downward closed.  Orbit
     elements share their coordinate sum, hence are incomparable, so
@@ -310,21 +296,26 @@ def orbit_flip_masks(
     in `sc_flip_masks` they are members when ``a`` is maximal, and they
     stay members unless they lie in the outgoing orbit.  Orbits of
     such corners, and diagonal points (singleton orbits), are left out
-    of the table's movable ranks.
+    of the table's movable ranks.  The group permutes the coordinates,
+    an automorphism of the cube, and fixes the mask, so if one element
+    of an orbit is a maximal member, every element is: an orbit flips
+    iff its top is maximal and movable.
 
     A seed works as in `sc_flip_masks`, with orbits ranked by their
-    smallest rank (their rep): walking the reps from the top, the
-    first flippable orbit outside ``S`` gives its rep ``h`` (-1 if
-    there is none), and an orbit ``O`` inside ``S`` is kept iff the
-    rep of its dual orbit, ``V - bit_length(O)``, exceeds ``h``.  An
-    orbit touching a lower cover ``c = a* - e_k`` of ``O*`` has a
-    smaller rep than ``O*``: the group permutation taking ``a*`` to the
-    rep of ``O*`` takes ``c`` to a lower cover of that rep.  So, as for
-    sc, the dual orbit ``O*`` is the highest backward orbit of the
-    child, and each child has one parent.  Maximality is walked inline,
-    as in `sc_flip_masks`.
+    rep (their least rank): the highest flippable orbit outside ``S``
+    has rep ``h``, one less than the bit length of the maximal
+    backward reps, and an orbit ``O`` inside ``S`` is kept iff the rep
+    of its dual orbit, ``V - 1 - top(O)``, exceeds ``h``.  So, as for
+    sc, the flips kept are one cut of the maximal forward tops, those
+    below ``V - 1 - h``.  An orbit touching a lower cover ``c = a* -
+    e_k`` of ``O*`` has a smaller rep than ``O*``: the group
+    permutation taking ``a*`` to the rep of ``O*`` takes ``c`` to a
+    lower cover of that rep.  So the dual orbit ``O*`` is the highest
+    backward orbit of the child, and each child has one parent.
+    Maximality is walked inline, as in `sc_flip_masks`, and the
+    children come in descending top rank of the orbit moved out.
     """
-    axes, forward, backward, V, _, all_reps, swaps = table
+    axes, forward, backward, V, _, swaps, group = table
     out: list[tuple[int, int]] = []
     append = out.append
     for mask in masks:
@@ -332,25 +323,31 @@ def orbit_flip_masks(
         for s, up in axes:
             covered |= up & (mask >> s)
         mx = mask & ~covered
-        back = mx & backward
-        reps = back & all_reps
-        h = -1
-        while reps:
-            b = reps.bit_length()
-            reps ^= 1 << (b - 1)
-            ob = swaps[b - 1][0]
-            if back & ob == ob:
-                h = b - 1
-                break
-        ok = mx & forward
-        reps = ok & all_reps
-        while reps:
-            b = reps.bit_length()
-            reps ^= 1 << (b - 1)
-            ob, swap, weight = swaps[b - 1]
-            if ok & ob == ob and V - ob.bit_length() > h:
-                append((mask ^ swap, weight))
+        flip = mx & forward & ((1 << (V - (mx & backward).bit_length())) - 1)
+        while flip:
+            b = flip.bit_length()
+            flip ^= 1 << (b - 1)
+            swap = swaps[b]
+            if swap is None:
+                swap = swaps[b] = _orbit_swap(group, V, b - 1)
+            append((mask ^ swap[0], swap[1]))
     return out
+
+
+def _orbit_swap(
+    group: tuple[tuple[int, int, int], ...], V: int, top: int
+) -> tuple[int, int]:
+    """``(orbit mask | dual orbit mask, weight)`` of the orbit whose top
+    is rank ``top``, from the images of its coordinates under ``group``
+    (repeated images set the same bit)."""
+    ll, l, _ = group[0]
+    x, y, z = top // ll, top // l % l, top % l
+    orbit = dual = 0
+    for cx, cy, cz in group:
+        q = x * cx + y * cy + z * cz
+        orbit |= 1 << q
+        dual |= 1 << (V - 1 - q)
+    return orbit | dual, orbit.bit_count() // 3
 
 
 # ----------------------------------------------------------------------
@@ -563,25 +560,51 @@ def _pack_masks(masks: tuple[int, ...], bits: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint64).reshape(len(masks), limbs)
 
 
-def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
-    """Raise unless every mask is sc and every ``I \\ J`` a union of 3-orbits.
+def _witnesses(p: ChainProduct) -> np.ndarray:
+    """One rank per dual pair of non-diagonal Z3 orbits of the even cube
+    ``p``, ascending: the rep (least rank) of the orbit of the pair that
+    lies below the middle level.
+
+    The rep ``(x, y, z)`` of a non-diagonal orbit is its least rotation:
+    ``x <= y`` and ``x < z``.  An orbit keeps its coordinate sum ``s``,
+    and its dual has sum ``3 (l - 1) - s``; on an even cube that total is
+    odd, so of each pair exactly one orbit has ``2 s < 3 (l - 1)``.
+    """
+    l = p.dims[0]
+    a = np.arange(l)
+    x, y, z = a[:, None, None], a[:, None], a  # broadcast to the cube
+    below = 2 * (x + y + z) < 3 * (l - 1)
+    return np.flatnonzero((x <= y) & (x < z) & below)
+
+
+def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> np.ndarray:
+    """Raise unless every mask is sc and every ``I \\ J`` a union of
+    3-orbits; return the masks' bits at the `_witnesses`, packed
+    limb-major as a (limbs, n) uint64 array.
 
     A mask is sc when bit ``r`` differs from bit ``V - 1 - r`` for every
-    rank ``r``, which the half-mask rows of `_eccentricities` rely on.
-    A difference is a union of 3-orbits when every mask is fixed by the
-    rotation ``(x,y,z)->(y,z,x)`` and all masks agree on the diagonal
-    points ``(a,a,a)``, the only points the rotation fixes: it is then
-    rotation-closed and off the diagonal, so its size divides by 3.
+    rank ``r``.  A difference is a union of 3-orbits when every mask is
+    fixed by the rotation ``(x,y,z)->(y,z,x)`` and all masks agree on
+    the diagonal points ``(a,a,a)``, the only points the rotation fixes:
+    it is then rotation-closed and off the diagonal, so its size
+    divides by 3.  Such a mask holds, of each dual pair of non-diagonal
+    orbits, exactly one whole orbit, which its bit at the pair's
+    witness names; so ``|I \\ J| / 3`` is the number of witnesses at
+    which two masks differ, and a distance row is one XOR and popcount
+    of the packed witness bits, with no division.
     ``arr`` holds the full masks, row-major; their bits are unpacked a
     slab of rows at a time.  Bit ``x l^2 + y l + z`` of a row is entry
     ``(x, y, z)`` of an ``l x l x l`` cube, so the rotated mask is a
     transposed view of that cube and the diagonal a strided view of the
-    row: no bit is gathered.
+    row: no bit is gathered but the witnesses.
     """
     p._require_cube()
     V = p.volume
     l = p.dims[0]
     diag = slice(None, None, l * l + l + 1)
+    columns = _witnesses(p)
+    limbs = (len(columns) + 63) // 64
+    packed = np.empty((len(arr), limbs), dtype=np.uint64)
 
     def unpack(rows: np.ndarray) -> np.ndarray:
         return np.unpackbits(
@@ -604,14 +627,23 @@ def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> None:
                 "pairwise difference not divisible by the orbit size; "
                 "vertex set is not closed under the symmetry"
             )
+        # one flat packbits over whole limbs: along axis 1 it is slower
+        wide = np.zeros((len(bits), 64 * limbs), dtype=np.uint8)
+        wide[:, :len(columns)] = bits[:, columns]
+        packed[lo:lo + step] = np.packbits(wide, bitorder="little").view(
+            np.uint64
+        ).reshape(-1, limbs)
+    return packed.T.copy()
 
 
-def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
+def _eccentricities(packed: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact eccentricities by bound-and-refine, and the rows it took.
 
-    ``half`` holds the half masks limb-major, shape (limbs, n), so a
-    row from ``v`` is one XOR against column ``v``, a popcount, and a
-    sum over the short limb axis that adds whole rows of the array.
+    ``packed`` holds one column of bits per vertex, limb-major, shape
+    (limbs, n), and a distance is the popcount of the XOR of two
+    columns, so a row from ``v`` is one XOR against column ``v``, a
+    popcount, and a sum over the short limb axis that adds whole rows
+    of the array.
     Each vertex ``w`` carries bounds ``lo[w] <= ecc(w) <= hi[w]``.  One
     distance row from ``v`` gives ``ecc(v) = max d`` and, by the
     triangle inequality, ``max(d, ecc(v) - d) <= ecc <= ecc(v) + d``
@@ -624,11 +656,9 @@ def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
     whose two rows pass the bound takes one row a step.  Once the ``left``
     unresolved vertices fit one block, their rows are computed, each
     takes its exact eccentricity as the maximum of its row, and the loop
-    ends; on a small class the first step is already the whole n x n
-    block.  The bounds are kept undivided and divided once at the end.
-    Every row is counted, so the count is at most n.
+    ends.  Every row is counted, so the count is at most n.
     """
-    limbs, n = half.shape
+    limbs, n = packed.shape
     cap = 2 * 64 * limbs  # above every d + ecc(v)
     fit = max(1, _BLOCK_BYTES // (8 * n * limbs))
     lo = np.zeros(n, dtype=np.int64)
@@ -636,7 +666,7 @@ def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
     rows = step = 0
     while True:
         unresolved = lo < hi
-        left = np.count_nonzero(unresolved)
+        left = int(np.count_nonzero(unresolved))
         if left <= fit:
             break
         # resolved vertices rank last, ties to the lowest id
@@ -649,26 +679,24 @@ def _eccentricities(half: np.ndarray, divisor: int) -> tuple[np.ndarray, int]:
             sel = key.argmin(keepdims=True)
         else:
             sel = np.argpartition(key * n + np.arange(n), k - 1)[:k]
-        d = _rows(half, sel)
+        d = _rows(packed, sel)
         e = d.max(axis=1, keepdims=True)
         np.maximum(lo, np.maximum(d, e - d).max(axis=0), out=lo)
         np.minimum(hi, (d + e).min(axis=0), out=hi)
         rows += k
         step += 1
     sel = np.flatnonzero(unresolved)
-    lo[sel] = _rows(half, sel).max(axis=1)
-    if divisor != 1:
-        lo //= divisor
+    lo[sel] = _rows(packed, sel).max(axis=1)
     return lo, rows + left
 
 
-def _rows(half: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """The undivided distance rows from the vertices ``sel``, one block.
+def _rows(packed: np.ndarray, sel: np.ndarray | slice) -> np.ndarray:
+    """The distance rows from the vertices ``sel``, one block.
 
     The sums are int32, which holds every distance (at most V/2) in half
     the bytes of int64, so the row arithmetic moves half the memory.
     """
-    return np.bitwise_count(half[:, sel, None] ^ half[:, None, :]).sum(
+    return np.bitwise_count(packed[:, sel, None] ^ packed[:, None, :]).sum(
         axis=0, dtype=np.int32
     )
 
@@ -678,18 +706,19 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
 
     Every mask must be sc (cssc and tssc masks are sc too): then
     ``|I \\ J| = popcount(h_I ^ h_J)`` over the low halves ``h`` of
-    the masks, and the distance (divided by 3 for the symmetric
-    classes) is one vectorized XOR and popcount over a limb-major
-    uint64 array of half masks.  Every member of a class has the same
-    size, so ``|I \\ J| = |J \\ I|``: the distance is a metric, and
-    the eccentricity bounds of Takes and Kosters (`_eccentricities`)
+    the masks, one vectorized XOR and popcount over a limb-major uint64
+    array of half masks.  For cssc and tssc the full masks are first
+    checked to be sc and closed under the symmetry, and the rows come
+    from their witness bits instead (`_check_orbit_closed`), a third of
+    the half mask, whose popcount is the distance ``|I \\ J| / 3``
+    itself; an sc-tagged enumeration is taken to hold sc masks, as flip
+    closure makes them.  Every member of a class has the same size, so
+    ``|I \\ J| = |J \\ I|``: the distance is a metric, and the
+    eccentricity bounds of Takes and Kosters (`_eccentricities`)
     resolve every vertex exactly.  A large class takes far fewer than n
     rows, each step a block of as many as `_BLOCK_BYTES` holds; a small
-    class is a single block of all n rows.  ``rows`` counts every row of
-    every block.  For cssc and tssc the full masks are first checked to
-    be sc and closed under the symmetry, which makes every division by 3
-    exact, and the half masks are cut from them; an sc-tagged
-    enumeration is taken to hold sc masks, as flip closure makes them.
+    class is a single block of all n rows, with no bounds.  ``rows``
+    counts every row of every block.
     """
     cls = enum.symmetry
     if cls is None:
@@ -697,33 +726,30 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     p = enum.poset
     if not enum.masks:
         return MetricReport(p.dims, cls, (), 0, 0, (), ())
-    bits = p.volume // 2
     if cls in (CSSC, TSSC):
-        full = _pack_masks(enum.masks, p.volume)
-        _check_orbit_closed(p, full)
-        divisor = 3
-        # the low half: the whole limbs it touches, copied limb-major,
-        # the top one cut to V/2 bits
-        half = full[:, :(bits + 63) // 64].T.copy()
-        if bits % 64:
-            half[-1] &= np.uint64((1 << bits % 64) - 1)
+        packed = _check_orbit_closed(p, _pack_masks(enum.masks, p.volume))
     else:
         # packing only the low halves: packing full masks and cutting
-        # them, as above, made all-pairs items 4 % slower (2 cores)
-        divisor = 1
-        half = np.ascontiguousarray(_pack_masks(enum.masks, bits).T)
-    ecc, rows = _eccentricities(half, divisor)
-    diameter = int(ecc.max())
-    radius = int(ecc.min())
+        # them made all-pairs items 4 % slower (2 cores)
+        bits = p.volume // 2
+        packed = np.ascontiguousarray(_pack_masks(enum.masks, bits).T)
+    limbs, n = packed.shape
+    if 8 * n * n * limbs <= _BLOCK_BYTES:
+        # one block, every row at once, and no bounds; below about a
+        # hundred vertices a list is cheaper to scan than numpy to call
+        ecc = _rows(packed, slice(None)).max(axis=1).tolist()
+        diameter, radius = max(ecc), min(ecc)
+        center = tuple(i for i, e in enumerate(ecc) if e == radius)
+        perimeter = tuple(i for i, e in enumerate(ecc) if e == diameter)
+        rows = n
+    else:
+        lo, rows = _eccentricities(packed)
+        diameter, radius = int(lo.max()), int(lo.min())
+        ecc = lo.tolist()
+        center = tuple(np.flatnonzero(lo == radius).tolist())
+        perimeter = tuple(np.flatnonzero(lo == diameter).tolist())
     return MetricReport(
-        p.dims,
-        cls,
-        tuple(ecc.tolist()),
-        diameter,
-        radius,
-        tuple(np.flatnonzero(ecc == radius).tolist()),
-        tuple(np.flatnonzero(ecc == diameter).tolist()),
-        rows,
+        p.dims, cls, tuple(ecc), diameter, radius, center, perimeter, rows
     )
 
 

@@ -511,11 +511,10 @@ def _suite_sc_radius_lb(s: SuiteReport, run: _Run) -> None:
 
 
 def _conjectured_even_radius(dims: tuple[int, ...]) -> int:
-    bound = sc_radius_bound(dims)
-    d = len(dims)
-    if d & (d - 1) == 0:
-        bound += Fraction(1, 2)
-    return math.ceil(bound)
+    # by Lucas's theorem C(d - 1, (d - 1) // 2) is odd just when d is a
+    # power of two, and then the bound is a half-integer on these shapes
+    # (every side 2 mod 4): adding 1/2 there would not move the ceiling
+    return math.ceil(sc_radius_bound(dims))
 
 
 def _suite_even_d(s: SuiteReport, run: _Run) -> None:

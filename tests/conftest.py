@@ -2,8 +2,10 @@
 
 The acceptance module names its tests ``test_criterion_<n>_...``; after
 the run, one line per criterion is printed so the gate can be read off
-directly from the terminal summary, with the seconds its test calls
-took together.
+directly from the terminal summary, with the seconds its tests took
+together, setup and call phases both.  Setup counts because criteria
+3, 4a and 5 share one module fixture, ``all_pairs_run``: its seconds
+show under criterion 3, whose test sets it up first.
 """
 
 import re
@@ -14,6 +16,13 @@ _CRITERION = re.compile(r"test_criterion_(\d+)[a-z]?_([a-z0-9_]+)")
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     outcomes = {}
     seconds = {}
+    # passed setups are filed under the empty status, so read them all
+    for reports in terminalreporter.stats.values():
+        for report in reports:
+            m = _CRITERION.search(getattr(report, "nodeid", None) or "")
+            if m and getattr(report, "when", None) in ("setup", "call"):
+                key = int(m.group(1))
+                seconds[key] = seconds.get(key, 0.0) + report.duration
     for status in ("passed", "failed", "error", "xfailed", "xpassed",
                    "skipped"):
         for report in terminalreporter.stats.get(status, []):
@@ -26,8 +35,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             key = int(m.group(1))
             label = m.group(2).replace("_", " ")
             outcomes.setdefault(key, []).append((label, status))
-            if when == "call":
-                seconds[key] = seconds.get(key, 0.0) + report.duration
     if not outcomes:
         return
     terminalreporter.section("acceptance criteria")

@@ -87,25 +87,31 @@ def test_staircase_runs_match_element_wise_reference(side):
 @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 6, 8, 10])
 @pytest.mark.parametrize("cls", [CSSC, TSSC], ids=["cyclic", "full"])
 def test_orbits_by_coordinates_match_unrank(side, cls):
+    # every orbit found by permuting unranked coordinates is movable
+    # unless it is a diagonal point or holds the dual of an upper cover
+    # of one of its elements; a movable orbit has its top in the table's
+    # forward ranks, its rep in the backward ranks of an empty seed, and
+    # its swap joins it to its dual orbit
     p = cube(side)
-    found = metric._orbits_by_rep(p, cls)
-    want = oracles.orbits(p, oracles.GROUPS[cls])
-    assert [ranks for _a, ranks, _m, _d in found] == want
-    v1 = p.volume - 1
-    flips = metric.flip_table(p, cls)
-    movable = 0
-    for a, ranks, mask, dual in found:
-        assert p.unrank(ranks[0]) == tuple(c + 1 for c in a)
-        assert mask == sum(1 << r for r in ranks)
-        assert dual == sum(1 << (v1 - r) for r in ranks)
-        r = ranks[0]
-        if flips.reps >> r & 1:
-            assert flips.swaps[r] == (mask, mask | dual, len(ranks) // 3)
-            movable |= mask
-        else:
-            assert flips.swaps[r] is None
-    assert flips.forward == movable and flips.backward == 0
-    assert flips.reps.bit_count() == sum(map(bool, flips.swaps))
+    V = p.volume
+    table = metric.flip_table(p, cls)
+    assert table.backward == 0 and table.swaps == [None] * (V + 1)
+    tops = reps = 0
+    for ranks in oracles.orbits(p, oracles.GROUPS[cls]):
+        corner = any(
+            V - 1 - p.rank(c) in ranks
+            for r in ranks for c in oracles.upper_covers(p, p.unrank(r))
+        )
+        if len(ranks) == 1 or corner:
+            continue
+        tops |= 1 << ranks[-1]
+        reps |= 1 << ranks[0]
+        dual = sum(1 << (V - 1 - r) for r in ranks)
+        swap = sum(1 << r for r in ranks) | dual
+        want = (swap, len(ranks) // 3)
+        assert metric._orbit_swap(table.group, V, ranks[-1]) == want
+    assert table.forward == tops
+    assert metric.flip_table(p, cls, 0).backward == reps
     rot, swp = p._perm_tables
     for r in range(p.volume):
         x, y, z = p.unrank(r)

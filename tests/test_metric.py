@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +29,7 @@ from scideals.metric import (
     sc_flip_masks,
     single_source_lengths,
 )
-from scideals.poset import ShapeError, map_ranks
+from scideals.poset import ShapeError, even_cube, map_ranks
 
 from reference_data import (
     CSSC_R2_EDGES,
@@ -316,6 +317,41 @@ def test_half_mask_xor_counts_the_difference(case, data):
     assert ((i ^ j) & low).bit_count() == (i & ~j).bit_count()
 
 
+SYMMETRIC_CASES = [((2 * r,) * 3, cls) for r in (1, 2, 3, 4)
+                   for cls in (CSSC, TSSC)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(SYMMETRIC_CASES), st.data())
+def test_witness_popcount_is_a_third_of_the_difference(case, data):
+    dims, cls = case
+    enum = enumerate_ideals(dims, cls)
+    p = enum.poset
+    masks = st.sampled_from(enum.masks)
+    i, j = data.draw(masks), data.draw(masks)
+    full = metric._pack_masks((i, j), p.volume)
+    packed = metric._check_orbit_closed(p, full)
+    assert packed.shape == ((len(metric._witnesses(p)) + 63) // 64, 2)
+    differ = int(np.bitwise_count(packed[:, 0] ^ packed[:, 1]).sum())
+    assert 3 * differ == (i & ~j).bit_count()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_each_dual_pair_of_orbits_has_one_witness(r):
+    p = even_cube(r)
+    v1 = p.volume - 1
+    witnesses = set(metric._witnesses(p).tolist())
+    pairs = set()
+    for ranks in oracles.orbits(p, oracles.CYCLIC):
+        if len(ranks) == 1:
+            assert not witnesses & set(ranks)  # no diagonal witness
+            continue
+        pair = frozenset(ranks) | {v1 - q for q in ranks}
+        assert len(witnesses & pair) == 1, ranks
+        pairs.add(pair)
+    assert len(witnesses) == len(pairs) == (p.volume - 2 * r) // 6
+
+
 def test_metric_report_matches_full_sweep():
     sweep = verify._sc_shapes(500)
     shapes = [(dims, SC) for dims in sweep]
@@ -352,7 +388,16 @@ def test_final_block_matches_full_sweep(monkeypatch, mode, dims, cls):
     # (on sc (6,33), 969 vertices of 2 limbs, 8 rows a step)
     enum = enumerate_ideals(dims, cls, force=True)
     n = len(enum)
-    limbs = (enum.poset.volume // 2 + 63) // 64
+    # the limbs of the array swept: half masks for sc, witness bits for
+    # cssc and tssc
+    swept = []
+    rows = metric._rows
+    monkeypatch.setattr(
+        metric, "_rows",
+        lambda packed, sel: swept.append(packed.shape) or rows(packed, sel),
+    )
+    metric_report(enum)
+    limbs = swept[0][0]
     if mode != "default":
         fit = {"never": 0, "mid": n - 1, "whole": n, "two": 2, "three": 3,
                "third": n // 3}[mode]
@@ -370,6 +415,12 @@ def test_small_class_is_one_block():
                          ((2, 3, 4), SC, 18)):
         report = metric_report(enumerate_ideals(dims, cls))
         assert report.n_vertices == report.rows == n, (dims, cls)
+
+
+def test_rows_is_a_python_int():
+    # one block (18 rows), and steps on sc and on witness rows
+    for dims, cls in (((2, 3, 4), SC), ((6, 33), SC), ((10, 10, 10), TSSC)):
+        assert type(metric_report(enumerate_ideals(dims, cls)).rows) is int
 
 
 def test_bounds_need_few_rows():
@@ -419,7 +470,10 @@ def test_symmetric_masks_must_be_sc():
     a = good.masks[0]
     top = p.maximal_mask(a)
     orbit = next(
-        ob for ob, _swap, _w in filter(None, flip_table(p, TSSC).swaps)
+        ob for ob in (
+            sum(1 << r for r in ranks)
+            for ranks in oracles.orbits(p, oracles.FULL) if len(ranks) > 1
+        )
         if top & ob == ob
     )
     bad = a & ~orbit

@@ -23,7 +23,7 @@ from scideals.enumeration import (
     seed,
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights, validate_mask
-from scideals.metric import _orbits_by_rep, flip_table
+from scideals.metric import flip_table
 from scideals.poset import (
     ChainProduct,
     ElementError,
@@ -151,31 +151,35 @@ def test_mask_of_checks_each_element():
             p.mask_of([(1, 1), bad])
 
 
+def _images(p, cls):
+    """The orbit of each rank, as the ranks of its images under the
+    flip table's group, with the zero-based element."""
+    group = flip_table(p, cls).group
+    for r in range(p.volume):
+        a = tuple(c - 1 for c in p.unrank(r))
+        yield r, a, {sum(map(math.prod, zip(a, g))) for g in group}
+
+
 def test_cyclic_orbits_have_size_one_or_three():
     p = cube(4)
-    found = _orbits_by_rep(p, CSSC)
-    for rep, ranks, _mask, _dual in found:
-        assert len(ranks) in (1, 3)
-        # the representative is the orbit's least element, zero-based
-        assert p.unrank(ranks[0]) == tuple(c + 1 for c in rep)
-        if len(ranks) == 1:
-            assert len(set(rep)) == 1  # only diagonal points are fixed
-    # the orbits partition the ranks
-    every = sorted(r for _rep, ranks, _m, _d in found for r in ranks)
-    assert every == list(range(p.volume))
+    found = {}
+    for r, a, orbit in _images(p, CSSC):
+        assert r in orbit and len(orbit) in (1, 3)
+        if len(orbit) == 1:
+            assert len(set(a)) == 1  # only diagonal points are fixed
+        found[min(orbit)] = tuple(sorted(orbit))
+    # the orbits partition the ranks, as the oracle finds them
+    assert sorted(found.values()) == oracles.orbits(p, oracles.CYCLIC)
 
 
 def test_full_orbits_have_size_one_three_or_six():
     p = cube(4)
-    found = _orbits_by_rep(p, TSSC)
-    sizes = sorted(len(ranks) for _rep, ranks, _m, _d in found)
-    assert set(sizes) <= {1, 3, 6}
-    assert sum(sizes) == p.volume
-    # the orbit size is determined by how many coordinates repeat
-    for rep, ranks, _mask, _dual in found:
-        assert rep == tuple(sorted(rep))  # the sorted triple
-        want = {1: 1, 2: 3, 3: 6}[len(set(rep))]
-        assert len(ranks) == want
+    found = {}
+    for _r, a, orbit in _images(p, TSSC):
+        # the orbit size is determined by how many coordinates repeat
+        assert len(orbit) == {1: 1, 2: 3, 3: 6}[len(set(a))]
+        found[min(orbit)] = tuple(sorted(orbit))
+    assert sorted(found.values()) == oracles.orbits(p, oracles.FULL)
 
 
 def test_maximal_mask_flags_maximal_elements():
@@ -246,8 +250,12 @@ def test_even_cube_r_accepts_only_even_cubes():
 def test_cyclic_and_full_flip_tables_differ():
     p = cube(4)
     cyclic, full = flip_table(p, CSSC), flip_table(p, TSSC)
-    assert cyclic.swaps != full.swaps and cyclic.reps != full.reps
+    assert cyclic.forward != full.forward and cyclic.group != full.group
     assert flip_table(p, CSSC) == cyclic  # no memo, the same table
+    # one forward rank per movable orbit: its top, as the oracle finds it
+    for table, group in ((cyclic, oracles.CYCLIC), (full, oracles.FULL)):
+        tops = {orbit[-1] for orbit in oracles.orbits(p, group)}
+        assert set(ranks(table.forward)) <= tops
     # only the sc table has pairs, only the orbit tables swaps
     assert cyclic.pairs is None and flip_table(p, SC).swaps is None
 
