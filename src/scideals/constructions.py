@@ -28,7 +28,9 @@ proven or conjectured metric role, at any size in its family:
 Each construction states its member set element by element, and
 `ChainProduct.mask_of` turns it into the mask.  The constructions
 validate themselves before returning; a failed validation is a bug,
-not a data condition, hence plain asserts.
+not a data condition, hence plain asserts.  `build_named` reaches ten
+of them through one table, whose keys are the CLI's names.  An sc
+construction on an odd volume is refused by `enumeration._even_axes`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chvatal import verified_family
-from .enumeration import EmptyClassError, _halfspace, _staircase
+from .enumeration import _even_axes, _halfspace, _staircase
 from .ideal import CSSC, SC, TSSC, Ideal, SymmetryError
 from .poset import (
     ChainProduct, Coords, ShapeError, as_dims, cube, even_cube, even_cube_r,
@@ -149,10 +151,8 @@ def sc_diameter_pair(dims) -> tuple[Ideal, Ideal]:
     central column, giving (V - l_k)/4.
     """
     dims = as_dims(dims)
+    evens = _even_axes(dims)
     p = ChainProduct(dims)
-    evens = [i for i, l in enumerate(dims) if l % 2 == 0]
-    if not evens:
-        raise EmptyClassError(f"{dims} has odd volume: no sc ideals")
     if len(evens) >= 2:
         return halfspace(p, evens[0]), halfspace(p, evens[1])
     k = evens[0]
@@ -358,9 +358,7 @@ def partitioned_center(dims) -> NamedIdeal:
     that block's eccentricity bound is only conjectured sharp.
     """
     dims = as_dims(dims)
-    if math.prod(dims) % 2:
-        raise EmptyClassError(f"{dims} has odd volume: no sc ideals")
-    if all(l % 2 == 0 for l in dims):
+    if len(_even_axes(dims)) == len(dims):
         ideal, branch, used_family = _even_center(dims)
     else:
         ideal, used_family = _mixed_center(dims)
@@ -598,65 +596,50 @@ def tssc_extremes(r: int) -> tuple[Ideal, Ideal]:
 # CLI-facing registry
 
 
+def _one(build, symmetry: str, note: str = ""):
+    """A construction of one ideal, recorded with the parameters it took."""
+    return lambda name, params: [
+        NamedIdeal(name, params, build(**params), symmetry, note=note)
+    ]
+
+
+def _pair(build, symmetry: str, diameter):
+    """A diametral pair: one record per end, noting the diameter."""
+    return lambda name, params: [
+        NamedIdeal(name, {**params, "end": end}, ideal, symmetry,
+                   note=f"distance realizes the {symmetry} diameter "
+                        f"{diameter(**params)}")
+        for end, ideal in enumerate(build(**params))
+    ]
+
+
+#: CLI name -> (the parameters it needs, in order; what builds its records)
+_CONSTRUCTIONS = {
+    "halfspace": (("dims", "axis"), _one(halfspace, SC)),
+    "sc-diameter-pair":
+        (("dims",), _pair(sc_diameter_pair, SC, sc_diameter_value)),
+    "majority": (("dims",), _one(majority_ideal, SC)),
+    "mod4-center": (("dims",), _one(mod4_center, SC)),
+    "partitioned-center":
+        (("dims",), lambda name, params: [partitioned_center(**params)]),
+    "c2r": (("r",), _one(staircase_c2r, TSSC, "cssc center witness; "
+                         "center uniqueness is conjectural")),
+    "pyramid": (("r",), _one(pyramid_ideal, CSSC)),
+    "octant": (("r",), _one(octant_ideal_cssc, TSSC)),
+    "shell": (("r", "k"), lambda name, params: [shell_ideal(**params)]),
+    "tssc-extremes":
+        (("r",), _pair(tssc_extremes, TSSC, tssc_diameter_value)),
+}
+
+CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
+
+
 def build_named(name: str, **params) -> list[NamedIdeal]:
     """Build a construction by CLI name; pairs return two entries."""
-
-    def need(key: str):
+    if name not in _CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {name!r}")
+    needs, build = _CONSTRUCTIONS[name]
+    for key in needs:
         if params.get(key) is None:
             raise ValueError(f"construction {name!r} needs --{key}")
-        return params[key]
-
-    if name == "halfspace":
-        dims, axis = tuple(need("dims")), need("axis")
-        return [NamedIdeal(name, {"dims": dims, "axis": axis},
-                           halfspace(dims, axis), SC)]
-    if name == "sc-diameter-pair":
-        dims = tuple(need("dims"))
-        a, b = sc_diameter_pair(dims)
-        note = f"distance realizes the sc diameter {sc_diameter_value(dims)}"
-        return [NamedIdeal(name, {"dims": dims, "end": 0}, a, SC, note=note),
-                NamedIdeal(name, {"dims": dims, "end": 1}, b, SC, note=note)]
-    if name == "majority":
-        dims = tuple(need("dims"))
-        return [NamedIdeal(name, {"dims": dims}, majority_ideal(dims), SC)]
-    if name == "mod4-center":
-        dims = tuple(need("dims"))
-        return [NamedIdeal(name, {"dims": dims}, mod4_center(dims), SC)]
-    if name == "partitioned-center":
-        return [partitioned_center(tuple(need("dims")))]
-    if name == "c2r":
-        r = need("r")
-        return [NamedIdeal(
-            "c2r", {"r": r}, staircase_c2r(r), TSSC,
-            note="cssc center witness; center uniqueness is conjectural",
-        )]
-    if name == "pyramid":
-        r = need("r")
-        return [NamedIdeal(name, {"r": r}, pyramid_ideal(r), CSSC)]
-    if name == "octant":
-        r = need("r")
-        return [NamedIdeal(name, {"r": r}, octant_ideal_cssc(r), TSSC)]
-    if name == "shell":
-        r, k = need("r"), need("k")
-        return [shell_ideal(k, r)]
-    if name == "tssc-extremes":
-        r = need("r")
-        lo, hi = tssc_extremes(r)
-        note = f"distance realizes the tssc diameter {tssc_diameter_value(r)}"
-        return [NamedIdeal(name, {"r": r, "end": 0}, lo, TSSC, note=note),
-                NamedIdeal(name, {"r": r, "end": 1}, hi, TSSC, note=note)]
-    raise ValueError(f"unknown construction {name!r}")
-
-
-CONSTRUCTION_NAMES = (
-    "halfspace",
-    "sc-diameter-pair",
-    "majority",
-    "mod4-center",
-    "partitioned-center",
-    "c2r",
-    "pyramid",
-    "octant",
-    "shell",
-    "tssc-extremes",
-)
+    return build(name, {key: params[key] for key in needs})

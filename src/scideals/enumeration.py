@@ -179,13 +179,6 @@ def count_closed(dims: Sequence[int], cls: str = SC) -> int:
     ) * _plane_partition_box((m1 + 1) // 2, m2 // 2, half)
 
 
-def _count_or_none(dims: tuple[int, ...], cls: str) -> int | None:
-    try:
-        return count_closed(dims, cls)
-    except ShapeError:
-        return None
-
-
 # ----------------------------------------------------------------------
 # seeds
 
@@ -197,21 +190,29 @@ def seed(dims: Sequence[int], cls: str = SC) -> Ideal:
     classes use the staircase ideal ``a_1 + a_2 + a_3 <= 3r + 1``,
     which is totally symmetric hence a member of all three classes.
     """
-    p = ChainProduct(dims)
-    return Ideal(p, _seed_mask(p, cls))
+    return Ideal(*_seed(as_dims(dims), cls))
 
 
-def _seed_mask(p: ChainProduct, cls: str) -> int:
+def _seed(dims: tuple[int, ...], cls: str) -> tuple[ChainProduct, int]:
+    """The poset and the seed's mask.  The shape is checked first: the
+    poset's masks grow with its volume, even when the class is empty."""
     if cls not in CLASSES:
         raise ValueError(f"unknown ideal class {cls!r}")
-    if cls in (CSSC, TSSC):
-        return _staircase(p, even_cube_r(p.dims, f"the {cls} class"))
-    evens = [i for i, l in enumerate(p.dims) if l % 2 == 0]
+    if cls == SC:
+        axis = _even_axes(dims)[0]
+        p = ChainProduct(dims)
+        return p, _halfspace(p, axis)
+    r = even_cube_r(dims, f"the {cls} class")
+    p = ChainProduct(dims)
+    return p, _staircase(p, r)
+
+
+def _even_axes(dims: tuple[int, ...]) -> list[int]:
+    """The even axes of a shape, which has no sc ideal without one."""
+    evens = [i for i, l in enumerate(dims) if l % 2 == 0]
     if not evens:
-        raise EmptyClassError(
-            f"{p.dims} has odd volume, hence no self-complementary ideals"
-        )
-    return _halfspace(p, evens[0])
+        raise EmptyClassError(f"no sc ideals on {dims}")
+    return evens
 
 
 def _halfspace(p: ChainProduct, axis: int) -> int:
@@ -255,7 +256,9 @@ class _Views(Sequence):
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __getitem__(self, i: int) -> Ideal:
+    def __getitem__(self, i: int | slice) -> Ideal | _Views:
+        if isinstance(i, slice):
+            return _Views(self.poset, self.masks[i])
         return Ideal(self.poset, self.masks[i])
 
     def __iter__(self) -> Iterator[Ideal]:
@@ -293,32 +296,26 @@ class EnumerationResult:
 # flip-closure enumeration
 
 
-def _check_guard(
-    dims: tuple[int, ...], cls: str, force: bool
-) -> None:
-    """Refuse an empty class, and without ``force`` a large one.
-
-    With ``force`` the closed form is not evaluated: the only empty
-    class it could report is sc on an odd volume.
-    """
-    volume = math.prod(dims)
+def _check_guard(dims: tuple[int, ...], cls: str, force: bool) -> None:
+    """Without ``force``, refuse a class that looks too large: by its
+    closed-form count, or by its volume where there is none.  An empty
+    class passes; its seed refuses it."""
     if force:
-        if cls == SC and volume % 2:
-            raise EmptyClassError(f"no {cls} ideals on {dims}")
         return
-    count = _count_or_none(dims, cls)
-    if count == 0:
-        raise EmptyClassError(f"no {cls} ideals on {dims}")
-    if count is not None:
-        if count > DEFAULT_VERTEX_GUARD:
+    try:
+        count = count_closed(dims, cls)
+    except ShapeError:
+        volume = math.prod(dims)
+        if volume > DEFAULT_VOLUME_GUARD:
             raise EnumerationGuardError(
-                f"{cls} on {dims} has {count} vertices "
-                f"(> {DEFAULT_VERTEX_GUARD}); pass force=True to insist"
-            )
-    elif volume > DEFAULT_VOLUME_GUARD:
+                f"no closed-form count for {cls} on {dims} and volume "
+                f"{volume} > {DEFAULT_VOLUME_GUARD}; pass force=True to insist"
+            ) from None
+        return
+    if count > DEFAULT_VERTEX_GUARD:
         raise EnumerationGuardError(
-            f"no closed-form count for {cls} on {dims} and volume "
-            f"{volume} > {DEFAULT_VOLUME_GUARD}; pass force=True to insist"
+            f"{cls} on {dims} has {count} vertices "
+            f"(> {DEFAULT_VERTEX_GUARD}); pass force=True to insist"
         )
 
 
@@ -373,9 +370,9 @@ def enumerate_ideals(
         raise ValueError(f"cap must be non-negative, got {cap}")
     dims = as_dims(dims)
     _check_guard(dims, cls, force)
-    p = ChainProduct(dims)
+    p, start = _seed(dims, cls)
     masks: list[int] = []
-    for bucket in _graded_closure(p, cls, _seed_mask(p, cls)):
+    for bucket in _graded_closure(p, cls, start):
         masks.extend(bucket)
         if cap is not None and len(masks) > cap:
             raise PartialEnumerationError(len(masks), cap)
@@ -391,8 +388,8 @@ def enumerate_count(
     """Vertex count by flip closure, holding only the live buckets."""
     dims = as_dims(dims)
     _check_guard(dims, cls, force)
-    p = ChainProduct(dims)
-    return sum(len(b) for b in _graded_closure(p, cls, _seed_mask(p, cls)))
+    p, start = _seed(dims, cls)
+    return sum(len(b) for b in _graded_closure(p, cls, start))
 
 
 # ----------------------------------------------------------------------

@@ -756,8 +756,11 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
 def distances_from(enum: EnumerationResult, ideal: Ideal) -> list[int]:
     """Distances from one ideal to every enumerated vertex (exact).
 
-    ``|I \\ J|`` is taken as ``|I| - |I & J|``: no mask is complemented.
+    ``|I \\ J|``, a distance between ideals of one size as in a class,
+    is taken as ``|I| - |I & J|``: no mask is complemented.
     """
+    if enum.symmetry is None:
+        raise ValueError("distances_from needs a class-filtered enumeration")
     if ideal.poset.dims != enum.poset.dims:
         raise ShapeError("ideals live on different posets")
     m = ideal.mask

@@ -1,5 +1,6 @@
 """Named extremal constructions against hand-checked reference data."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -134,8 +135,12 @@ def test_reference_cascade_pair_also_realizes_single_even_diameter():
 def test_sc_diameter_pair_rejects_odd_volume():
     from scideals.enumeration import EmptyClassError
 
-    with pytest.raises(EmptyClassError):
-        sc_diameter_pair((3, 3, 5))
+    # one rule, one wording, for the enumerations and the constructions
+    for build in (sc_diameter_pair, partitioned_center,
+                  lambda dims: build_named("sc-diameter-pair", dims=dims)):
+        with pytest.raises(EmptyClassError,
+                           match=re.escape("no sc ideals on (3, 3, 5)")):
+            build((3, 3, 5))
 
 
 def test_majority_ideal_validates_and_guards():

@@ -135,6 +135,16 @@ def test_enumerations_hold_masks_and_build_views_on_demand(monkeypatch):
     assert len(built) == 1 + len(enum) == 19
 
 
+def test_vertices_can_be_sliced():
+    enum = enumerate_ideals((2, 3, 4), SC)
+    for part in (slice(1, 3), slice(None, None, -2), slice(5, 5)):
+        views = enum.vertices[part]
+        assert len(views) == len(enum.masks[part])
+        assert [v.mask for v in views] == list(enum.masks[part])
+        assert all(isinstance(v, Ideal) for v in views)
+    assert enum.vertices[1:3][-1].mask == enum.masks[2]
+
+
 def test_flip_closure_matches_oracle_scan():
     for dims, cls in (((2, 3), SC), ((4, 4), SC), ((2, 3, 4), SC),
                       ((4, 4, 4), CSSC), ((4, 4, 4), TSSC)):
@@ -161,6 +171,22 @@ def test_odd_volume_sc_is_refused_with_and_without_force(dims, force):
         enumerate_count(dims, SC, force=force)
     with pytest.raises(EmptyClassError, match=message):
         enumerate_ideals(dims, SC, force=force)
+
+
+def test_a_wrong_shape_is_refused_before_the_poset_is_built(monkeypatch):
+    # a poset's masks grow with its volume, even when its class is empty
+    def refuse(dims):
+        raise AssertionError(f"poset built for {dims}")
+
+    monkeypatch.setattr(enumeration, "ChainProduct", refuse)
+    for force in (False, True):
+        for dims in ((999, 999, 999), (3,) * 30):
+            with pytest.raises(EmptyClassError, match="no sc ideals"):
+                enumerate_count(dims, SC, force=force)
+            with pytest.raises(EmptyClassError, match="no sc ideals"):
+                enumerate_ideals(dims, SC, force=force)
+    with pytest.raises(ShapeError, match="needs an even cube"):
+        enumerate_count((4, 4, 6), CSSC, force=True)
 
 
 def test_force_does_not_evaluate_the_closed_form(monkeypatch):

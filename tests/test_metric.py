@@ -18,6 +18,7 @@ from scideals.enumeration import (
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights, validate_mask
 from scideals.metric import (
     FlipGraph,
+    MetricReport,
     build_graph,
     distance,
     distances_from,
@@ -202,10 +203,11 @@ def test_light_graphs_have_no_weight_two_table():
 
 
 def test_build_graph_rejects_an_escaping_neighbor():
-    full = enumerate_ideals((2, 3, 4), SC)
-    enum = EnumerationResult(full.poset, SC, full.masks[1:], "hand")
-    with pytest.raises(RuntimeError, match="escaped the vertex set"):
-        build_graph(enum)
+    for dims, cls in (((2, 3, 4), SC), ((4, 4, 4), CSSC), ((6, 6, 6), TSSC)):
+        full = enumerate_ideals(dims, cls)
+        enum = EnumerationResult(full.poset, cls, full.masks[1:], "hand")
+        with pytest.raises(RuntimeError, match="escaped the vertex set"):
+            build_graph(enum)
 
 
 def _patch_first_vertex(monkeypatch, edit):
@@ -485,8 +487,21 @@ def test_symmetric_masks_must_be_sc():
 
 
 def test_metric_report_needs_a_class():
-    with pytest.raises(ValueError, match="class-filtered"):
-        metric_report(oracle_enumerate((2, 3, 4)))
+    # unfiltered ideals differ in size, so |I \ J| is no distance there
+    enum = oracle_enumerate((2, 3, 4))
+    for needs_a_class in (
+        metric_report,
+        build_graph,
+        lambda enum: distances_from(enum, enum.vertices[0]),
+    ):
+        with pytest.raises(ValueError, match="class-filtered"):
+            needs_a_class(enum)
+
+
+def test_metric_report_of_an_empty_class():
+    report = metric_report(oracle_enumerate((3, 3), SC))
+    assert report == MetricReport((3, 3), SC, (), 0, 0, (), ())
+    assert report.n_vertices == 0
 
 
 def test_exports_are_consistent():

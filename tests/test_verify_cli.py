@@ -21,12 +21,13 @@ def test_run_suite_rejects_unknown_names():
         run_suite("no-such-suite")
 
 
-def test_fast_suites_pass():
+def test_fast_suites_pass(pinned):
     for name in ("ideal-bound", "chvatal", "even-d-conjecture"):
         report = run_suite(name)
         assert report.status == "pass", (name, report.hard_failures)
         assert report.counts["fail"] == 0
         assert report.seconds >= 0
+        pinned(report)
 
 
 def test_suite_records_are_json_ready():
@@ -41,8 +42,35 @@ def test_suite_records_are_json_ready():
 def test_wrong_closed_form_is_a_recorded_failure(monkeypatch):
     monkeypatch.setattr(verify, "tssc_diameter_value", lambda r: -1)
     report = run_suite("tssc")
-    assert report.status == "fail"
+    assert report.status == overall_status([report]) == "fail"
     assert any("closed form" in c.name for c in report.hard_failures)
+    root = ET.fromstring(junit_xml([report]))
+    messages = [f.get("message") for f in root.iter("failure")]
+    assert messages and all(m.startswith("mismatch: ") for m in messages)
+
+
+def test_a_violated_conjecture_is_reported_but_passes(
+    monkeypatch, capsys, tmp_path
+):
+    real = verify.metric_report
+
+    def one_more(enum):  # every radius one above the conjectured ceiling
+        report = real(enum)
+        return dataclasses.replace(report, radius=report.radius + 1)
+
+    monkeypatch.setattr(verify, "metric_report", one_more)
+    report = run_suite("even-d-conjecture")
+    assert report.status == overall_status([report]) == "conjecture-violated"
+    assert not report.hard_failures
+    assert len(report.conjecture_violations) == 5
+    junit = tmp_path / "report.xml"
+    code, out, _ = _run(capsys, ["verify", "--suite", "even-d-conjecture",
+                                 "--quiet", "--junit", str(junit)])
+    assert code == 0
+    assert json.loads(out)["status"] == "conjecture-violated"
+    messages = [f.get("message") for f in ET.parse(junit).iter("failure")]
+    assert len(messages) == 5
+    assert all(m.startswith("conjecture violated: ") for m in messages)
 
 
 def test_wrong_shell_is_a_recorded_failure(monkeypatch):
@@ -301,6 +329,19 @@ def test_enumerate_refuses_a_negative_cap_before_the_work(
             cli.main(["enumerate", "--dims", "2,3,4", "--cap", bad])
         assert exc.value.code == 2
     assert "--cap must be non-negative" in capsys.readouterr().err
+
+
+def test_extremal_heights_needs_a_three_dimensional_ideal(capsys):
+    for argv, message in (
+        (["--name", "shell", "--r", "2", "--k", "1"],
+         "'shell' is a member set"),
+        (["--name", "halfspace", "--dims", "2,2", "--axis", "1"],
+         "only defined for three dimensions"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["extremal", *argv, "--format", "heights"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_extremal_missing_params_usage_error(capsys):
