@@ -635,11 +635,16 @@ CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
 
 
 def build_named(name: str, **params) -> list[NamedIdeal]:
-    """Build a construction by CLI name; pairs return two entries."""
+    """Build a construction by CLI name; pairs return two entries.
+    Every parameter it needs must be given, and any other must be
+    ``None``, so no record names a parameter its ideal ignored."""
     if name not in _CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}")
     needs, build = _CONSTRUCTIONS[name]
     for key in needs:
         if params.get(key) is None:
             raise ValueError(f"construction {name!r} needs --{key}")
+    for key, value in params.items():
+        if value is not None and key not in needs:
+            raise ValueError(f"construction {name!r} does not take --{key}")
     return build(name, {key: params[key] for key in needs})

@@ -36,11 +36,12 @@ geodesic from ``J`` back to ``S`` the key falls strictly, so every
 vertex but the seed has a backward flip.  The closure expands the keys
 in increasing order, one bucket (a list of masks) per key, with one
 kernel call per non-empty bucket.  `metric` owns the kernels' tables
-(the movable ranks cut by the seed, the sc pair table or the orbit
-tables); they are built once per closure, as one `metric.flip_table`
-from the fresh poset, not once per call: a small or path-like class
-has a few vertices per bucket (sc (2, 61) has one in each of its 31),
-so a set-up in every call would be paid about once per vertex.
+(the movable ranks split by the seed, the cuts of the forward ranks,
+the sc pair table or the orbit tables); they are built once per
+closure, as one `metric.flip_table` from the fresh poset, not once per
+call: a small or path-like class has a few vertices per bucket (sc
+(2, 61) has one in each of its 31), so a set-up in every call would be
+paid about once per vertex.
 
 It is a reverse search (Avis and Fukuda, *Discrete Appl. Math.* 65,
 1996): the parent of ``J`` is ``J`` with its highest backward flip

@@ -55,10 +55,11 @@ in their own orbit (cssc, tssc); these never flip, because the needed
 cover would be removed by the flip itself.  This module owns that
 knowledge: a kernel reads a `FlipTable`, which `flip_table` builds
 from the poset's cover axes for one class and seed, with the movable
-ranks cut by the seed and an empty sc pair list or orbit swap list,
-filled on first use; the poset itself holds only the order.  The
-closure builds one table per enumeration and `build_graph` one per
-graph, so a kernel call does no set-up of its own.  Each kernel takes a
+ranks split by the seed, an empty list of reverse-search cuts and an
+empty sc pair list or orbit swap list, each filled on first use; the
+poset itself holds only the order.  The closure builds one table per
+enumeration and `build_graph` one per graph, so a kernel call does no
+set-up of its own.  Each kernel takes a
 whole bucket of masks and returns the children of all of them in one
 flat list, so the closure makes one call per key bucket, not one per
 vertex; `build_graph` passes one mask.  The orbit kernel works one
@@ -70,7 +71,9 @@ members in both kernels.  A table built without a seed makes its
 kernel return every flip; with the closure's seed it returns only the
 reverse-search children, those whose highest backward flip undoes the
 flip that made them, so the closure in `enumeration` makes each class
-member once.
+member once.  The table keeps that cut once per bit length ``h`` of a
+mask's maximal backward ranks, and a member mask, downward closed, has
+its maximal members as ``mask ^ covered``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,11 @@ class FlipTable(NamedTuple):
     ``axes`` is the poset's ``cover_axes`` and ``volume`` its V.
     ``forward`` holds the movable ranks inside the seed (the flips that
     may move a member out) and ``backward`` those outside it; without a
-    seed every movable rank is forward and none backward.
+    seed every movable rank is forward and none backward.  ``cuts[h]``
+    is ``forward & (2^(V - h) - 1)``, the flips kept for a mask whose
+    maximal backward ranks have bit length ``h``; the list starts as
+    V + 1 Nones and a kernel fills entry ``h`` on first use, once per
+    table, not once per vertex (without a seed ``h`` is always 0).
 
     For sc every rank is movable but the corners, each one step below
     its own dual along some axis (``2 r = V - 1 - s_k``: flipping it
@@ -132,6 +139,7 @@ class FlipTable(NamedTuple):
     forward: int
     backward: int
     volume: int
+    cuts: list[int | None]
     pairs: list[int] | None
     swaps: list[tuple[int, int] | None] | None
     group: tuple[tuple[int, int, int], ...] | None
@@ -145,8 +153,9 @@ def flip_table(
     Built once per closure (with the closure's seed) or per graph
     (without one), and passed to every kernel call that follows, so no
     call reads the poset or cuts the movable ranks itself.  Only the
-    pair and swap lists are O(V), and both start empty; the orbit cuts
-    are O(l^2) runs of ranks (`_orbit_table`), not one mask per orbit.
+    cut, pair and swap lists are O(V), and all start empty; the orbit
+    masks are O(l^2) runs of ranks (`_orbit_table`), not one mask per
+    orbit.
     """
     V = p.volume
     pairs = swaps = group = None
@@ -168,7 +177,8 @@ def flip_table(
         forward, backward = tops, 0
     else:
         forward, backward = tops & seed, reps & ~seed
-    return FlipTable(p.cover_axes, forward, backward, V, pairs, swaps, group)
+    return FlipTable(p.cover_axes, forward, backward, V, [None] * (V + 1),
+                     pairs, swaps, group)
 
 
 def _orbit_table(
@@ -253,19 +263,28 @@ def sc_flip_masks(table: FlipTable, masks: Iterable[int]) -> list[int]:
 
     Per mask the maximal members come from one inline walk of the
     table's cover axes, the walk of `ChainProduct.maximal_mask` without
-    its call, and the children come in descending rank of the member
-    moved out.  A flip is one XOR with an entry of the table's
-    ``pairs``, filled here on the first flip of its rank.
+    its call.  The masks must be downward closed, as every sc mask is:
+    then each covered rank (one with a member just above it) is itself
+    a member, so the maximal members are ``mask ^ covered``, one XOR
+    where `ChainProduct.maximal_mask` takes ``mask & ~covered``.  The
+    cut below ``V - h`` is the table's ``cuts[h]``, filled here on the
+    first mask with that ``h``.  The children come in descending rank
+    of the member moved out.  A flip is one XOR with an entry of the
+    table's ``pairs``, filled here on the first flip of its rank.
     """
-    axes, forward, backward, V, pairs, _, _ = table
+    axes, forward, backward, V, cuts, pairs, _, _ = table
     out: list[int] = []
     append = out.append
     for mask in masks:
         covered = 0
         for s, up in axes:
             covered |= up & (mask >> s)
-        mx = mask & ~covered
-        flip = mx & forward & ((1 << (V - (mx & backward).bit_length())) - 1)
+        mx = mask ^ covered
+        h = (mx & backward).bit_length()
+        cut = cuts[h]
+        if cut is None:
+            cut = cuts[h] = forward & ((1 << (V - h)) - 1)
+        flip = mx & cut
         while flip:
             b = flip.bit_length()
             flip ^= 1 << (b - 1)
@@ -312,18 +331,24 @@ def orbit_flip_masks(
     permutation taking ``a*`` to the rep of ``O*`` takes ``c`` to a
     lower cover of that rep.  So the dual orbit ``O*`` is the highest
     backward orbit of the child, and each child has one parent.
-    Maximality is walked inline, as in `sc_flip_masks`, and the
-    children come in descending top rank of the orbit moved out.
+    Maximality is walked inline and taken as ``mask ^ covered``, and
+    the cut read from ``cuts``, as in `sc_flip_masks`: a class member
+    is downward closed, so its covered ranks are members.  The children
+    come in descending top rank of the orbit moved out.
     """
-    axes, forward, backward, V, _, swaps, group = table
+    axes, forward, backward, V, cuts, _, swaps, group = table
     out: list[tuple[int, int]] = []
     append = out.append
     for mask in masks:
         covered = 0
         for s, up in axes:
             covered |= up & (mask >> s)
-        mx = mask & ~covered
-        flip = mx & forward & ((1 << (V - (mx & backward).bit_length())) - 1)
+        mx = mask ^ covered
+        h = (mx & backward).bit_length()
+        cut = cuts[h]
+        if cut is None:
+            cut = cuts[h] = forward & ((1 << (V - h)) - 1)
+        flip = mx & cut
         while flip:
             b = flip.bit_length()
             flip ^= 1 << (b - 1)

@@ -29,6 +29,7 @@ those tables, once per enumeration or graph, from the cover axes.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -67,19 +68,24 @@ class ChainProduct:
 
     def __post_init__(self) -> None:
         dims = as_dims(self.dims)
-        strides = [1] * len(dims)
-        for k in range(len(dims) - 1, 0, -1):
-            strides[k - 1] = strides[k] * dims[k]
-        volume = strides[0] * dims[0]
+        volume = math.prod(dims)
+        full = (1 << volume) - 1
+        strides = []
+        axes = []
+        block = volume  # l_k s_k, the ranks with coordinates before k fixed
+        for l in dims:
+            s = block // l
+            strides.append(s)
+            if l > 1:  # the up mask is below_mask(k, l - 1), inlined
+                repunit = full // ((1 << block) - 1)
+                axes.append((s, ((1 << (block - s)) - 1) * repunit))
+            block = s
         put = object.__setattr__
         put(self, "dims", dims)
         put(self, "strides", tuple(strides))
         put(self, "volume", volume)
-        put(self, "full_mask", (1 << volume) - 1)
-        put(self, "cover_axes", tuple(
-            (s, self.below_mask(k, l - 1))
-            for k, (s, l) in enumerate(zip(strides, dims)) if l > 1
-        ))
+        put(self, "full_mask", full)
+        put(self, "cover_axes", tuple(axes))
 
     # ------------------------------------------------------------------
     # shape

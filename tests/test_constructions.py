@@ -337,7 +337,7 @@ def test_cube_constructions_refuse_bad_r(build, r):
 def test_build_named_refuses_bad_r(name, r):
     # r goes through unchanged: 2.5 is refused, not truncated to 2
     with pytest.raises(ShapeError, match="^r must be"):
-        build_named(name, r=r, k=1)
+        build_named(name, r=r, k=1 if name == "shell" else None)
 
 
 def test_parameters_are_not_truncated():
@@ -372,7 +372,7 @@ def test_build_named_covers_registry():
                 dims = (2, 4)
             out = build_named(name, dims=dims)
         else:
-            out = build_named(name, r=2, k=1)
+            out = build_named(name, r=2, k=1 if name == "shell" else None)
         assert out, name
         built.add(name)
         for named in out:
@@ -395,6 +395,21 @@ def test_build_named_errors():
         build_named("halfspace", dims=(2, 3, 4))  # missing axis
     with pytest.raises(ValueError):
         build_named("shell", r=3)  # missing k
+
+
+@pytest.mark.parametrize("name, params, flag", [
+    ("c2r", {"r": 2, "dims": (2, 2)}, "--dims"),
+    ("c2r", {"r": 2, "k": 1}, "--k"),
+    ("majority", {"dims": (2, 4, 6), "axis": 0}, "--axis"),
+    ("shell", {"r": 3, "k": 2, "dims": (6, 6, 6)}, "--dims"),
+    ("halfspace", {"dims": (2, 3, 4), "axis": 2, "r": 2}, "--r"),
+])
+def test_build_named_refuses_parameters_it_does_not_take(name, params, flag):
+    with pytest.raises(ValueError, match=f"^construction {name!r} does not "
+                                         f"take {flag}$"):
+        build_named(name, **params)
+    # None means not given, as the CLI passes every option
+    assert build_named(name, **{**params, flag[2:]: None})
 
 
 def test_reference_decoder_roundtrip():

@@ -336,3 +336,47 @@ def test_sc_flip_pairs_join_each_rank_to_its_dual(dims):
             dual = p.rank(tuple(l + 1 - c for c, l in zip(a, dims)))
             assert pairs[r + 1] == (1 << r) | (1 << dual)
     assert metric.flip_table(p, SC).pairs == [0] * (p.volume + 1)  # fresh
+
+
+@pytest.mark.parametrize("dims, cls", [
+    ((2, 3, 4), SC), ((2, 2, 2, 2), SC), ((1, 6), SC),
+    ((4, 4, 4), CSSC), ((6, 6, 6), TSSC),
+])
+def test_flip_cuts_are_filled_on_first_use(dims, cls, monkeypatch):
+    # the closure fills cuts[h] with the forward ranks below V - h for
+    # each h its masks meet, and leaves every other entry empty
+    tables = []
+    build = metric.flip_table
+
+    def keep(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(metric, "flip_table", keep)
+    enumerate_count(dims, cls, force=True)
+    (table,) = tables
+    p, V = ChainProduct(dims), table.volume
+    assert build(p, cls).cuts == [None] * (V + 1)  # fresh
+    assert len(table.cuts) == V + 1
+    filled = [h for h, cut in enumerate(table.cuts) if cut is not None]
+    for h in filled:
+        assert table.cuts[h] == table.forward & ((1 << (V - h)) - 1)
+    # every member is expanded once: the filled h are the bit lengths
+    # of the members' maximal backward ranks, and only those
+    assert set(filled) == {
+        (table.backward & p.maximal_mask(m)).bit_length()
+        for m in oracle_members(dims, cls)
+    }
+
+
+@SETTINGS
+@given(class_members())
+def test_maximal_members_are_one_xor_for_a_member(drawn):
+    # a member is downward closed, so every covered rank is a member and
+    # the kernels' mask ^ covered is the reference mask & ~covered
+    p, _, mask = drawn
+    covered = 0
+    for s, up in p.cover_axes:
+        covered |= up & (mask >> s)
+    assert covered & ~mask == 0
+    assert mask ^ covered == p.maximal_mask(mask)

@@ -299,6 +299,20 @@ def test_extremal_tssc_extremes_refuses_r_zero(capsys):
     assert "r must be >= 1" in err and "dimensions" not in err
 
 
+def test_extremal_refuses_an_option_its_construction_does_not_take(capsys):
+    # c2r lives on [2r]^3: a --dims beside it used to be echoed in meta
+    for argv, flag in (
+        (["--name", "c2r", "--r", "2", "--dims", "2,2"], "--dims"),
+        (["--name", "pyramid", "--r", "2", "--k", "1"], "--k"),
+        (["--name", "majority", "--dims", "2,4,6", "--axis", "1"], "--axis"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["extremal", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"does not take {flag}" in err, argv
+
+
 def test_extremal_axis_without_dims_names_the_missing_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["extremal", "--name", "halfspace", "--axis", "1"])
