@@ -25,11 +25,16 @@ proven or conjectured metric role, at any size in its family:
 * ``tssc_extremes``      the unique minimal / maximal tssc pair under
                          the mandatory-region order, a diametral pair.
 
-Each construction states its member set element by element, and
-`ChainProduct.mask_of` turns it into the mask.  The constructions
-validate themselves before returning; a failed validation is a bug,
-not a data condition, hence plain asserts.  `build_named` reaches ten
-of them through one table, whose keys are the CLI's names.  An sc
+Each construction states its member set as one membership rule, a
+condition on the coordinates of one element; `halfspace` and
+`staircase_c2r` take the enumeration's seed masks instead.
+`_rule_ideal` keeps the elements a rule admits, turns them into the
+mask through `ChainProduct.mask_of` and validates the ideal for its
+class before returning it; a failed validation is a bug, not a data
+condition, hence a plain assert.  The partitioned center composes the
+rules of its blocks: each element maps into the one block it lies in,
+and that block's rule decides.  `build_named` reaches ten of them
+through one table, whose keys are the CLI's names.  An sc
 construction on an odd volume is refused by `enumeration._even_axes`.
 """
 
@@ -40,6 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .chvatal import verified_family
 from .enumeration import _even_axes, _halfspace, _staircase
@@ -76,6 +82,18 @@ class NamedIdeal:
         else:
             rec["members"] = [list(m) for m in self.members]
         return rec
+
+
+#: a membership condition: which elements of a poset a construction keeps
+Rule = Callable[[Coords], bool]
+
+
+def _rule_ideal(p: ChainProduct, keep: Rule, cls: str | None) -> Ideal:
+    """The elements of ``p`` that ``keep`` admits, as an ideal that
+    validates for ``cls`` (``None`` checks closure only)."""
+    out = Ideal(p, p.mask_of(filter(keep, p.elements())))
+    assert out.validate(cls)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -163,13 +181,15 @@ def sc_diameter_pair(dims) -> tuple[Ideal, Ideal]:
     # punctured product's self-complementary half; on the column itself
     # the lower half of the even axis is kept
     top = mids + (dims[k] // 2,)
-    first = Ideal(p, p.mask_of(
-        a for a in p.elements()
-        if tuple(a[i] for i in odd_axes) + (a[k],) <= top
-    ))
-    second = halfspace(p, k)
-    assert first.validate(SC) and second.validate(SC)
-    return first, second
+    first = _rule_ideal(
+        p, lambda a: tuple(a[i] for i in odd_axes) + (a[k],) <= top, SC
+    )
+    return first, halfspace(p, k)
+
+
+def _majority_rule(dims: Coords) -> Rule:
+    d = len(dims)
+    return lambda a: 2 * sum(2 * c <= l for c, l in zip(a, dims)) > d
 
 
 def majority_ideal(dims) -> Ideal:
@@ -181,16 +201,24 @@ def majority_ideal(dims) -> Ideal:
     dims = as_dims(dims)
     if any(l % 2 for l in dims):
         raise ShapeError("majority ideal needs every dimension even")
-    d = len(dims)
-    if d % 2 == 0:
+    if len(dims) % 2 == 0:
         raise ShapeError("majority ideal needs odd d (no half-low ties)")
-    p = ChainProduct(dims)
-    out = Ideal(p, p.mask_of(
-        a for a in p.elements()
-        if 2 * sum(2 * c <= l for c, l in zip(a, dims)) > d
-    ))
-    assert out.validate(SC)
-    return out
+    return _rule_ideal(ChainProduct(dims), _majority_rule(dims), SC)
+
+
+def _mod4_rule(dims: Coords) -> Rule:
+    k = [i for i, l in enumerate(dims) if l % 4 == 0][-1]
+    d = len(dims)
+
+    def passes(a: Coords) -> bool:
+        low = sum(
+            1 for i, (c, l) in enumerate(zip(a, dims))
+            if i != k and 2 * c <= l
+        )
+        quarter = -(-4 * a[k] // dims[k])
+        return 2 * low + (4 - quarter) > d
+
+    return passes
 
 
 def mod4_center(dims) -> Ideal:
@@ -204,24 +232,19 @@ def mod4_center(dims) -> Ideal:
     dims = as_dims(dims)
     if any(l % 2 for l in dims):
         raise ShapeError("mod4 center needs every dimension even")
-    div4 = [i for i, l in enumerate(dims) if l % 4 == 0]
-    if not div4:
+    if all(l % 4 for l in dims):
         raise ShapeError("mod4 center needs a dimension divisible by 4")
-    k = div4[-1]
-    d = len(dims)
-    p = ChainProduct(dims)
+    return _rule_ideal(ChainProduct(dims), _mod4_rule(dims), SC)
 
-    def passes(a: Coords) -> bool:
-        low = sum(
-            1 for i, (c, l) in enumerate(zip(a, dims))
-            if i != k and 2 * c <= l
-        )
-        quarter = -(-4 * a[k] // dims[k])
-        return 2 * low + (4 - quarter) > d
 
-    out = Ideal(p, p.mask_of(filter(passes, p.elements())))
-    assert out.validate(SC)
-    return out
+def _hypercube_rule(d: int) -> Rule:
+    H = verified_family(d)
+
+    def kept(a: Coords) -> bool:
+        low = frozenset(i + 1 for i, c in enumerate(a) if c == 1)
+        return 2 * len(low) > d or (2 * len(low) == d and low not in H)
+
+    return kept
 
 
 def hypercube_center(d: int) -> Ideal:
@@ -235,38 +258,32 @@ def hypercube_center(d: int) -> Ideal:
     """
     if d % 2:
         raise ShapeError("the hypercube family construction needs even d")
-    H = verified_family(d)
-    p = ChainProduct((2,) * d)
-
-    def kept(a: Coords) -> bool:
-        low = frozenset(i + 1 for i, c in enumerate(a) if c == 1)
-        return 2 * len(low) > d or (2 * len(low) == d and low not in H)
-
-    out = Ideal(p, p.mask_of(filter(kept, p.elements())))
-    assert out.validate(SC)
-    return out
+    return _rule_ideal(ChainProduct((2,) * d), _hypercube_rule(d), SC)
 
 
-def _even_center(dims: tuple[int, ...]) -> tuple[Ideal, str, bool]:
-    """Center for an all-even shape: (ideal, branch, used_family).
+def _center_rule(dims: Coords) -> tuple[Rule, str, bool]:
+    """The partitioned center of an even-volume shape, as (rule,
+    branch, used_family).
 
     The last flag records whether a [2]^d block center from the
     verified intersecting family was consumed anywhere, which makes
     the eccentricity claim conditional for even block dimension >= 4.
     """
+    if any(l % 2 for l in dims):
+        return _odd_midpoint_rule(dims)
     if any(l % 4 == 0 for l in dims):
-        return mod4_center(dims), "mod4", False
-    return _two_mod_four_center(dims)
+        return _mod4_rule(dims), "mod4", False
+    return _block_partition_rule(dims)
 
 
-def _two_mod_four_center(dims: tuple[int, ...]) -> tuple[Ideal, str, bool]:
+def _block_partition_rule(dims: Coords) -> tuple[Rule, str, bool]:
     """Center when every dimension is 2 mod 4, by block partition.
 
     Partition the poset by the two straddling quarter values
     c_i = {(l_i + 2)/4, (3 l_i + 2)/4} per axis: the block where every
     coordinate is a straddling value is a copy of [2]^d and gets the
     majority ideal (d odd) or the intersecting-family center (d even,
-    needs d <= 6); the block where axis i is the first non-straddling
+    needs d <= 6); the block where axis i is the last non-straddling
     coordinate is a copy of
     [l_1] x ... x [l_(i-1)] x [l_i - 2] x [2]^(d-i) whose i-th axis is
     divisible by four, and gets the mod4 center.  Each block is stable
@@ -274,38 +291,32 @@ def _two_mod_four_center(dims: tuple[int, ...]) -> tuple[Ideal, str, bool]:
     closed as a whole is the point of the construction (asserted).
     """
     d = len(dims)
-    p = ChainProduct(dims)
     straddle = [((l + 2) // 4, (3 * l + 2) // 4) for l in dims]
-
-    # block 0: straddling values on every axis, a [2]^d copy
     if d % 2:
-        c0, used_family = majority_ideal((2,) * d), False
+        corner, used_family = _majority_rule((2,) * d), False
     else:
-        c0, used_family = hypercube_center(d), True
-    mask = p.mask_of(
-        tuple(straddle[i][c - 1] for i, c in enumerate(a))
-        for a in c0.members()
-    )
+        corner, used_family = _hypercube_rule(d), True
+    # axis i of length 2 has no value off its two straddling ones
+    blocks = {
+        i: _mod4_rule(dims[:i] + (l - 2,) + (2,) * (d - i - 1))
+        for i, l in enumerate(dims) if l > 2
+    }
 
-    # block i: axis i runs over the non-straddling values
-    for i in range(d):
-        if dims[i] == 2:
-            continue  # [2] minus its two straddling values is empty
-        others = [v for v in range(1, dims[i] + 1) if v not in straddle[i]]
-        block_dims = dims[:i] + (dims[i] - 2,) + (2,) * (d - i - 1)
-        mask |= p.mask_of(
-            a[:i] + (others[a[i] - 1],)
-            + tuple(straddle[j][a[j] - 1] for j in range(i + 1, d))
-            for a in mod4_center(block_dims).members()
+    def rule(a: Coords) -> bool:
+        i = max((j for j, (c, s) in enumerate(zip(a, straddle)) if c not in s),
+                default=-1)
+        tail = tuple(
+            1 + (c == s[1]) for c, s in zip(a[i + 1:], straddle[i + 1:])
         )
+        if i < 0:
+            return corner(tail)
+        low, high = straddle[i]
+        return blocks[i](a[:i] + (a[i] - (a[i] > low) - (a[i] > high),) + tail)
 
-    out = Ideal(p, mask)
-    assert out.size * 2 == p.volume
-    assert out.validate(SC), "block union failed to be an ideal"
-    return out, "block-partition", used_family
+    return rule, "block-partition", used_family
 
 
-def _mixed_center(dims: tuple[int, ...]) -> tuple[Ideal, bool]:
+def _odd_midpoint_rule(dims: Coords) -> tuple[Rule, str, bool]:
     """Radius witness for a shape with both odd and even dimensions.
 
     Partition by which odd axes sit exactly at their midpoint: pinning
@@ -314,37 +325,27 @@ def _mixed_center(dims: tuple[int, ...]) -> tuple[Ideal, bool]:
     is involution-stable, so the union is sc; downward closure of the
     union is the content of the construction (asserted).
     """
-    d = len(dims)
-    p = ChainProduct(dims)
-    odd_axes = [i for i in range(d) if dims[i] % 2]
-    mids = {i: (dims[i] + 1) // 2 for i in odd_axes}
-    mask = 0
+    mids = {i: (l + 1) // 2 for i, l in enumerate(dims) if l % 2}
+    blocks = {}
     used_family = False
-    for pinned_count in range(len(odd_axes) + 1):
-        for pinned in itertools.combinations(odd_axes, pinned_count):
-            free = [i for i in range(d) if i not in pinned]
+    for pinned_count in range(len(mids) + 1):
+        for pinned in itertools.combinations(mids, pinned_count):
             block_dims = tuple(
-                dims[i] - 1 if i in odd_axes else dims[i] for i in free
+                l - (i in mids) for i, l in enumerate(dims) if i not in pinned
             )
             if 0 in block_dims:
                 continue  # a unit axis has no value off its midpoint
-            block_ideal, _, block_family = _even_center(block_dims)
-            used_family = used_family or block_family
+            blocks[pinned], _, block_family = _center_rule(block_dims)
+            used_family |= block_family
 
-            def lift(a: Coords) -> Coords:
-                coords = [0] * d
-                for i in pinned:
-                    coords[i] = mids[i]
-                for i, v in zip(free, a):
-                    # skip the pinned midpoint value
-                    coords[i] = v + (i in mids and v >= mids[i])
-                return tuple(coords)
+    def rule(a: Coords) -> bool:
+        pinned = tuple(i for i in mids if a[i] == mids[i])
+        return blocks[pinned](tuple(
+            c - (i in mids and c > mids[i])
+            for i, c in enumerate(a) if i not in pinned
+        ))
 
-            mask |= p.mask_of(map(lift, block_ideal.members()))
-    out = Ideal(p, mask)
-    assert out.size * 2 == p.volume
-    assert out.validate(SC), "block union failed to be an ideal"
-    return out, used_family
+    return rule, "odd-midpoint-partition", used_family
 
 
 def partitioned_center(dims) -> NamedIdeal:
@@ -353,18 +354,17 @@ def partitioned_center(dims) -> NamedIdeal:
     Dispatches on parity: mod4 center (all even, some dimension
     divisible by 4), the [2]^d-block partition (all even, everything
     2 mod 4), or the odd-midpoint partition (mixed shapes), recursing
-    per block.  Marked conjecture-conditional when any [2]^d block of
+    per block.  Each element asks one block's rule whether it is kept.
+    Marked conjecture-conditional when any [2]^d block of
     even dimension drew on the verified intersecting family, since
     that block's eccentricity bound is only conjectured sharp.
     """
     dims = as_dims(dims)
-    if len(_even_axes(dims)) == len(dims):
-        ideal, branch, used_family = _even_center(dims)
-    else:
-        ideal, used_family = _mixed_center(dims)
-        branch = "odd-midpoint-partition"
+    _even_axes(dims)  # refuses an odd volume
+    rule, branch, used_family = _center_rule(dims)
     return NamedIdeal(
-        "partitioned-center", {"dims": dims}, ideal, SC,
+        "partitioned-center", {"dims": dims},
+        _rule_ideal(ChainProduct(dims), rule, SC), SC,
         conjectural=used_family,
         note=f"branch: {branch}",
     )
@@ -374,6 +374,12 @@ def partitioned_center(dims) -> NamedIdeal:
 # cssc constructions (cubes [2r]^3)
 
 
+def _rotations(a: Coords) -> tuple[Coords, Coords, Coords]:
+    """The three cyclic rotations of a point of the cube."""
+    x, y, z = a
+    return (x, y, z), (y, z, x), (z, x, y)
+
+
 def staircase_c2r(r: int) -> Ideal:
     """The staircase a1 + a2 + a3 <= 3r + 1: tssc, and the cssc center."""
     p = even_cube(r)
@@ -381,13 +387,10 @@ def staircase_c2r(r: int) -> Ideal:
 
 
 def octant_ideal_cssc(r: int) -> Ideal:
-    """Three low octants plus the low-low-high octant; tssc, size 4r^3."""
-    p = even_cube(r)
-    om = p.octant_masks
-    mask = om[0, 0, 0] | om[0, 0, 1] | om[0, 1, 0] | om[1, 0, 0]
-    out = Ideal(p, mask)
-    assert out.validate(TSSC)
-    return out
+    """Three low octants plus the low-low-high octant, the points with
+    at most one coordinate above r; tssc, size 4r^3."""
+    return _rule_ideal(even_cube(r), lambda a: sum(c > r for c in a) <= 1,
+                       TSSC)
 
 
 def pyramid_ideal(r: int) -> Ideal:
@@ -399,14 +402,9 @@ def pyramid_ideal(r: int) -> Ideal:
     """
     p = even_cube(r)
     n = 2 * r
-    out = Ideal(p, p.mask_of(
-        (x, y, z) for x, y, z in p.elements()
-        if (x + y <= n and x + z <= n + 1)
-        or (y + z <= n and x + y <= n + 1)
-        or (x + z <= n and y + z <= n + 1)
-    ))
-    assert out.validate(CSSC)
-    return out
+    return _rule_ideal(p, lambda a: any(
+        x + y <= n and x + z <= n + 1 for x, y, z in _rotations(a)
+    ), CSSC)
 
 
 def cssc_must_include_points(r: int) -> list[Coords]:
@@ -428,18 +426,12 @@ def staircase_2d(r: int, k: int) -> Ideal:
     """
     if not (r >= 2 and 0 <= k <= r - 2):
         raise ShapeError("need r >= 2 and 0 <= k <= r - 2")
-    p = ChainProduct((r - k - 1, r + k))
-    out = Ideal(p, p.mask_of(a for a in p.elements() if sum(a) <= r))
-    assert out.validate(SC)
-    return out
+    return _rule_ideal(ChainProduct((r - k - 1, r + k)),
+                       lambda a: sum(a) <= r, SC)
 
 
 # ----------------------------------------------------------------------
 # cssc shells
-
-
-def _rho(a: Coords) -> Coords:
-    return (a[1], a[2], a[0])
 
 
 def shell_ideal(k: int, r: int) -> NamedIdeal:
@@ -454,54 +446,44 @@ def shell_ideal(k: int, r: int) -> NamedIdeal:
     Shells with k < r are the coordinate transposes of their mirrors
     S_(2r-k); S_(r, 2r) is self-transposed.  The rest of the shell
     follows by cyclic closure, the complement rule on dual pairs, and
-    the fact that every sc ideal contains the whole low octant.
+    the fact that every sc ideal contains the whole low octant: a
+    boundary point with no coordinate above r is in, one with three is
+    out, one with one is in iff its rotation with the high coordinate
+    last is in the trace, and one with two iff its dual is not.
     """
     n = even_cube(r).dims[0]
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(
+            f"shell index must be an integer, got {k!r}"
+        ) from None
     if k not in range(1, n):
         raise ValueError(f"shell index must be in 1..{n - 1}, got {k}")
-    if k >= r:
-        kk, transpose = 2 * r - 1 - k, False
-    else:
-        kk, transpose = k - 1, True
+    kk = 2 * r - 1 - k if k >= r else k - 1
 
-    trace: set[Coords] = set()
-    domain: set[Coords] = set()
-    for a1 in range(1, r + 1):  # a2 = 1 slab: in every shell (chirality A)
-        for a3 in range(r + 1, n + 1):
-            domain.add((a1, 1, a3))
-            trace.add((a1, 1, a3))
-    for a2 in range(2, r + 1):  # side layer a1 = 1, below the top
-        for a3 in range(r + 1, n):
-            domain.add((1, a2, a3))
-            if a3 - r <= r - 1 - kk or a2 - 1 <= kk:
-                trace.add((1, a2, a3))
-    for a1 in range(1, r + 1):  # top layer a3 = 2r: no column is low
-        for a2 in range(2, r + 1):
-            domain.add((a1, a2, n))
-            if a2 - 1 <= kk:
-                trace.add((a1, a2, n))
+    def kept(a: Coords) -> bool:
+        if 1 not in a and n not in a:
+            return False  # off the boundary
+        if k < r:
+            a = (a[1], a[0], a[2])
+        count = sum(c > r for c in a)
+        if count in (0, 3):
+            return count == 0
+        if count == 2:  # the dual has the one coordinate above r
+            a = tuple(n + 1 - c for c in a)
+        x1, x2, x3 = next(b for b in _rotations(a) if b[2] > r)
+        # the a2 = 1 slab and the first kk rows, or on the side layer
+        # the first r-1-kk columns
+        traced = x2 <= kk + 1 or (x1 == 1 and x3 <= n - 1 - kk)
+        return traced != (count == 2)
 
-    shell: set[Coords] = set()
-    for a in itertools.product(range(1, r + 1), repeat=3):
-        if 1 in a:  # boundary of the low octant: in every sc ideal
-            shell.add(a)
-    for x in trace:
-        shell.add(x)
-        shell.add(_rho(x))
-        shell.add(_rho(_rho(x)))
-    for x in domain - trace:  # dual pairs: the high side gets the rest
-        y = tuple(n + 1 - c for c in x)
-        shell.add(y)
-        shell.add(_rho(y))
-        shell.add(_rho(_rho(y)))
-    if transpose:
-        shell = {(a2, a1, a3) for (a1, a2, a3) in shell}
-    expected = (n**3 - (n - 2) ** 3) // 2
-    assert len(shell) == expected, (k, r, len(shell), expected)
+    members = tuple(filter(kept, cube(n).elements()))
+    assert len(members) * 2 == n**3 - (n - 2) ** 3, (k, r, len(members))
     return NamedIdeal(
         "shell", {"r": r, "k": k}, None, None,
         note="boundary member set, not itself an ideal",
-        members=tuple(sorted(shell)),
+        members=members,
     )
 
 
@@ -555,6 +537,10 @@ def compose_shell(core: Ideal, members) -> Ideal:
 # tssc constructions
 
 
+def _mandatory(a: Coords, r: int) -> bool:
+    return any(x <= r and y + z <= 2 * r + 1 for x, y, z in _rotations(a))
+
+
 def tssc_mandatory(r: int) -> Ideal:
     """The region contained in every tssc ideal (an ideal, but not sc).
 
@@ -562,34 +548,28 @@ def tssc_mandatory(r: int) -> Ideal:
     2r + 1}; symmetric and downward closed, but strictly smaller than
     half the cube for r >= 2.
     """
-    p = even_cube(r)
-    n = 2 * r
-    return Ideal(p, p.mask_of(
-        (x, y, z) for x, y, z in p.elements()
-        if (x <= r and y + z <= n + 1)
-        or (y <= r and z + x <= n + 1)
-        or (z <= r and x + y <= n + 1)
-    ))
+    return _rule_ideal(even_cube(r), lambda a: _mandatory(a, r), None)
 
 
 def tssc_extremes(r: int) -> tuple[Ideal, Ideal]:
     """The minimal and maximal tssc ideals; a diametral pair.
 
     The minimal ideal keeps exactly the mandatory region in the four
-    low octants and, in the mixed high octants, only the duals of the
-    low points it had to give up; the maximal one is the octant ideal.
-    Their distance is (r-1) r (2r-1) / 6, the tssc diameter.
+    low octants and, in the mixed high octants (two coordinates above
+    r), only the duals of the low points it had to give up; the
+    maximal one is the octant ideal.  Their distance is
+    (r-1) r (2r-1) / 6, the tssc diameter.
     """
     p = even_cube(r)
-    mand = tssc_mandatory(r).mask
-    om = p.octant_masks
-    high2 = om[1, 1, 0] | om[1, 0, 1] | om[0, 1, 1]
-    # the high points whose dual low point is not mandatory
-    add = high2 & ~p.reverse_mask(mand)
-    least = Ideal(p, mand | add)
-    assert least.validate(TSSC), "mandatory completion failed"
-    greatest = octant_ideal_cssc(r)
-    return least, greatest
+    n = 2 * r
+
+    def kept(a: Coords) -> bool:
+        return _mandatory(a, r) or (
+            sum(c > r for c in a) == 2
+            and not _mandatory(tuple(n + 1 - c for c in a), r)
+        )
+
+    return _rule_ideal(p, kept, TSSC), octant_ideal_cssc(r)
 
 
 # ----------------------------------------------------------------------

@@ -17,11 +17,10 @@ set is one whose bit reversal equals its complement.  The axis table
 set at construction (`cover_axes`) makes downward-closure checks and
 maximal-element extraction a handful of big-integer shifts instead of
 per-element loops.  Each of its masks is a run of ones times a repunit
-(`below_mask`), so the shape tables cost O(d) big-integer operations,
-and so does each octant mask, an AND of one half per axis.  Only this
-module decides which shapes are legal: `as_dims` checks every shape,
-`even_cube_r` and `even_cube` the cube ``[2r]^3`` of the symmetric
-classes.  A poset holds the order only.  Which elements and orbits
+(`below_mask`), so the shape tables cost O(d) big-integer operations.
+Only this module decides which shapes are legal: `as_dims` checks
+every shape, `even_cube_r` and `even_cube` the cube ``[2r]^3`` of the
+symmetric classes.  A poset holds the order only.  Which elements and orbits
 may flip is the flip kernels' knowledge: `metric.flip_table` builds
 those tables, once per enumeration or graph, from the cover axes.
 """
@@ -175,30 +174,6 @@ class ChainProduct:
         for s, up in self.cover_axes:
             covered |= up & (mask >> s)
         return mask & ~covered
-
-    # ------------------------------------------------------------------
-    # octants (all dims even)
-
-    @cached_property
-    def octant_masks(self) -> dict[Coords, int]:
-        """Member mask of each octant, keyed by the 0/1 half-tuple.
-
-        Only defined when every dimension is even, so the two halves
-        are genuine halves and the involution swaps octant t with its
-        complement 1-t coordinatewise.  Octant t is the AND over the
-        axes k of the low half `below_mask(k, l_k / 2)`, or of its
-        complement where ``t_k = 1``.
-        """
-        if any(l % 2 for l in self.dims):
-            raise ShapeError("octants need every dimension even")
-        lows = [self.below_mask(k, l // 2) for k, l in enumerate(self.dims)]
-        masks: dict[Coords, int] = {}
-        for t in itertools.product((0, 1), repeat=self.d):
-            mask = self.full_mask
-            for low, high in zip(lows, t):
-                mask &= ~low if high else low
-            masks[t] = mask
-        return masks
 
     # ------------------------------------------------------------------
     # coordinate symmetry (cubes only)

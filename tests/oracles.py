@@ -9,8 +9,8 @@ kernel as a loop over orbits with a whole-mask closure check (and
 covers element by element (the reference for ``maximal_mask``), orbits
 found from ``unrank``/``rank`` and coordinate permutations, the axis
 masks as one shift per block, the halfspace and staircase seeds and the
-octant masks element by element (the references for their closed
-forms), the closure
+octant masks element by element (the references for the seeds' closed
+forms and for the octant rules of the constructions), the closure
 as a two-way breadth-first search with a global visited set, the
 metric report as the full n x n AND-NOT/popcount sweep, and shortest
 paths as heap Dijkstra over the graph's edge list.

@@ -1,10 +1,13 @@
 """Named extremal constructions against hand-checked reference data."""
 
+import hashlib
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from scideals.constructions import (
     CONSTRUCTION_NAMES,
     build_named,
@@ -23,6 +26,7 @@ from scideals.constructions import (
     sc_diameter_value,
     sc_radius_bound,
     shell_ideal,
+    staircase_2d,
     staircase_c2r,
     tssc_diameter_value,
     tssc_extremes,
@@ -31,7 +35,8 @@ from scideals.constructions import (
 from scideals.enumeration import enumerate_ideals
 from scideals.ideal import CSSC, SC, TSSC, from_heights
 from scideals.metric import distance, distances_from, metric_report
-from scideals.poset import ShapeError
+from scideals.poset import ShapeError, even_cube
+from scideals.verify import sc_sweep
 
 from reference_data import (
     COMPOSED_R5_HEIGHTS,
@@ -187,10 +192,12 @@ def test_partitioned_center_branches_and_flags():
 @pytest.mark.parametrize("dims", [
     (1, 2), (1, 4), (1, 2, 3), (1, 1, 2), (1, 6), (2, 6, 1), (1, 3, 4),
     (1, 2, 6), (1, 1, 6), (1, 5, 6), (1, 4, 4), (1, 2, 2), (1, 6, 6),
+    *sc_sweep(60),
 ])
 def test_partitioned_center_on_a_unit_axis_is_central(dims):
     # a unit axis sits at its midpoint in every block: the blocks that
-    # move it off are empty and skipped
+    # move it off are empty and skipped; the sweep shapes cover every
+    # branch on each parity pattern
     ideal = partitioned_center(dims).ideal
     assert ideal.validate(SC)
     enum = enumerate_ideals(dims)
@@ -308,6 +315,21 @@ def test_tssc_extremes_match_reference_and_realize_diameter():
     assert distance(lo, hi, TSSC) == tssc_diameter_value(5) == 30
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_octant_rules_match_the_octant_masks(r):
+    # the octant ideal is four whole octants, and the least tssc ideal
+    # adds to the mandatory region the mixed high octants' points whose
+    # dual is not mandatory
+    om = oracles.octant_masks(even_cube(r))
+    low = om[0, 0, 0] | om[0, 0, 1] | om[0, 1, 0] | om[1, 0, 0]
+    high2 = om[1, 1, 0] | om[1, 0, 1] | om[0, 1, 1]
+    mand = tssc_mandatory(r)
+    least, greatest = tssc_extremes(r)
+    assert octant_ideal_cssc(r).mask == greatest.mask == low
+    assert least.mask == mand.mask | high2 & ~mand.poset.reverse_mask(
+        mand.mask)
+
+
 @pytest.mark.parametrize("r", [0, -1])
 def test_tssc_extremes_refuses_r_below_one(r):
     with pytest.raises(ShapeError, match="r must be >= 1"):
@@ -348,10 +370,58 @@ def test_parameters_are_not_truncated():
             build_named("halfspace", dims=(2, 3, 4), axis=axis)
         with pytest.raises(ShapeError, match="axis must be an integer"):
             halfspace((2, 3, 4), axis)
-    with pytest.raises(ValueError, match="shell index"):
-        build_named("shell", r=3, k=2.5)
+    for k in (2.0, 2.5):
+        with pytest.raises(ValueError,
+                           match=f"shell index must be an integer, got {k}"):
+            build_named("shell", r=3, k=k)
     with pytest.raises(ValueError, match="unknown construction"):
         build_named("staircase", r=2)  # c2r has one name
+
+
+# ----------------------------------------------------------------------
+# every construction, pinned
+
+#: the number of `_construction_records` and the first 16 hex digits of
+#: the sha256 of them as sorted JSON; they change only with a deliberate
+#: change to an output
+CONSTRUCTIONS_PIN = (915, "551b3b76898dcfe8")
+
+
+def _construction_records():
+    """Every construction over a fixed grid of sizes, one record each."""
+    records = []
+
+    def add(name, params, ideal):
+        records.append({"name": name, "params": params, **ideal.to_record()})
+
+    for r in range(1, 7):
+        for name in ("c2r", "pyramid", "octant", "tssc-extremes"):
+            records += [n.to_record() for n in build_named(name, r=r)]
+        records += [shell_ideal(k, r).to_record() for k in range(1, 2 * r)]
+        add("tssc-mandatory", [r], tssc_mandatory(r))
+    for r in range(2, 9):
+        for k in range(r - 1):
+            add("staircase-2d", [r, k], staircase_2d(r, k))
+    for d in (2, 4, 6):
+        add("hypercube-center", [d], hypercube_center(d))
+    wide = ((2, 2, 2, 2), (3, 2, 5, 2), (2, 2, 6, 2, 2), (2,) * 6)
+    for dims in sc_sweep(60) + wide:
+        records += [n.to_record() for n in build_named("sc-diameter-pair",
+                                                       dims=dims)]
+        records.append(partitioned_center(dims).to_record())
+        if all(l % 2 == 0 for l in dims):
+            if len(dims) % 2:
+                add("majority", list(dims), majority_ideal(dims))
+            if any(l % 4 == 0 for l in dims):
+                add("mod4-center", list(dims), mod4_center(dims))
+    return records
+
+
+def test_construction_outputs_are_pinned():
+    records = _construction_records()
+    text = json.dumps(records, sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (len(records), digest) == CONSTRUCTIONS_PIN
 
 
 # ----------------------------------------------------------------------

@@ -102,30 +102,6 @@ def test_cover_axes_leave_out_unit_axes(dims):
     ]
 
 
-def test_octant_masks_partition_even_cube():
-    p = cube(4)
-    masks = p.octant_masks
-    assert set(masks) == {(t1, t2, t3) for t1 in (0, 1)
-                          for t2 in (0, 1) for t3 in (0, 1)}
-    union = 0
-    for m in masks.values():
-        assert m.bit_count() == 8  # each octant has r^3 points
-        assert union & m == 0
-        union |= m
-    assert union == (1 << p.volume) - 1
-
-
-@pytest.mark.parametrize(
-    "dims", [(2,), (4, 6), (2, 4, 6), (6, 6, 6), (2, 2, 2, 2)]
-)
-def test_octant_masks_match_element_wise_reference(dims):
-    # an octant keyed by the wrong half-tuple keeps every size, so
-    # compare the masks themselves
-    p = ChainProduct(dims)
-    assert p.octant_masks == oracles.octant_masks(p)
-    assert list(p.octant_masks) == list(oracles.octant_masks(p))
-
-
 @given(
     st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
         lambda dims: st.tuples(
@@ -195,10 +171,6 @@ def test_shape_errors():
         ChainProduct(())
     with pytest.raises(ShapeError):
         ChainProduct((0, 2))
-    with pytest.raises(ShapeError):
-        _ = ChainProduct((2, 3)).octant_masks  # octants need even dims
-    with pytest.raises(ShapeError):
-        _ = cube(3).octant_masks
     with pytest.raises(ShapeError):
         flip_table(ChainProduct((2, 3)), CSSC)  # symmetry needs a cube
     with pytest.raises(ShapeError):
