@@ -212,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"scideals {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, dims_required=True):
-        p.add_argument("--dims", type=_parse_dims, required=dims_required,
+    def add_common(p):
+        p.add_argument("--dims", type=_parse_dims, required=True,
                        help="chain lengths, e.g. 2,3,4")
         p.add_argument("--class", dest="cls", choices=CLASSES, default=SC,
                        help="ideal class (default sc)")

@@ -272,13 +272,17 @@ class EnumerationResult:
 
     The member masks are the data; ``vertices`` is indexable by vertex
     id like ``masks``, and wraps only the masks it is asked for as
-    `Ideal` views.
+    `Ideal` views.  The class tag is None or one of `CLASSES`.
     """
 
     poset: ChainProduct
     symmetry: str | None
     masks: tuple[int, ...]
     method: str
+
+    def __post_init__(self) -> None:
+        if self.symmetry is not None and self.symmetry not in CLASSES:
+            raise ValueError(f"unknown ideal class {self.symmetry!r}")
 
     @property
     def vertices(self) -> Sequence[Ideal]:

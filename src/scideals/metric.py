@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -87,7 +88,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 
 from .ideal import CSSC, SC, TSSC, Ideal
-from .poset import ChainProduct, ShapeError, ranks
+from .poset import ChainProduct, ShapeError, even_cube_r, ranks
 
 if TYPE_CHECKING:
     from .enumeration import EnumerationResult
@@ -184,9 +185,9 @@ def flip_table(
 def _orbit_table(
     p: ChainProduct, cls: str
 ) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
-    """The rep mask and the top mask of the movable orbits of the cube
-    ``p`` under the group of ``cls`` (S3 for tssc, the rotations Z3 for
-    cssc), one bit at the least, resp. largest, rank of each orbit, and
+    """The rep mask and the top mask of the movable orbits of the even
+    cube ``p`` under the group of ``cls`` (S3 for tssc, the rotations Z3
+    for cssc), one bit at the least, resp. largest, rank of each orbit, and
     the `FlipTable` ``group`` of ``cls``.
 
     With zero-based coordinates the rank of ``(x, y, z)`` is
@@ -201,13 +202,11 @@ def _orbit_table(
     reps reversed.  A corner orbit holds the dual of an upper cover of
     its rep ``a`` (rank ``V - 1 - r - s_k``).  Its elements share one
     coordinate sum ``s``, and that dual has sum ``3 (l - 1) - s - 1``,
-    so corner orbits lie on the level ``2 s = 3 (l - 1) - 1`` alone
-    (an odd side has none, and the test finds none on the level
-    below); only the reps of that level are tested, and a corner
-    orbit leaves both masks.
+    so corner orbits lie on the level ``2 s = 3 (l - 1) - 1`` alone;
+    only the reps of that level are tested, and a corner orbit leaves
+    both masks.
     """
-    p._require_cube()
-    l = p.dims[0]
+    l = 2 * even_cube_r(p.dims, f"the {cls} class")
     ll = l * l
     m = l - 1
     reps = 0
@@ -222,7 +221,7 @@ def _orbit_table(
     else:
         group = tuple(itertools.permutations(order))
     v1 = p.volume - 1
-    s = (3 * m - 1) // 2
+    s = (3 * m - 1) // 2  # exact: l is even
     corners = 0
     for x, y in itertools.product(range(l), repeat=2):
         z = s - x - y
@@ -497,10 +496,18 @@ def single_source_lengths(graph: FlipGraph, source: int) -> list[int]:
     1969) with no stale entries.  This is the search that cross-checks
     the distance formula; unreached vertices keep ``math.inf``, the one
     object every unreached entry holds, so the test is by identity.
-    Without weight-2 edges the weight-2 pass is skipped.
+    Without weight-2 edges the weight-2 pass is skipped.  A source
+    outside ``0..n-1`` raises ValueError (a negative one would wrap).
     """
+    n = graph.n
+    try:
+        ok = 0 <= operator.index(source) < n
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"source must be in 0..{n - 1}, got {source!r}")
     inf = math.inf
-    dist = [inf] * graph.n
+    dist = [inf] * n
     dist[source] = 0
     one, two = graph.adjacency
     prev: list[int] = []
@@ -623,9 +630,8 @@ def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> np.ndarray:
     transposed view of that cube and the diagonal a strided view of the
     row: no bit is gathered but the witnesses.
     """
-    p._require_cube()
     V = p.volume
-    l = p.dims[0]
+    l = p.dims[0]  # an even cube, as `metric_report` checks
     diag = slice(None, None, l * l + l + 1)
     columns = _witnesses(p)
     limbs = (len(columns) + 63) // 64
@@ -752,6 +758,7 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     if not enum.masks:
         return MetricReport(p.dims, cls, (), 0, 0, (), ())
     if cls in (CSSC, TSSC):
+        even_cube_r(p.dims, f"the {cls} class")
         packed = _check_orbit_closed(p, _pack_masks(enum.masks, p.volume))
     else:
         # packing only the low halves: packing full masks and cutting

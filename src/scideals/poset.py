@@ -6,9 +6,8 @@ identified with its mixed-radix rank (coordinate 1 most significant),
 and that rank fixes a bit position: subsets of the poset are plain
 Python integers throughout the package, with bit ``r`` set iff the
 element of rank ``r`` belongs to the subset.  `ranks` walks the set
-bits of a mask in ascending order, `ChainProduct.mask_of` is its
-inverse on elements, and `map_ranks` sends the bits through a rank
-table such as a coordinate permutation.
+bits of a mask in ascending order, and `ChainProduct.mask_of` is its
+inverse on elements.
 
 The order-reversing involution ``phi(a) = (l_1+1-a_1, ..., l_d+1-a_d)``
 sends rank ``r`` to ``V-1-r`` where ``V`` is the number of elements, so
@@ -31,8 +30,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Coords = tuple[int, ...]
 
@@ -176,31 +174,6 @@ class ChainProduct:
         return mask & ~covered
 
     # ------------------------------------------------------------------
-    # coordinate symmetry (cubes only)
-
-    def _require_cube(self) -> None:
-        if self.d != 3 or len(set(self.dims)) != 1:
-            raise ShapeError(
-                f"coordinate symmetry needs a cube [l]^3, got {self.dims}"
-            )
-
-    @cached_property
-    def _perm_tables(self) -> tuple[list[int], list[int]]:
-        """Rank images under the rotation (x,y,z)->(y,z,x) and the swap
-        (x,y,z)->(x,z,y); together they generate S3 on coordinates.
-        `validate_mask` reads these, not the orbit tables the flip
-        kernels use, so the scan oracle's filter is independent of them."""
-        self._require_cube()
-        l = self.dims[0]
-        ll = l * l
-        rot: list[int] = []
-        swp: list[int] = []
-        for x, y, z in itertools.product(range(l), repeat=3):
-            rot.append(y * ll + z * l + x)
-            swp.append(x * ll + z * l + y)
-        return rot, swp
-
-    # ------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ChainProduct{self.dims}"
@@ -258,10 +231,3 @@ def ranks(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
         mask ^= low
 
-
-def map_ranks(mask: int, table: Sequence[int]) -> int:
-    """The mask with bit ``table[r]`` set for every set bit ``r``."""
-    out = 0
-    for r in ranks(mask):
-        out |= 1 << table[r]
-    return out

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from scideals.constructions import core_shell
+from scideals.enumeration import count_closed, enumerate_ideals
 from scideals.ideal import (
     CSSC,
     SC,
@@ -13,6 +14,7 @@ from scideals.ideal import (
     Ideal,
     SymmetryError,
     from_heights,
+    validate_mask,
 )
 from scideals.metric import flip_table, orbit_flip_masks, sc_flip_masks
 from scideals.poset import ChainProduct, ShapeError
@@ -56,6 +58,25 @@ def test_symmetric_validation_needs_an_even_cube():
     # odd volume can never be half-sized, so the sc test fails first
     odd = Ideal(ChainProduct((3, 3, 3)), 0)
     assert not odd.validate(TSSC)
+
+
+@pytest.mark.parametrize("dims, cls", [
+    ((4, 4, 4), SC), ((6, 6, 6), CSSC), ((8, 8, 8), CSSC),
+])
+def test_cube_symmetry_matches_the_orbits(dims, cls):
+    # the oracle: an sc ideal is in a symmetric class iff every orbit of
+    # the class's group lies wholly inside it or wholly outside it
+    enum = enumerate_ideals(dims, cls)
+    p = enum.poset
+    for sym in (CSSC, TSSC):
+        obs = [sum(1 << r for r in ranks)
+               for ranks in oracles.orbits(p, oracles.GROUPS[sym])]
+        valid = 0
+        for m in enum.masks:
+            want = all(m & ob in (0, ob) for ob in obs)
+            assert validate_mask(p, m, sym) == want, (sym, m)
+            valid += want
+        assert valid == count_closed(dims, sym)
 
 
 def test_heights_round_trip_and_orientation():

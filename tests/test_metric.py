@@ -30,7 +30,7 @@ from scideals.metric import (
     sc_flip_masks,
     single_source_lengths,
 )
-from scideals.poset import ShapeError, even_cube, map_ranks
+from scideals.poset import ChainProduct, ShapeError, even_cube
 
 from reference_data import (
     CSSC_R2_EDGES,
@@ -153,6 +153,27 @@ def test_bucket_queue_matches_heap_dijkstra():
         for u in range(graph.n):
             assert single_source_lengths(graph, u) == \
                 oracles.dijkstra_lengths(graph, u), (dims, cls, u)
+
+
+def test_a_source_outside_the_graph_is_refused():
+    # -1 would search from the last vertex, as list indexing does
+    graph = build_graph(enumerate_ideals((2, 3, 4), SC))
+    assert graph.n == 18
+    for bad in (-1, 18):
+        with pytest.raises(ValueError, match=rf"0\.\.17, got {bad}$"):
+            single_source_lengths(graph, bad)
+    with pytest.raises(ValueError, match=r"0\.\.17, got 2\.0$"):
+        single_source_lengths(graph, 2.0)
+    assert single_source_lengths(graph, np.int64(17)) == \
+        single_source_lengths(graph, 17)
+
+
+def test_an_unknown_class_tag_is_refused():
+    # metric_report and distances_from read any tag but cssc and tssc
+    # as sc, so a tag outside CLASSES would be answered as sc
+    masks = enumerate_ideals((2, 3, 4), SC).masks
+    with pytest.raises(ValueError, match="unknown ideal class 'dihedral'"):
+        EnumerationResult(ChainProduct((2, 3, 4)), "dihedral", masks, "hand")
 
 
 def test_disconnected_graph_has_unreached_vertices():
@@ -455,7 +476,10 @@ def test_diagonal_disagreement_is_checked():
     r = p.rank((3, 3, 3))
     bad = a ^ (1 << r) ^ (1 << (p.volume - 1 - r))
     assert p.reverse_mask(bad) == p.full_mask & ~bad  # sc
-    assert map_ranks(bad, p._perm_tables[0]) == bad  # rotation-closed
+    assert all(  # rotation-closed
+        len({bad >> r & 1 for r in ranks}) == 1
+        for ranks in oracles.orbits(p, oracles.CYCLIC)
+    )
     assert (a & ~bad).bit_count() == 1
     enum = EnumerationResult(p, TSSC, tuple(sorted((a, bad))), "hand")
     with pytest.raises(ValueError, match="not divisible by the orbit size"):

@@ -16,6 +16,7 @@ from scideals.constructions import (
     sc_radius_bound,
 )
 from scideals.enumeration import (
+    EnumerationResult,
     count_closed,
     enumerate_count,
     enumerate_ideals,
@@ -23,7 +24,7 @@ from scideals.enumeration import (
     seed,
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights, validate_mask
-from scideals.metric import flip_table
+from scideals.metric import flip_table, metric_report
 from scideals.poset import (
     ChainProduct,
     ElementError,
@@ -175,6 +176,8 @@ def test_shape_errors():
         flip_table(ChainProduct((2, 3)), CSSC)  # symmetry needs a cube
     with pytest.raises(ShapeError):
         flip_table(ChainProduct((2, 3)), TSSC)
+    with pytest.raises(ShapeError, match=r"\[2r\]\^3"):
+        flip_table(cube(3), CSSC)  # no class lives on an odd cube
     with pytest.raises(ValueError, match="unknown ideal class"):
         flip_table(cube(2), "dihedral")
 
@@ -208,13 +211,16 @@ def test_even_cube_r_accepts_only_even_cubes():
         with pytest.raises(ShapeError, match="it needs an even cube"):
             even_cube_r(dims, "it")
     assert even_cube(3) == cube(6)
-    # the callers: closed form, seed, class check and core/shell split
+    # the callers: closed form, seed, class check, metric report and
+    # core/shell split (the flip table's is in test_shape_errors)
     with pytest.raises(ShapeError, match="the cssc class needs"):
         count_closed((3, 3, 3), CSSC)
     with pytest.raises(ShapeError, match="the tssc class needs"):
         seed((2, 4), TSSC)
     with pytest.raises(ShapeError, match="the cssc class needs"):
         validate_mask(ChainProduct((2, 2)), 0b0011, CSSC)
+    with pytest.raises(ShapeError, match="the tssc class needs"):
+        metric_report(EnumerationResult(cube(3), TSSC, (0,), "hand"))
     with pytest.raises(ShapeError, match="core/shell split needs"):
         core_shell(Ideal(cube(3), 0))
 
