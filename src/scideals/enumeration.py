@@ -25,41 +25,40 @@ for ``r = 1..6``.
 
 Enumeration
 -----------
-``enumerate_ideals`` and ``enumerate_count`` run a graded flip closure
-of the class seed ``S``.  A vertex ``J`` is keyed by ``|S \\ J|``
-(divided by 3 for cssc and tssc), which by the distance formula is its
-flip distance from ``S``.  ``S`` is self-complementary (and symmetric
-for cssc and tssc), so a flip either moves out members of ``S`` and
-raises the key by its weight (a forward flip), or moves in members of
-``S`` and lowers the key by its weight (a backward flip).  Along a
-geodesic from ``J`` back to ``S`` the key falls strictly, so every
-vertex but the seed has a backward flip.  The closure expands the keys
-in increasing order, one bucket (a list of masks) per key, with one
-kernel call per non-empty bucket.  `metric` owns the kernels' tables
-(the movable ranks split by the seed, the cuts of the forward ranks,
-the sc pair table or the orbit tables); they are built once per
-closure, as one `metric.flip_table` from the fresh poset, not once per
-call: a small or path-like class has a few vertices per bucket (sc
-(2, 61) has one in each of its 31), so a set-up in every call would be
-paid about once per vertex.
+``enumerate_ideals`` and ``enumerate_count`` run a flip closure of the
+class seed ``S``.  The key of a vertex ``J`` is ``|S \\ J|`` (divided
+by 3 for cssc and tssc), which by the distance formula is its flip
+distance from ``S``.  ``S`` is self-complementary (and symmetric for
+cssc and tssc), so a flip either moves out members of ``S`` and raises
+the key by its weight (a forward flip), or moves in members of ``S``
+and lowers the key by its weight (a backward flip).  Along a geodesic
+from ``J`` back to ``S`` the key falls strictly, so every vertex but
+the seed has a backward flip.
 
 It is a reverse search (Avis and Fukuda, *Discrete Appl. Math.* 65,
 1996): the parent of ``J`` is ``J`` with its highest backward flip
-undone, and the kernels, given the seed, return only the children
-whose parent that is.  A backward flip is ranked by the member it
-moves out (for cssc and tssc, by the smallest rank of that orbit).  A
-forward flip ``J = P - b + b*`` keeps ``b*`` maximal, takes out of
-``P``'s backward flips exactly those on lower covers of ``b*``, and
-adds ``b*`` itself; a lower cover of ``b*`` (or an orbit touching one)
-ranks below ``b*``.  So ``b*`` is ``J``'s highest backward flip iff it
-outranks every backward flip of ``P``, which is the kernels' test, and
-every vertex but the seed is made exactly once, by its one parent in
-the bucket one weight below.  The buckets hold no repeats and need no
-set; no global visited set is needed either.  Every sc flip weighs 1,
-so the children of an sc bucket are the whole next bucket; cssc and
-tssc keep the buckets up to two keys ahead, since a six-element tssc
-orbit weighs 2.  ``enumerate_count`` sums bucket sizes without holding
-the whole class.
+undone, which lowers the key, so every vertex is joined to ``S`` by a
+chain of parents.  The kernels, given the seed, return only the
+children whose parent that is.  A backward flip is ranked by the
+member it moves out (for cssc and tssc, by the smallest rank of that
+orbit).  A forward flip ``J = P - b + b*`` keeps ``b*`` maximal, takes
+out of ``P``'s backward flips exactly those on lower covers of ``b*``,
+and adds ``b*`` itself; a lower cover of ``b*`` (or an orbit touching
+one) ranks below ``b*``.  So ``b*`` is ``J``'s highest backward flip
+iff it outranks every backward flip of ``P``, which is the kernels'
+test, and every vertex but the seed is made exactly once, by its one
+parent.  The test reads the parent and the flip alone, so the tree is
+fixed and any order of expansion makes each vertex once: no visited
+set is needed.  The closure expands it depth-first, in batches of at
+most `_BATCH` masks with one kernel call per batch, so it holds a
+stack of batches, not a whole distance level, and ``enumerate_count``
+never holds the whole class.  `metric` owns the kernels' tables (the
+movable ranks split by the seed, the cuts of the forward ranks, the sc
+pair table or the orbit tables); they are built once per closure, as
+one `metric.flip_table` from the fresh poset, not once per call: a
+small or path-like class has a few vertices per batch (sc (2, 61) has
+one in each of its 31), so a set-up in every call would be paid about
+once per vertex.
 
 An `EnumerationResult` holds the class as its sorted member masks.
 Everything computed over a class (the vertex index, the metric report,
@@ -70,8 +69,8 @@ Completeness leans on the distance formula, but a count check does
 not: the kernels map members to members, the parent rule above makes
 the closure yield each of them once, and when their number equals the
 closed-form count they are the whole class.  The tests check the rule
-(no bucket repeats a member, and each member has one parent) against a
-two-way search over all flips on small shapes, and the verification
+(the closure repeats no member, and each member has one parent) against
+a two-way search over all flips on small shapes, and the verification
 suites check the count at scale.  ``oracle_enumerate`` is the slow
 reference: a depth-first scan over all downward-closed sets (in rank
 order, each element may join only when its lower covers already
@@ -86,7 +85,7 @@ from functools import cached_property
 from collections.abc import Iterator, Sequence
 
 from . import metric
-from .ideal import CLASSES, CSSC, SC, TSSC, Ideal, validate_mask
+from .ideal import CSSC, SC, TSSC, Ideal, check_class, validate_mask
 from .poset import ChainProduct, ShapeError, as_dims, even_cube_r, ranks
 
 BFS_FLIP = "bfs_flip"
@@ -154,8 +153,7 @@ def count_closed(dims: Sequence[int], cls: str = SC) -> int:
     even volume, or a symmetric class off an even cube).
     """
     dims = as_dims(dims)
-    if cls not in CLASSES:
-        raise ValueError(f"unknown ideal class {cls!r}")
+    check_class(cls)
     if cls in (CSSC, TSSC):
         n = _symmetric_count(even_cube_r(dims, f"the {cls} class"))
         return n * n if cls == CSSC else n
@@ -197,8 +195,7 @@ def seed(dims: Sequence[int], cls: str = SC) -> Ideal:
 def _seed(dims: tuple[int, ...], cls: str) -> tuple[ChainProduct, int]:
     """The poset and the seed's mask.  The shape is checked first: the
     poset's masks grow with its volume, even when the class is empty."""
-    if cls not in CLASSES:
-        raise ValueError(f"unknown ideal class {cls!r}")
+    check_class(cls)
     if cls == SC:
         axis = _even_axes(dims)[0]
         p = ChainProduct(dims)
@@ -281,8 +278,8 @@ class EnumerationResult:
     method: str
 
     def __post_init__(self) -> None:
-        if self.symmetry is not None and self.symmetry not in CLASSES:
-            raise ValueError(f"unknown ideal class {self.symmetry!r}")
+        if self.symmetry is not None:
+            check_class(self.symmetry)
 
     @property
     def vertices(self) -> Sequence[Ideal]:
@@ -324,39 +321,33 @@ def _check_guard(dims: tuple[int, ...], cls: str, force: bool) -> None:
         )
 
 
-def _graded_closure(
-    p: ChainProduct, cls: str, start: int
-) -> Iterator[list[int]]:
-    """The class, one key bucket at a time, in increasing key.
+#: the most masks one kernel call expands
+_BATCH = 4096
 
-    The key of a vertex ``J`` is its distance ``|start \\ J|`` (divided
-    by 3 for cssc and tssc) from the seed, and a bucket holds every
-    vertex of one key, each once.  Only the reverse-search children are
-    generated: forward flips, moving out members of the seed, that the
-    child's highest backward flip undoes.  Each raises the key by its
-    weight, 1 or 2, and each vertex but the seed has exactly one
-    parent, in the bucket one weight below.  A bucket is therefore
-    complete, and free of repeats, once every bucket below it has been
-    expanded; it is yielded before it is expanded itself, by one kernel
-    call over the whole bucket.  The flip table is built once, for the
-    whole closure.
-    """
+
+def _closure(p: ChainProduct, cls: str, start: int) -> Iterator[list[int]]:
+    """The class reached from ``start``, each member once, in batches of
+    at most `_BATCH` masks: depth-first over a stack of batches, with
+    one kernel call per batch popped.  The kernels make only the
+    reverse-search children, each vertex by its one parent, so any
+    order of expansion is complete.  The flip table is built once per
+    closure; the orbit kernel's weights are not read."""
     table = metric.flip_table(p, cls, start)
     if cls == SC:
-        # every sc flip weighs 1: a bucket's children are the next bucket
-        level = [start]
-        while level:
-            yield level
-            level = metric.sc_flip_masks(table, level)
-        return
-    # the buckets at keys k, k + 1 and k + 2
-    level, ahead = [start], ([], [])
-    while level or ahead[0] or ahead[1]:
-        if level:
-            yield level
-            for nm, w in metric.orbit_flip_masks(table, level):
-                ahead[w - 1].append(nm)
-        level, ahead = ahead[0], (ahead[1], [])
+        kernel = metric.sc_flip_masks
+    else:
+        def kernel(table, masks):
+            return [m for m, _w in metric.orbit_flip_masks(table, masks)]
+    stack = [[start]]
+    while stack:
+        batch = stack.pop()
+        yield batch
+        children = kernel(table, batch)
+        if len(children) > _BATCH:
+            stack.extend(children[i:i + _BATCH]
+                         for i in range(0, len(children), _BATCH))
+        elif children:
+            stack.append(children)  # pushed whole, without a copy
 
 
 def enumerate_ideals(
@@ -367,9 +358,9 @@ def enumerate_ideals(
 ) -> EnumerationResult:
     """Flip closure of the class seed, canonically sorted.
 
-    ``cap`` is checked after each finished key bucket, so the error
-    reports the vertices of every bucket reached so far; a negative
-    ``cap`` is refused before any work.
+    ``cap`` is checked after each batch, so the error reports the
+    vertices of every batch reached so far; a negative ``cap`` is
+    refused before any work.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
@@ -377,8 +368,8 @@ def enumerate_ideals(
     _check_guard(dims, cls, force)
     p, start = _seed(dims, cls)
     masks: list[int] = []
-    for bucket in _graded_closure(p, cls, start):
-        masks.extend(bucket)
+    for batch in _closure(p, cls, start):
+        masks.extend(batch)
         if cap is not None and len(masks) > cap:
             raise PartialEnumerationError(len(masks), cap)
     masks.sort()
@@ -390,11 +381,11 @@ def enumerate_count(
     cls: str = SC,
     force: bool = False,
 ) -> int:
-    """Vertex count by flip closure, holding only the live buckets."""
+    """Vertex count by flip closure, holding only the stack of batches."""
     dims = as_dims(dims)
     _check_guard(dims, cls, force)
     p, start = _seed(dims, cls)
-    return sum(len(b) for b in _graded_closure(p, cls, start))
+    return sum(len(b) for b in _closure(p, cls, start))
 
 
 # ----------------------------------------------------------------------

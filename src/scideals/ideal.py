@@ -43,6 +43,12 @@ class SymmetryError(ValueError):
     """A member set violates the requested symmetry class."""
 
 
+def check_class(cls: str) -> None:
+    """Refuse a class tag that is not one of `CLASSES`."""
+    if cls not in CLASSES:
+        raise ValueError(f"unknown ideal class {cls!r}")
+
+
 @dataclass(frozen=True)
 class Ideal:
     """A downward-closed member set of a chain product, as a bit mask."""
@@ -149,8 +155,7 @@ def validate_mask(
         return False
     if cls is None:
         return True
-    if cls not in CLASSES:
-        raise ValueError(f"unknown ideal class {cls!r}")
+    check_class(cls)
     if p.reverse_mask(mask) != p.full_mask & ~mask:
         return False
     if cls == SC:

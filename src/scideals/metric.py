@@ -60,8 +60,8 @@ empty sc pair list or orbit swap list, each filled on first use; the
 poset itself holds only the order.  The closure builds one table per
 enumeration and `build_graph` one per graph, so a kernel call does no
 set-up of its own.  Each kernel takes a
-whole bucket of masks and returns the children of all of them in one
-flat list, so the closure makes one call per key bucket, not one per
+whole batch of masks and returns the children of all of them in one
+flat list, so the closure makes one call per batch, not one per
 vertex; `build_graph` passes one mask.  The orbit kernel works one
 orbit at a time, as the sc kernel works one element at a time: a
 cssc or tssc member is fixed by its group, so one rank stands for each
@@ -87,7 +87,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .ideal import CSSC, SC, TSSC, Ideal
+from .ideal import CSSC, SC, TSSC, Ideal, check_class
 from .poset import ChainProduct, ShapeError, even_cube_r, ranks
 
 if TYPE_CHECKING:
@@ -158,6 +158,7 @@ def flip_table(
     masks are O(l^2) runs of ranks (`_orbit_table`), not one mask per
     orbit.
     """
+    check_class(cls)
     V = p.volume
     pairs = swaps = group = None
     if cls == SC:
@@ -169,11 +170,9 @@ def flip_table(
         # an element is its own orbit: its rank is both top and rep
         tops = reps = p.full_mask & ~stuck
         pairs = [0] * (V + 1)
-    elif cls in (CSSC, TSSC):
+    else:
         reps, tops, group = _orbit_table(p, cls)
         swaps = [None] * (V + 1)
-    else:
-        raise ValueError(f"unknown ideal class {cls!r}")
     if seed is None:
         forward, backward = tops, 0
     else:
@@ -380,17 +379,16 @@ def _orbit_swap(
 
 def distance(i: Ideal, j: Ideal, cls: str = SC) -> int:
     """Geodesic flip distance between two ideals of the same class."""
+    check_class(cls)
     diff = i.difference_size(j)
     if cls == SC:
         return diff
-    if cls in (CSSC, TSSC):
-        if diff % 3:
-            raise ValueError(
-                "difference size not divisible by 3; "
-                "are both ideals in the symmetric class?"
-            )
-        return diff // 3
-    raise ValueError(f"unknown ideal class {cls!r}")
+    if diff % 3:
+        raise ValueError(
+            "difference size not divisible by 3; "
+            "are both ideals in the symmetric class?"
+        )
+    return diff // 3
 
 
 # ----------------------------------------------------------------------
@@ -755,10 +753,11 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     if cls is None:
         raise ValueError("metric_report needs a class-filtered enumeration")
     p = enum.poset
+    if cls in (CSSC, TSSC):
+        even_cube_r(p.dims, f"the {cls} class")
     if not enum.masks:
         return MetricReport(p.dims, cls, (), 0, 0, (), ())
     if cls in (CSSC, TSSC):
-        even_cube_r(p.dims, f"the {cls} class")
         packed = _check_orbit_closed(p, _pack_masks(enum.masks, p.volume))
     else:
         # packing only the low halves: packing full masks and cutting

@@ -220,14 +220,14 @@ def test_negative_cap_is_refused_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closure ran")
 
-    monkeypatch.setattr(enumeration, "_graded_closure", refuse)
+    monkeypatch.setattr(enumeration, "_closure", refuse)
     with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
         enumerate_ideals((2, 3, 4), SC, cap=-1)
 
 
 def test_partial_enumeration_cap(capsys):
-    # the cap is checked after each finished key bucket, so the error
-    # reports more vertices than the cap
+    # the cap is checked after each batch, so the error reports more
+    # vertices than the cap
     with pytest.raises(PartialEnumerationError) as info:
         enumerate_ideals((2, 3, 4), SC, cap=5)
     assert info.value.cap == 5

@@ -1,4 +1,4 @@
-"""The graded flip closure and the bit-parallel flip kernels, checked
+"""The batched flip closure and the bit-parallel flip kernels, checked
 against the slow references in ``oracles``."""
 
 import functools
@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from scideals import metric
+from scideals import enumeration, metric
 from scideals.enumeration import (
-    _graded_closure,
+    _closure,
     _halfspace,
     _staircase,
     enumerate_count,
@@ -49,16 +49,23 @@ def test_graded_closure_matches_bfs_oracle(dims, cls):
     want = oracle_members(dims, cls)
     assert enumerate_ideals(dims, cls, force=True).masks == want
     assert enumerate_count(dims, cls, force=True) == len(want)
-    # each bucket holds one key, each member once, and the keys
-    # strictly increase
-    start = seed(dims, cls).mask
-    unit = 1 if cls == SC else 3
-    keys = []
-    for bucket in _graded_closure(ChainProduct(dims), cls, start):
-        assert len(bucket) == len(set(bucket))
-        (key,) = {(start & ~m).bit_count() // unit for m in bucket}
-        keys.append(key)
-    assert keys == sorted(set(keys))
+    # the batches hold every member once, with no repeat across the
+    # whole closure, and none is empty
+    batches = list(_closure(ChainProduct(dims), cls, seed(dims, cls).mask))
+    assert all(batches)
+    members = [m for batch in batches for m in batch]
+    assert len(members) == len(set(members))
+    assert sorted(members) == list(want)
+
+
+@pytest.mark.parametrize("dims, cls", CLOSURE_CASES)
+def test_split_batches_match_bfs_oracle(monkeypatch, dims, cls):
+    # with a batch of 3, wider child lists are pushed as slices
+    monkeypatch.setattr(enumeration, "_BATCH", 3)
+    want = oracle_members(dims, cls)
+    batches = list(_closure(ChainProduct(dims), cls, seed(dims, cls).mask))
+    assert all(0 < len(batch) <= 3 for batch in batches)
+    assert sorted(m for batch in batches for m in batch) == list(want)
 
 
 def test_closed_form_masks_match_element_wise_references():
@@ -267,9 +274,11 @@ def test_a_bucket_gives_the_union_of_its_members_children(drawn):
 def test_closure_calls_its_kernel_once_per_nonempty_bucket(
     monkeypatch, dims, cls
 ):
-    # the buckets are the distinct distances from the seed; each is
-    # expanded by one call, and every member but the seed is the output
-    # of exactly one call, with or without the masks kept
+    # each batch is expanded by one call, and every member but the seed
+    # is the output of exactly one call, with or without the masks
+    # kept.  Every level here fits one batch, so an sc batch is one
+    # distance from the seed, and no class has more batches than
+    # distances (tssc has fewer: children of weights 1 and 2 share one)
     calls = []
     for name in ("sc_flip_masks", "orbit_flip_masks"):
         def counted(table, masks, name=name, kernel=getattr(metric, name)):
@@ -279,7 +288,8 @@ def test_closure_calls_its_kernel_once_per_nonempty_bucket(
 
         monkeypatch.setattr(metric, name, counted)
     enum = enumerate_ideals(dims, cls)
-    buckets = len(set(metric.distances_from(enum, seed(dims, cls))))
+    keys = len(set(metric.distances_from(enum, seed(dims, cls))))
+    batches = len(list(_closure(enum.poset, cls, seed(dims, cls).mask)))
     name = "sc_flip_masks" if cls == SC else "orbit_flip_masks"
     for run in (
         lambda: len(enumerate_ideals(dims, cls)),
@@ -287,8 +297,11 @@ def test_closure_calls_its_kernel_once_per_nonempty_bucket(
     ):
         calls.clear()
         assert run() == len(enum)
-        assert [c for c, _ in calls] == [name] * buckets
+        assert [c for c, _ in calls] == [name] * batches
         assert sum(hits for _, hits in calls) == len(enum) - 1
+    assert batches <= keys
+    if cls == SC:
+        assert batches == keys
 
 
 @pytest.mark.parametrize(

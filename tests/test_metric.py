@@ -11,6 +11,7 @@ import oracles
 from scideals import metric, verify
 from scideals.enumeration import (
     EnumerationResult,
+    count_closed,
     enumerate_ideals,
     oracle_enumerate,
     seed,
@@ -174,6 +175,32 @@ def test_an_unknown_class_tag_is_refused():
     masks = enumerate_ideals((2, 3, 4), SC).masks
     with pytest.raises(ValueError, match="unknown ideal class 'dihedral'"):
         EnumerationResult(ChainProduct((2, 3, 4)), "dihedral", masks, "hand")
+    # every door that takes a class tag refuses it with the same message
+    p = ChainProduct((2, 3, 4))
+    i = Ideal(p, masks[0])
+    for refuse in (
+        lambda: validate_mask(p, masks[0], "dihedral"),
+        lambda: count_closed((2, 3, 4), "dihedral"),
+        lambda: seed((2, 3, 4), "dihedral"),
+        lambda: flip_table(p, "dihedral"),
+        lambda: distance(i, i, "dihedral"),
+    ):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == "unknown ideal class 'dihedral'"
+
+
+@pytest.mark.parametrize("cls", [CSSC, TSSC])
+def test_an_empty_symmetric_result_off_an_even_cube_is_refused(cls):
+    # the shape is checked before the empty class is answered, as it is
+    # for a non-empty one
+    for dims in [(3, 3, 3), (2, 4)]:
+        empty = EnumerationResult(ChainProduct(dims), cls, (), "hand")
+        with pytest.raises(ShapeError, match=rf"the {cls} class needs"):
+            metric_report(empty)
+    assert metric_report(EnumerationResult(even_cube(2), cls, (), "hand")) == (
+        MetricReport((4, 4, 4), cls, (), 0, 0, (), ())
+    )
 
 
 def test_disconnected_graph_has_unreached_vertices():
