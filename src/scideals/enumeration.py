@@ -40,25 +40,22 @@ It is a reverse search (Avis and Fukuda, *Discrete Appl. Math.* 65,
 undone, which lowers the key, so every vertex is joined to ``S`` by a
 chain of parents.  The kernels, given the seed, return only the
 children whose parent that is.  A backward flip is ranked by the
-member it moves out (for cssc and tssc, by the smallest rank of that
-orbit).  A forward flip ``J = P - b + b*`` keeps ``b*`` maximal, takes
-out of ``P``'s backward flips exactly those on lower covers of ``b*``,
-and adds ``b*`` itself; a lower cover of ``b*`` (or an orbit touching
-one) ranks below ``b*``.  So ``b*`` is ``J``'s highest backward flip
-iff it outranks every backward flip of ``P``, which is the kernels'
-test, and every vertex but the seed is made exactly once, by its one
-parent.  The test reads the parent and the flip alone, so the tree is
-fixed and any order of expansion makes each vertex once: no visited
-set is needed.  The closure expands it depth-first, in batches of at
-most `_BATCH` masks with one kernel call per batch, so it holds a
-stack of batches, not a whole distance level, and ``enumerate_count``
-never holds the whole class.  `metric` owns the kernels' tables (the
-movable ranks split by the seed, the cuts of the forward ranks, the sc
-pair table or the orbit tables); they are built once per closure, as
-one `metric.flip_table` from the fresh poset, not once per call: a
-small or path-like class has a few vertices per batch (sc (2, 61) has
-one in each of its 31), so a set-up in every call would be paid about
-once per vertex.
+least rank it moves out, and a forward flip is kept iff its incoming
+dual outranks every backward flip of the parent; the kernel docstring
+(`metric.sc_flip_masks`) shows that this makes the incoming dual the
+child's highest backward flip, so every vertex but the seed is made
+exactly once, by its one parent.  The test reads the parent and the
+flip alone, so the tree is fixed and any order of expansion makes each
+vertex once: no visited set is needed.  The closure expands it
+depth-first, in batches of at most `_BATCH` masks with one kernel call
+per batch, so it holds a stack of batches, not a whole distance level,
+and ``enumerate_count`` never holds the whole class.  `metric` owns
+the kernels' tables (the movable ranks split by the seed, the cuts of
+the forward ranks, the list of flip XORs); they are built once per
+closure, as one `metric.flip_table` from the fresh poset, not once per
+call: a small or path-like class has a few vertices per batch (sc
+(2, 61) has one in each of its 31), so a set-up in every call would
+be paid about once per vertex.
 
 An `EnumerationResult` holds the class as its sorted member masks.
 Everything computed over a class (the vertex index, the metric report,
@@ -331,13 +328,9 @@ def _closure(p: ChainProduct, cls: str, start: int) -> Iterator[list[int]]:
     one kernel call per batch popped.  The kernels make only the
     reverse-search children, each vertex by its one parent, so any
     order of expansion is complete.  The flip table is built once per
-    closure; the orbit kernel's weights are not read."""
+    closure."""
     table = metric.flip_table(p, cls, start)
-    if cls == SC:
-        kernel = metric.sc_flip_masks
-    else:
-        def kernel(table, masks):
-            return [m for m, _w in metric.orbit_flip_masks(table, masks)]
+    kernel = metric.sc_flip_masks if cls == SC else metric.orbit_flip_masks
     stack = [[start]]
     while stack:
         batch = stack.pop()

@@ -23,6 +23,7 @@ record round-trips.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -189,6 +190,12 @@ def from_heights(
     mask = 0
     for i, row in enumerate(heights):
         for j, h in enumerate(row):
+            try:
+                h = operator.index(h)
+            except TypeError:
+                raise ValueError(
+                    f"height {h!r} at ({i}, {j}) is not an integer"
+                ) from None
             if not 0 <= h <= l3:
                 raise ValueError(f"height {h} out of range at ({i}, {j})")
             base = i * p.strides[0] + j * p.strides[1]

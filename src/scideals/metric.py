@@ -55,25 +55,24 @@ in their own orbit (cssc, tssc); these never flip, because the needed
 cover would be removed by the flip itself.  This module owns that
 knowledge: a kernel reads a `FlipTable`, which `flip_table` builds
 from the poset's cover axes for one class and seed, with the movable
-ranks split by the seed, an empty list of reverse-search cuts and an
-empty sc pair list or orbit swap list, each filled on first use; the
-poset itself holds only the order.  The closure builds one table per
-enumeration and `build_graph` one per graph, so a kernel call does no
-set-up of its own.  Each kernel takes a
+ranks split by the seed and two lists filled on first use, the
+reverse-search cuts and the flip XORs; the poset itself holds only the
+order.  The closure builds one table per enumeration and `build_graph`
+one per graph, so a kernel call does no set-up of its own.
+`sc_flip_masks` and `orbit_flip_masks` are one loop at two
+granularities: an sc flip swaps a maximal member for its dual, a cssc
+or tssc flip a whole orbit for its dual orbit, and one rank stands for
+each orbit, so both kernels take the flips of a mask as one contiguous
+cut of its maximal members and apply each as one XOR from the table.
+They differ only in how a missing XOR is made.  Each kernel takes a
 whole batch of masks and returns the children of all of them in one
-flat list, so the closure makes one call per batch, not one per
-vertex; `build_graph` passes one mask.  The orbit kernel works one
-orbit at a time, as the sc kernel works one element at a time: a
-cssc or tssc member is fixed by its group, so one rank stands for each
-orbit, its top among the forward flips and its rep among the backward
-ones, and the flips of a mask are one contiguous cut of its maximal
-members in both kernels.  A table built without a seed makes its
-kernel return every flip; with the closure's seed it returns only the
-reverse-search children, those whose highest backward flip undoes the
-flip that made them, so the closure in `enumeration` makes each class
-member once.  The table keeps that cut once per bit length ``h`` of a
-mask's maximal backward ranks, and a member mask, downward closed, has
-its maximal members as ``mask ^ covered``.
+flat list of masks, so the closure makes one call per batch, not one
+per vertex; `build_graph` passes one mask, and reads a flip's weight
+off the XOR by the distance formula.  A table built without a seed
+makes its kernel return every flip; with the closure's seed it
+returns only the reverse-search children, those whose highest
+backward flip undoes the flip that made them, so the closure in
+`enumeration` makes each class member once.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -112,11 +111,7 @@ class FlipTable(NamedTuple):
     For sc every rank is movable but the corners, each one step below
     its own dual along some axis (``2 r = V - 1 - s_k``: flipping it
     would add the dual without its lower cover, the corner itself), and
-    the self-dual centre of an odd volume.  ``pairs[b]`` joins rank
-    ``b - 1`` to its dual ``V - b``, so a flip is one XOR; the list
-    starts as V + 1 zeros and the sc kernel fills entry ``b`` on the
-    first flip of that rank, so a class that flips few ranks builds few
-    big integers (entry 0 stays 0).
+    the self-dual centre of an odd volume.
 
     For cssc and tssc the movable orbits (cyclic, resp. S3) are those
     that may ever flip: neither a fixed diagonal point, which cannot
@@ -128,12 +123,14 @@ class FlipTable(NamedTuple):
     rank in ``backward``.  ``group`` holds one triple ``(c_x, c_y,
     c_z)`` per group element, the identity ``(l^2, l, 1)`` first: the
     image of ``(x, y, z)`` (zero-based) has rank ``x c_x + y c_y + z
-    c_z``.  ``swaps[b]`` is ``(orbit mask | dual orbit mask, weight)``
-    for the orbit whose top is rank ``b - 1``; the list starts as V + 1
-    Nones and the orbit kernel fills an entry on the first flip of its
-    orbit, as the sc kernel fills ``pairs``.  A flip weighs |orbit| / 3,
-    1 for three elements and 2 for six.  The other class's fields are
-    None.
+    c_z``; it is None for sc.
+
+    ``xors[b]`` is the XOR that flips rank ``b - 1``: that rank and its
+    dual ``V - b`` for sc, the orbit whose top is rank ``b - 1`` and its
+    dual orbit for cssc and tssc.  The list starts as V + 1 zeros (0:
+    not filled yet; entry 0 stays 0) and a kernel fills entry ``b`` on
+    the first flip of that rank, so a class that flips few ranks builds
+    few big integers.
     """
 
     axes: tuple[tuple[int, int], ...]
@@ -141,8 +138,7 @@ class FlipTable(NamedTuple):
     backward: int
     volume: int
     cuts: list[int | None]
-    pairs: list[int] | None
-    swaps: list[tuple[int, int] | None] | None
+    xors: list[int]
     group: tuple[tuple[int, int, int], ...] | None
 
 
@@ -154,13 +150,13 @@ def flip_table(
     Built once per closure (with the closure's seed) or per graph
     (without one), and passed to every kernel call that follows, so no
     call reads the poset or cuts the movable ranks itself.  Only the
-    cut, pair and swap lists are O(V), and all start empty; the orbit
+    cut and XOR lists are O(V), and both start empty; the orbit
     masks are O(l^2) runs of ranks (`_orbit_table`), not one mask per
     orbit.
     """
     check_class(cls)
     V = p.volume
-    pairs = swaps = group = None
+    group = None
     if cls == SC:
         stuck = 1 << (V // 2) if V % 2 else 0
         for s, m in p.cover_axes:
@@ -169,16 +165,14 @@ def flip_table(
                 stuck |= m & (1 << (t // 2))
         # an element is its own orbit: its rank is both top and rep
         tops = reps = p.full_mask & ~stuck
-        pairs = [0] * (V + 1)
     else:
         reps, tops, group = _orbit_table(p, cls)
-        swaps = [None] * (V + 1)
     if seed is None:
         forward, backward = tops, 0
     else:
         forward, backward = tops & seed, reps & ~seed
     return FlipTable(p.cover_axes, forward, backward, V, [None] * (V + 1),
-                     pairs, swaps, group)
+                     [0] * (V + 1), group)
 
 
 def _orbit_table(
@@ -235,142 +229,110 @@ def _orbit_table(
     return reps & ~corners, tops & ~corners, group
 
 
-def sc_flip_masks(table: FlipTable, masks: Iterable[int]) -> list[int]:
-    """Masks one sc flip away from the masks of ``masks`` (each sc).
+def _flip_kernel(name: str, fill: Callable[..., int]):
+    """A flip kernel named ``name`` that fills a missing ``xors[b]`` of
+    its table as ``fill(group, V, b - 1)``."""
 
-    A maximal member ``a`` is flippable iff for every axis ``k`` along
-    which the dual ``b`` has a lower cover, that cover lies in
-    ``I minus a``.  That cover is the dual of ``a + e_k``, and for a
-    self-complementary mask it is a member exactly when ``a + e_k`` is
-    not: the cover test is maximality itself, save at the corners left
-    out of the table's movable ranks, where the needed cover is ``a``.
+    def kernel(table: FlipTable, masks: Iterable[int]) -> list[int]:
+        """Masks one flip away from the masks of ``masks``, all in one
+        flat list: an element flip (sc) or an orbit flip (cssc, tssc,
+        under the table's group).
 
-    With a table built without a seed every flip of every mask is
-    returned, in one flat list.  With a table cut by the seed ``S``
-    only the reverse-search children are: a child ``J = P - b + b*``
-    moves out a member ``b`` of ``S`` and is kept iff its incoming dual
-    ``b*`` outranks every backward flip of ``P`` (a flippable member
-    outside ``S``).  The backward flips of ``J`` are those of ``P``,
-    minus the lower covers of ``b*`` (which rank below ``b*``), plus
-    ``b*`` itself: ``b*`` is maximal and movable in ``J``, and the
-    members that ``b`` uncovers lie in ``S``.  So the rule holds iff
-    ``b*`` is the highest backward flip of ``J``, and each ``J`` but
-    ``S`` is made by one parent only: ``J`` with that flip undone.
-    Since ``b* = V - 1 - b``, the rule keeps the ranks ``b`` below
-    ``V - h``, where ``h`` is the bit length of the backward flips.
+        The masks must be class members, as the closure and
+        `build_graph` pass: sc, and for cssc or tssc fixed by the group,
+        so an orbit is either inside a mask or outside it, and one rank
+        of an orbit tells both.  A member is downward closed, so each
+        covered rank (one with a member just above it) is a member, and
+        the maximal members are ``mask ^ covered``, one XOR where
+        `ChainProduct.maximal_mask` takes ``mask & ~covered``; the
+        covered ranks come from one inline walk of the table's cover
+        axes, the walk of `ChainProduct.maximal_mask` without its call.
 
-    Per mask the maximal members come from one inline walk of the
-    table's cover axes, the walk of `ChainProduct.maximal_mask` without
-    its call.  The masks must be downward closed, as every sc mask is:
-    then each covered rank (one with a member just above it) is itself
-    a member, so the maximal members are ``mask ^ covered``, one XOR
-    where `ChainProduct.maximal_mask` takes ``mask & ~covered``.  The
-    cut below ``V - h`` is the table's ``cuts[h]``, filled here on the
-    first mask with that ``h``.  The children come in descending rank
-    of the member moved out.  A flip is one XOR with an entry of the
-    table's ``pairs``, filled here on the first flip of its rank.
-    """
-    axes, forward, backward, V, cuts, pairs, _, _ = table
-    out: list[int] = []
-    append = out.append
-    for mask in masks:
-        covered = 0
-        for s, up in axes:
-            covered |= up & (mask >> s)
-        mx = mask ^ covered
-        h = (mx & backward).bit_length()
-        cut = cuts[h]
-        if cut is None:
-            cut = cuts[h] = forward & ((1 << (V - h)) - 1)
-        flip = mx & cut
-        while flip:
-            b = flip.bit_length()
-            flip ^= 1 << (b - 1)
-            # read from the table, not rebuilt per flip: building the
-            # pair inline cost about 10 % of closure vertices/s (2 cores)
-            pair = pairs[b]
-            if not pair:
-                pair = pairs[b] = (1 << (b - 1)) | (1 << (V - b))
-            append(mask ^ pair)
-    return out
+        A maximal member ``a`` is flippable iff for every axis ``k``
+        along which its dual ``b`` has a lower cover, that cover lies in
+        ``I`` minus ``a``.  That cover is the dual of ``a + e_k``, and
+        for a self-complementary mask it is a member exactly when ``a +
+        e_k`` is not: the cover test is maximality itself, save at the
+        corners left out of the table's movable ranks, where the needed
+        cover is ``a`` or another element of its orbit.  An orbit flips
+        iff all its elements are maximal members: they share their
+        coordinate sum, hence are incomparable, so removing them all is
+        safe.  The group permutes the coordinates, an automorphism of
+        the cube, and fixes the mask, so if one element of an orbit is
+        a maximal member, every element is: an orbit flips iff its top
+        is maximal and movable (for sc an element is its own orbit).
 
+        With a table built without a seed every flip is returned.  With
+        a table cut by the seed ``S`` only the reverse-search children
+        are.  Rank an orbit by its rep (an element by its rank).  A
+        child ``J = P - O + O*`` moves out an orbit ``O`` inside ``S``,
+        and is kept iff its incoming dual ``O*`` outranks every
+        backward flip of ``P`` (a flippable orbit outside ``S``).  The
+        backward flips of ``J`` are those of ``P`` minus any that touch
+        a lower cover of ``O*``, plus ``O*`` itself: ``O*`` is maximal
+        and movable in ``J``, and the members that ``O`` uncovers lie
+        in ``S``.  An orbit touching a lower cover ``c = a* - e_k`` has
+        a smaller rep than ``O*``: the group permutation taking ``a*``
+        to the rep of ``O*`` takes ``c`` to a lower cover of that rep.
+        So the rule holds iff ``O*`` is the highest backward flip of
+        ``J``, and each ``J`` but ``S`` is made by one parent only:
+        ``J`` with that flip undone.  The rep of ``O*`` is ``V - 1 -
+        top(O)``, so with ``h`` the bit length of the maximal backward
+        reps the rule keeps the tops below ``V - h``: the table's
+        ``cuts[h]``, filled here on the first mask with that ``h``.
 
-def orbit_flip_masks(
-    table: FlipTable, masks: Iterable[int]
-) -> list[tuple[int, int]]:
-    """(mask, weight) pairs one orbit flip away, under the table's group.
+        The children come in descending top rank of the orbit moved
+        out.  A flip is one XOR with an entry of the table's ``xors``,
+        filled here on the first flip of its rank.
+        """
+        axes, forward, backward, V, cuts, xors, group = table
+        out: list[int] = []
+        append = out.append
+        for mask in masks:
+            covered = 0
+            for s, up in axes:
+                covered |= up & (mask >> s)
+            mx = mask ^ covered
+            h = (mx & backward).bit_length()
+            cut = cuts[h]
+            if cut is None:
+                cut = cuts[h] = forward & ((1 << (V - h)) - 1)
+            flip = mx & cut
+            while flip:
+                b = flip.bit_length()
+                flip ^= 1 << (b - 1)
+                # read from the table, not built per flip: building the
+                # sc pair inline cost about 10 % of closure vertices/s
+                # (2 cores)
+                xor = xors[b]
+                if not xor:
+                    xor = xors[b] = fill(group, V, b - 1)
+                append(mask ^ xor)
+        return out
 
-    The masks must be class members (cssc for the cyclic table, tssc
-    for the full one): each is fixed by the group, so an orbit is
-    either inside a mask or outside it, and one rank of an orbit tells
-    both.  The closure and `build_graph` pass members only.
-
-    An orbit is flippable iff all its elements are maximal members and
-    replacing it by its dual orbit stays downward closed.  Orbit
-    elements share their coordinate sum, hence are incomparable, so
-    removing a whole orbit of maximal elements is always safe.  The
-    incoming dual of ``a`` needs the lower covers ``dual(a + e_k)``: as
-    in `sc_flip_masks` they are members when ``a`` is maximal, and they
-    stay members unless they lie in the outgoing orbit.  Orbits of
-    such corners, and diagonal points (singleton orbits), are left out
-    of the table's movable ranks.  The group permutes the coordinates,
-    an automorphism of the cube, and fixes the mask, so if one element
-    of an orbit is a maximal member, every element is: an orbit flips
-    iff its top is maximal and movable.
-
-    A seed works as in `sc_flip_masks`, with orbits ranked by their
-    rep (their least rank): the highest flippable orbit outside ``S``
-    has rep ``h``, one less than the bit length of the maximal
-    backward reps, and an orbit ``O`` inside ``S`` is kept iff the rep
-    of its dual orbit, ``V - 1 - top(O)``, exceeds ``h``.  So, as for
-    sc, the flips kept are one cut of the maximal forward tops, those
-    below ``V - 1 - h``.  An orbit touching a lower cover ``c = a* -
-    e_k`` of ``O*`` has a smaller rep than ``O*``: the group
-    permutation taking ``a*`` to the rep of ``O*`` takes ``c`` to a
-    lower cover of that rep.  So the dual orbit ``O*`` is the highest
-    backward orbit of the child, and each child has one parent.
-    Maximality is walked inline and taken as ``mask ^ covered``, and
-    the cut read from ``cuts``, as in `sc_flip_masks`: a class member
-    is downward closed, so its covered ranks are members.  The children
-    come in descending top rank of the orbit moved out.
-    """
-    axes, forward, backward, V, cuts, _, swaps, group = table
-    out: list[tuple[int, int]] = []
-    append = out.append
-    for mask in masks:
-        covered = 0
-        for s, up in axes:
-            covered |= up & (mask >> s)
-        mx = mask ^ covered
-        h = (mx & backward).bit_length()
-        cut = cuts[h]
-        if cut is None:
-            cut = cuts[h] = forward & ((1 << (V - h)) - 1)
-        flip = mx & cut
-        while flip:
-            b = flip.bit_length()
-            flip ^= 1 << (b - 1)
-            swap = swaps[b]
-            if swap is None:
-                swap = swaps[b] = _orbit_swap(group, V, b - 1)
-            append((mask ^ swap[0], swap[1]))
-    return out
+    kernel.__name__ = kernel.__qualname__ = name
+    return kernel
 
 
 def _orbit_swap(
     group: tuple[tuple[int, int, int], ...], V: int, top: int
-) -> tuple[int, int]:
-    """``(orbit mask | dual orbit mask, weight)`` of the orbit whose top
-    is rank ``top``, from the images of its coordinates under ``group``
-    (repeated images set the same bit)."""
+) -> int:
+    """The orbit whose top is rank ``top``, OR its dual orbit, from the
+    images of its coordinates under ``group`` (repeated images set the
+    same bit)."""
     ll, l, _ = group[0]
     x, y, z = top // ll, top // l % l, top % l
-    orbit = dual = 0
+    swap = 0
     for cx, cy, cz in group:
         q = x * cx + y * cy + z * cz
-        orbit |= 1 << q
-        dual |= 1 << (V - 1 - q)
-    return orbit | dual, orbit.bit_count() // 3
+        swap |= 1 << q | 1 << (V - 1 - q)
+    return swap
+
+
+sc_flip_masks = _flip_kernel(
+    "sc_flip_masks", lambda group, V, r: 1 << r | 1 << (V - 1 - r)
+)
+orbit_flip_masks = _flip_kernel("orbit_flip_masks", _orbit_swap)
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +394,12 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
     when ``u < v`` and, as ``(v, u, w)``, to ``bwd`` otherwise; the
     check is that the two sorted lists are equal and repeat no pair.
     One flip table without a seed serves the whole graph, and the class
-    kernel is called directly, one mask at a time; every sc hit has
-    weight 1.
+    kernel is called directly, one mask at a time.  Every sc hit has
+    weight 1.  An orbit flip ``m -> n`` weighs |orbit| / 3, which is
+    ``popcount(m ^ n) / 6``: the XOR is the orbit and its dual orbit,
+    which are disjoint because no orbit of an even cube is its own dual
+    (an orbit keeps its coordinate sum ``s``, and its dual's ``3 (l -
+    1) - s`` has the other parity).
     """
     cls = enum.symmetry
     if cls is None:
@@ -456,10 +422,11 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
                 else:
                     bwd.append((v, u, 1))
         else:
-            for nm, w in orbit_flip_masks(table, (m,)):
+            for nm in orbit_flip_masks(table, (m,)):
                 v = idx.get(nm)
                 if v is None:
                     raise RuntimeError(escaped.format(u))
+                w = (m ^ nm).bit_count() // 6
                 if u < v:
                     fwd.append((u, v, w))
                 else:

@@ -2,6 +2,7 @@
 
 import functools
 
+import numpy as np
 import pytest
 
 import oracles
@@ -102,6 +103,15 @@ def test_heights_must_be_weakly_decreasing():
         from_heights((2, 2, 2), [[1, 2], [0, 0]])
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+def test_heights_must_be_integers(bad):
+    # a float or a string is refused by name, not shifted into a mask
+    with pytest.raises(ValueError, match=r"height .* at \(0, 0\) is not an"):
+        from_heights((2, 2, 2), [[bad, 0], [0, 0]])
+    # an integer type such as numpy's is taken as its value
+    assert from_heights((2, 2, 2), [[np.int64(2), 0], [0, 0]]).size == 2
+
+
 def _mask(ranks):
     return sum(1 << r for r in ranks)
 
@@ -146,8 +156,11 @@ def test_symmetry_group_names():
     flips = functools.partial(oracles.flip_masks, p, m)
     table = functools.partial(flip_table, p)
     assert flips(SC) == sorted((n, 1) for n in sc_flip_masks(table(SC), (m,)))
-    assert flips(CSSC) == sorted(orbit_flip_masks(table(CSSC), (m,)))
-    assert flips(TSSC) == sorted(orbit_flip_masks(table(TSSC), (m,)))
+    for cls in (CSSC, TSSC):
+        assert flips(cls) == sorted(
+            (n, (m ^ n).bit_count() // 6)
+            for n in orbit_flip_masks(table(cls), (m,))
+        )
     with pytest.raises(ValueError):
         flips("nope")
 

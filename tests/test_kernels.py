@@ -98,11 +98,12 @@ def test_orbits_by_coordinates_match_unrank(side, cls):
     # unless it is a diagonal point or holds the dual of an upper cover
     # of one of its elements; a movable orbit has its top in the table's
     # forward ranks, its rep in the backward ranks of an empty seed, and
-    # its swap joins it to its dual orbit
+    # its swap joins it to its dual orbit, which it never meets, so the
+    # swap has 2 |orbit| bits and the flip weighs popcount / 6
     p = cube(side)
     V = p.volume
     table = metric.flip_table(p, cls)
-    assert table.backward == 0 and table.swaps == [None] * (V + 1)
+    assert table.backward == 0 and table.xors == [0] * (V + 1)
     tops = reps = 0
     for ranks in oracles.orbits(p, oracles.GROUPS[cls]):
         corner = any(
@@ -115,8 +116,8 @@ def test_orbits_by_coordinates_match_unrank(side, cls):
         reps |= 1 << ranks[0]
         dual = sum(1 << (V - 1 - r) for r in ranks)
         swap = sum(1 << r for r in ranks) | dual
-        want = (swap, len(ranks) // 3)
-        assert metric._orbit_swap(table.group, V, ranks[-1]) == want
+        assert metric._orbit_swap(table.group, V, ranks[-1]) == swap
+        assert swap.bit_count() // 6 == len(ranks) // 3
     assert table.forward == tops
     assert metric.flip_table(p, cls, 0).backward == reps
 
@@ -146,11 +147,17 @@ def class_members(draw):
 
 def kernel(p, cls, masks, start=None):
     """The sorted (mask, weight) children of a bucket of masks, all of
-    them, or with a seed ``start`` the reverse-search children only."""
+    them, or with a seed ``start`` the reverse-search children only.
+    An orbit flip weighs popcount(parent ^ child) / 6, so the orbit
+    kernel is called once per parent."""
     table = metric.flip_table(p, cls, start)
     if cls == SC:
         return sorted((m, 1) for m in metric.sc_flip_masks(table, masks))
-    return sorted(metric.orbit_flip_masks(table, masks))
+    return sorted(
+        (child, (mask ^ child).bit_count() // 6)
+        for mask in masks
+        for child in metric.orbit_flip_masks(table, (mask,))
+    )
 
 
 def rep(orbit):
@@ -264,6 +271,10 @@ def test_a_bucket_gives_the_union_of_its_members_children(drawn):
         c for mask in bucket for c in oracle_children(p, cls, mask, start)
     )
     assert kernel(p, cls, []) == []
+    # one call on the bucket gives each member's children in turn
+    name = "sc_flip_masks" if cls == SC else "orbit_flip_masks"
+    kern = functools.partial(getattr(metric, name), metric.flip_table(p, cls))
+    assert kern(bucket) == [c for mask in bucket for c in kern((mask,))]
 
 
 @pytest.mark.parametrize("dims, cls", [
@@ -335,15 +346,15 @@ def test_sc_flip_pairs_join_each_rank_to_its_dual(dims):
     p = enum.poset
     table = metric.flip_table(p, SC)
     metric.sc_flip_masks(table, enum.masks)
-    pairs = table.pairs
-    assert len(pairs) == p.volume + 1 and pairs[0] == 0
-    assert any(pairs) == (len(enum) > 1)
+    xors = table.xors
+    assert len(xors) == p.volume + 1 and xors[0] == 0
+    assert any(xors) == (len(enum) > 1)
     for r in range(p.volume):
-        if pairs[r + 1]:
+        if xors[r + 1]:
             a = p.unrank(r)
             dual = p.rank(tuple(l + 1 - c for c, l in zip(a, dims)))
-            assert pairs[r + 1] == (1 << r) | (1 << dual)
-    assert metric.flip_table(p, SC).pairs == [0] * (p.volume + 1)  # fresh
+            assert xors[r + 1] == (1 << r) | (1 << dual)
+    assert metric.flip_table(p, SC).xors == [0] * (p.volume + 1)  # fresh
 
 
 @pytest.mark.parametrize("dims, cls", [

@@ -234,8 +234,10 @@ def test_cyclic_and_full_flip_tables_differ():
     for table, group in ((cyclic, oracles.CYCLIC), (full, oracles.FULL)):
         tops = {orbit[-1] for orbit in oracles.orbits(p, group)}
         assert set(ranks(table.forward)) <= tops
-    # only the sc table has pairs, only the orbit tables swaps
-    assert cyclic.pairs is None and flip_table(p, SC).swaps is None
+    # every table starts with an empty XOR list; only the orbit tables
+    # have a group
+    assert cyclic.xors == [0] * (p.volume + 1)
+    assert flip_table(p, SC).group is None
 
 
 def test_volume_and_strides():
