@@ -51,7 +51,8 @@ from .chvatal import verified_family
 from .enumeration import _even_axes, _halfspace, _staircase
 from .ideal import CSSC, SC, TSSC, Ideal, SymmetryError
 from .poset import (
-    ChainProduct, Coords, ShapeError, as_dims, cube, even_cube, even_cube_r,
+    ChainProduct, Coords, ShapeError, as_dims, as_index, cube, even_cube,
+    even_cube_r,
 )
 
 
@@ -452,12 +453,7 @@ def shell_ideal(k: int, r: int) -> NamedIdeal:
     last is in the trace, and one with two iff its dual is not.
     """
     n = even_cube(r).dims[0]
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(
-            f"shell index must be an integer, got {k!r}"
-        ) from None
+    k = as_index(k, "shell index")
     if k not in range(1, n):
         raise ValueError(f"shell index must be in 1..{n - 1}, got {k}")
     kk = 2 * r - 1 - k if k >= r else k - 1

@@ -46,16 +46,16 @@ dual outranks every backward flip of the parent; the kernel docstring
 child's highest backward flip, so every vertex but the seed is made
 exactly once, by its one parent.  The test reads the parent and the
 flip alone, so the tree is fixed and any order of expansion makes each
-vertex once: no visited set is needed.  The closure expands it
-depth-first, in batches of at most `_BATCH` masks with one kernel call
-per batch, so it holds a stack of batches, not a whole distance level,
-and ``enumerate_count`` never holds the whole class.  `metric` owns
-the kernels' tables (the movable ranks split by the seed, the cuts of
-the forward ranks, the list of flip XORs); they are built once per
-closure, as one `metric.flip_table` from the fresh poset, not once per
-call: a small or path-like class has a few vertices per batch (sc
-(2, 61) has one in each of its 31), so a set-up in every call would
-be paid about once per vertex.
+vertex once, even in the list that holds its parent: no visited set
+is needed.  The closure expands it depth-first over a stack of
+batches: one kernel call expands a popped batch in place, appending
+the children to it, up to `_BATCH` expanded masks, and pushes back
+the unexpanded tail.  So a class of at most `_BATCH` members, such as
+the path sc (2, 61) of 31, is one call, and ``enumerate_count`` holds
+a stack of batches, never the whole class.  `metric` owns the
+kernels' tables (the movable ranks split by the seed, the cuts of the
+forward ranks, the list of flip XORs); they are built once per
+closure, as one `metric.flip_table` from the fresh poset.
 
 An `EnumerationResult` holds the class as its sorted member masks.
 Everything computed over a class (the vertex index, the metric report,
@@ -83,7 +83,9 @@ from collections.abc import Iterator, Sequence
 
 from . import metric
 from .ideal import CSSC, SC, TSSC, Ideal, check_class, validate_mask
-from .poset import ChainProduct, ShapeError, as_dims, even_cube_r, ranks
+from .poset import (
+    ChainProduct, ShapeError, as_dims, as_index, even_cube_r, ranks
+)
 
 BFS_FLIP = "bfs_flip"
 ORACLE_DFS = "oracle_dfs"
@@ -324,23 +326,21 @@ _BATCH = 4096
 
 def _closure(p: ChainProduct, cls: str, start: int) -> Iterator[list[int]]:
     """The class reached from ``start``, each member once, in batches of
-    at most `_BATCH` masks: depth-first over a stack of batches, with
-    one kernel call per batch popped.  The kernels make only the
-    reverse-search children, each vertex by its one parent, so any
-    order of expansion is complete.  The flip table is built once per
-    closure."""
+    at most `_BATCH` masks.  One kernel call expands a popped batch in
+    place, and the children landing within its first `_BATCH` masks;
+    that prefix is yielded and the tail pushed back in `_BATCH` slices.
+    The kernels make only the reverse-search children, each vertex by
+    its one parent, so any order of expansion is complete."""
     table = metric.flip_table(p, cls, start)
     kernel = metric.sc_flip_masks if cls == SC else metric.orbit_flip_masks
     stack = [[start]]
     while stack:
-        batch = stack.pop()
+        batch = kernel(table, stack.pop(), _BATCH)
+        if len(batch) > _BATCH:
+            stack.extend(batch[i:i + _BATCH]
+                         for i in range(_BATCH, len(batch), _BATCH))
+            del batch[_BATCH:]
         yield batch
-        children = kernel(table, batch)
-        if len(children) > _BATCH:
-            stack.extend(children[i:i + _BATCH]
-                         for i in range(0, len(children), _BATCH))
-        elif children:
-            stack.append(children)  # pushed whole, without a copy
 
 
 def enumerate_ideals(
@@ -352,11 +352,13 @@ def enumerate_ideals(
     """Flip closure of the class seed, canonically sorted.
 
     ``cap`` is checked after each batch, so the error reports the
-    vertices of every batch reached so far; a negative ``cap`` is
-    refused before any work.
+    vertices of every batch reached so far; a ``cap`` that is not a
+    non-negative integer is refused before any work.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
+    if cap is not None:
+        cap = as_index(cap, "cap")
+        if cap < 0:
+            raise ValueError(f"cap must be non-negative, got {cap}")
     dims = as_dims(dims)
     _check_guard(dims, cls, force)
     p, start = _seed(dims, cls)

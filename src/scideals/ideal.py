@@ -30,7 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .poset import ChainProduct, Coords, ShapeError, even_cube_r, ranks
+from .poset import (
+    ChainProduct, Coords, ShapeError, as_index, even_cube_r, ranks
+)
 
 SC = "sc"
 CSSC = "cssc"
@@ -58,6 +60,7 @@ class Ideal:
     mask: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mask", as_index(self.mask, "mask"))
         if self.mask < 0 or self.mask > self.poset.full_mask:
             raise ValueError("mask has bits outside the poset")
 

@@ -64,15 +64,17 @@ granularities: an sc flip swaps a maximal member for its dual, a cssc
 or tssc flip a whole orbit for its dual orbit, and one rank stands for
 each orbit, so both kernels take the flips of a mask as one contiguous
 cut of its maximal members and apply each as one XOR from the table.
-They differ only in how a missing XOR is made.  Each kernel takes a
-whole batch of masks and returns the children of all of them in one
-flat list of masks, so the closure makes one call per batch, not one
-per vertex; `build_graph` passes one mask, and reads a flip's weight
-off the XOR by the distance formula.  A table built without a seed
-makes its kernel return every flip; with the closure's seed it
-returns only the reverse-search children, those whose highest
-backward flip undoes the flip that made them, so the closure in
-`enumeration` makes each class member once.
+They differ only in how a missing XOR is made.  Each kernel expands
+the first ``limit`` masks of a list in place, appending the children
+to the list, which a list iterator sees, so one call also expands the
+children landing within those positions and never more than ``limit``
+masks: the closure makes one call per `enumeration._BATCH` expansions.
+`build_graph` passes one mask with a limit of one, reads the hits after
+it, and reads a flip's weight off the XOR by the distance formula.  A
+table built without a seed makes its kernel return every flip; with
+the closure's seed it returns only the reverse-search children, those
+whose highest backward flip undoes the flip that made them, so the
+closure in `enumeration` makes each class member once.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -233,10 +235,12 @@ def _flip_kernel(name: str, fill: Callable[..., int]):
     """A flip kernel named ``name`` that fills a missing ``xors[b]`` of
     its table as ``fill(group, V, b - 1)``."""
 
-    def kernel(table: FlipTable, masks: Iterable[int]) -> list[int]:
-        """Masks one flip away from the masks of ``masks``, all in one
-        flat list: an element flip (sc) or an orbit flip (cssc, tssc,
-        under the table's group).
+    def kernel(table: FlipTable, masks: list[int], limit: int) -> list[int]:
+        """Expand the first ``limit`` masks of ``masks`` in place and
+        return ``masks``: append every mask one flip away from each, an
+        element flip (sc) or an orbit flip (cssc, tssc, under the
+        table's group).  A child landing within the first ``limit``
+        positions is expanded too; the masks past them are not.
 
         The masks must be class members, as the closure and
         `build_graph` pass: sc, and for cssc or tssc fixed by the group,
@@ -281,14 +285,13 @@ def _flip_kernel(name: str, fill: Callable[..., int]):
         reps the rule keeps the tops below ``V - h``: the table's
         ``cuts[h]``, filled here on the first mask with that ``h``.
 
-        The children come in descending top rank of the orbit moved
-        out.  A flip is one XOR with an entry of the table's ``xors``,
-        filled here on the first flip of its rank.
+        Each mask's children come in descending top rank of the orbit
+        moved out.  A flip is one XOR with an entry of the table's
+        ``xors``, filled here on the first flip of its rank.
         """
         axes, forward, backward, V, cuts, xors, group = table
-        out: list[int] = []
-        append = out.append
-        for mask in masks:
+        append = masks.append
+        for mask in itertools.islice(masks, limit):
             covered = 0
             for s, up in axes:
                 covered |= up & (mask >> s)
@@ -308,7 +311,7 @@ def _flip_kernel(name: str, fill: Callable[..., int]):
                 if not xor:
                     xor = xors[b] = fill(group, V, b - 1)
                 append(mask ^ xor)
-        return out
+        return masks
 
     kernel.__name__ = kernel.__qualname__ = name
     return kernel
@@ -413,7 +416,9 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
         # one hit loop for both kernels, zipping the sc hits with weight
         # 1, cost about 5 % of graph vertices/s (2 cores): keep both
         if cls == SC:
-            for nm in sc_flip_masks(table, (m,)):
+            hits = iter(sc_flip_masks(table, [m], 1))
+            next(hits)  # the expanded mask itself
+            for nm in hits:
                 v = idx.get(nm)
                 if v is None:
                     raise RuntimeError(escaped.format(u))
@@ -422,7 +427,9 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
                 else:
                     bwd.append((v, u, 1))
         else:
-            for nm in orbit_flip_masks(table, (m,)):
+            hits = iter(orbit_flip_masks(table, [m], 1))
+            next(hits)  # the expanded mask itself
+            for nm in hits:
                 v = idx.get(nm)
                 if v is None:
                     raise RuntimeError(escaped.format(u))

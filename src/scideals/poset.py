@@ -200,6 +200,14 @@ def as_dims(dims: Iterable[int]) -> Coords:
     return dims
 
 
+def as_index(value, what: str) -> int:
+    """``value`` through `operator.index`, or a ValueError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def cube(side: int) -> ChainProduct:
     """The cube [side]^3, home of the symmetric ideal classes."""
     return ChainProduct((side, side, side))

@@ -225,6 +225,19 @@ def test_negative_cap_is_refused_before_any_work(monkeypatch):
         enumerate_ideals((2, 3, 4), SC, cap=-1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3"])
+def test_non_integer_cap_is_refused_before_any_work(monkeypatch, bad):
+    def refuse(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(enumeration, "_closure", refuse)
+    with pytest.raises(ValueError, match=r"cap must be an integer, got "):
+        enumerate_ideals((2, 3, 4), SC, cap=bad)
+    monkeypatch.undo()
+    # an integer type such as numpy's is taken as its value
+    assert len(enumerate_ideals((2, 3, 4), SC, cap=np.int64(18))) == 18
+
+
 def test_partial_enumeration_cap(capsys):
     # the cap is checked after each batch, so the error reports more
     # vertices than the cap

@@ -145,6 +145,12 @@ def class_members(draw):
     return ChainProduct(dims), cls, draw(st.sampled_from(masks))
 
 
+def children(kern, masks):
+    """The masks a kernel appends to a copy of ``masks`` when it expands
+    them all and none of the masks it appends."""
+    return kern(list(masks), len(masks))[len(masks):]
+
+
 def kernel(p, cls, masks, start=None):
     """The sorted (mask, weight) children of a bucket of masks, all of
     them, or with a seed ``start`` the reverse-search children only.
@@ -152,11 +158,13 @@ def kernel(p, cls, masks, start=None):
     kernel is called once per parent."""
     table = metric.flip_table(p, cls, start)
     if cls == SC:
-        return sorted((m, 1) for m in metric.sc_flip_masks(table, masks))
+        kern = functools.partial(metric.sc_flip_masks, table)
+        return sorted((m, 1) for m in children(kern, masks))
+    kern = functools.partial(metric.orbit_flip_masks, table)
     return sorted(
         (child, (mask ^ child).bit_count() // 6)
         for mask in masks
-        for child in metric.orbit_flip_masks(table, (mask,))
+        for child in children(kern, (mask,))
     )
 
 
@@ -271,10 +279,25 @@ def test_a_bucket_gives_the_union_of_its_members_children(drawn):
         c for mask in bucket for c in oracle_children(p, cls, mask, start)
     )
     assert kernel(p, cls, []) == []
-    # one call on the bucket gives each member's children in turn
+    # one call on the bucket gives each member's children in turn, after
+    # the bucket itself, and returns the list it was given
     name = "sc_flip_masks" if cls == SC else "orbit_flip_masks"
-    kern = functools.partial(getattr(metric, name), metric.flip_table(p, cls))
-    assert kern(bucket) == [c for mask in bucket for c in kern((mask,))]
+    for table in (metric.flip_table(p, cls), metric.flip_table(p, cls, start)):
+        kern = functools.partial(getattr(metric, name), table)
+        masks = list(bucket)
+        assert kern(masks, len(bucket)) is masks
+        assert masks == bucket + [
+            c for mask in bucket for c in children(kern, (mask,))
+        ]
+        # a larger limit also expands the children that land within it,
+        # in list order, and expands nothing past it
+        for limit in range(len(bucket) + 4):
+            want = list(bucket)
+            i = 0
+            while i < min(limit, len(want)):
+                want += children(kern, (want[i],))
+                i += 1
+            assert kern(list(bucket), limit) == want
 
 
 @pytest.mark.parametrize("dims, cls", [
@@ -282,37 +305,42 @@ def test_a_bucket_gives_the_union_of_its_members_children(drawn):
     ((4, 4, 4), CSSC), ((6, 6, 6), CSSC),
     ((4, 4, 4), TSSC), ((6, 6, 6), TSSC), ((8, 8, 8), TSSC),
 ])
-def test_closure_calls_its_kernel_once_per_nonempty_bucket(
+def test_closure_takes_one_kernel_call_per_class_of_one_batch(
     monkeypatch, dims, cls
 ):
-    # each batch is expanded by one call, and every member but the seed
-    # is the output of exactly one call, with or without the masks
-    # kept.  Every level here fits one batch, so an sc batch is one
-    # distance from the seed, and no class has more batches than
-    # distances (tssc has fewer: children of weights 1 and 2 share one)
+    # every class here fits one batch, so one call expands all of it:
+    # the seed, then each member as it is appended.  With a batch of 3
+    # each call expands at most 3 masks; either way every member is
+    # expanded once, and every member but the seed is appended once
+    n = len(enumerate_ideals(dims, cls))
+    full = enumeration._BATCH
+    assert n <= full
     calls = []
     for name in ("sc_flip_masks", "orbit_flip_masks"):
-        def counted(table, masks, name=name, kernel=getattr(metric, name)):
-            out = kernel(table, masks)
-            calls.append((name, len(out)))
+        def counted(
+            table, masks, limit, name=name, kernel=getattr(metric, name)
+        ):
+            given = len(masks)
+            out = kernel(table, masks, limit)
+            calls.append((name, min(limit, len(out)), len(out) - given))
             return out
 
         monkeypatch.setattr(metric, name, counted)
-    enum = enumerate_ideals(dims, cls)
-    keys = len(set(metric.distances_from(enum, seed(dims, cls))))
-    batches = len(list(_closure(enum.poset, cls, seed(dims, cls).mask)))
     name = "sc_flip_masks" if cls == SC else "orbit_flip_masks"
-    for run in (
-        lambda: len(enumerate_ideals(dims, cls)),
-        lambda: enumerate_count(dims, cls),
-    ):
-        calls.clear()
-        assert run() == len(enum)
-        assert [c for c, _ in calls] == [name] * batches
-        assert sum(hits for _, hits in calls) == len(enum) - 1
-    assert batches <= keys
-    if cls == SC:
-        assert batches == keys
+    for batch in (full, 3):
+        monkeypatch.setattr(enumeration, "_BATCH", batch)
+        for run in (
+            lambda: len(enumerate_ideals(dims, cls)),
+            lambda: enumerate_count(dims, cls),
+        ):
+            calls.clear()
+            assert run() == n
+            assert {c for c, _, _ in calls} == {name}
+            assert all(0 < expanded <= batch for _, expanded, _ in calls)
+            assert sum(expanded for _, expanded, _ in calls) == n
+            assert sum(added for _, _, added in calls) == n - 1
+            if batch == full:
+                assert calls == [(name, n, n - 1)]
 
 
 @pytest.mark.parametrize(
@@ -345,7 +373,7 @@ def test_sc_flip_pairs_join_each_rank_to_its_dual(dims):
     enum = enumerate_ideals(dims, SC, force=True)
     p = enum.poset
     table = metric.flip_table(p, SC)
-    metric.sc_flip_masks(table, enum.masks)
+    metric.sc_flip_masks(table, list(enum.masks), len(enum))
     xors = table.xors
     assert len(xors) == p.volume + 1 and xors[0] == 0
     assert any(xors) == (len(enum) > 1)

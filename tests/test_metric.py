@@ -259,7 +259,8 @@ def test_build_graph_rejects_an_escaping_neighbor():
 
 
 def _patch_first_vertex(monkeypatch, edit):
-    """Replace the sc kernel at vertex 0 of sc (2,3,4) by ``edit(found)``.
+    """Replace the sc kernel's hits at vertex 0 of sc (2,3,4), the
+    entries after the expanded mask, by ``edit(found)``.
 
     The closure calls the same kernel, so the class is enumerated first.
     """
@@ -267,9 +268,10 @@ def _patch_first_vertex(monkeypatch, edit):
     first = enum.masks[0]
     kernel = metric.sc_flip_masks
 
-    def patched(table, masks):
-        found = kernel(table, masks)
-        return edit(found) if masks == (first,) else found
+    def patched(table, masks, limit):
+        at_first = masks == [first]
+        found = kernel(table, masks, limit)
+        return found[:1] + edit(found[1:]) if at_first else found
 
     monkeypatch.setattr(metric, "sc_flip_masks", patched)
     return enum
@@ -297,9 +299,12 @@ def test_build_graph_rejects_a_neighbor_repeated_from_both_ends(monkeypatch):
     # so only the check for repeated pairs catches it
     enum = enumerate_ideals((2, 3, 4), SC)
     kernel = metric.sc_flip_masks
-    monkeypatch.setattr(
-        metric, "sc_flip_masks", lambda table, masks: 2 * kernel(table, masks)
-    )
+
+    def doubled(table, masks, limit):
+        found = kernel(table, masks, limit)
+        return found + found[limit:]
+
+    monkeypatch.setattr(metric, "sc_flip_masks", doubled)
     with pytest.raises(
         RuntimeError,
         match=r"asymmetric flip between vertices 0 and \d+: \[1, 1, 1, 1\]",
@@ -487,7 +492,7 @@ def test_symmetry_closure_is_checked():
     good = enumerate_ideals((6, 6, 6), TSSC)
     a = good.masks[0]
     # one sc flip: difference 1
-    bad = sc_flip_masks(flip_table(good.poset, SC), (a,))[0]
+    bad = sc_flip_masks(flip_table(good.poset, SC), [a], 1)[1]
     enum = EnumerationResult(good.poset, TSSC, tuple(sorted((a, bad))), "hand")
     with pytest.raises(ValueError, match="not divisible by the orbit size"):
         metric_report(enum)
