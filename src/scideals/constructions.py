@@ -49,7 +49,7 @@ from typing import Callable
 
 from .chvatal import verified_family
 from .enumeration import _even_axes, _halfspace, _staircase
-from .ideal import CSSC, SC, TSSC, Ideal, SymmetryError
+from .ideal import CSSC, GROUPS, SC, TSSC, Ideal, SymmetryError
 from .poset import (
     ChainProduct, Coords, ShapeError, as_dims, as_index, cube, even_cube,
     even_cube_r,
@@ -375,10 +375,9 @@ def partitioned_center(dims) -> NamedIdeal:
 # cssc constructions (cubes [2r]^3)
 
 
-def _rotations(a: Coords) -> tuple[Coords, Coords, Coords]:
-    """The three cyclic rotations of a point of the cube."""
-    x, y, z = a
-    return (x, y, z), (y, z, x), (z, x, y)
+def _rotations(a: Coords) -> list[Coords]:
+    """The rotations of a point by cssc's axis orders, itself first."""
+    return [(a[i], a[j], a[k]) for i, j, k in GROUPS[CSSC]]
 
 
 def staircase_c2r(r: int) -> Ideal:

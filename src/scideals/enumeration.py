@@ -82,7 +82,7 @@ from functools import cached_property
 from collections.abc import Iterator, Sequence
 
 from . import metric
-from .ideal import CSSC, SC, TSSC, Ideal, check_class, validate_mask
+from .ideal import CSSC, SC, Ideal, check_class, validate_mask
 from .poset import (
     ChainProduct, ShapeError, as_dims, as_index, even_cube_r, ranks
 )
@@ -152,8 +152,7 @@ def count_closed(dims: Sequence[int], cls: str = SC) -> int:
     even volume, or a symmetric class off an even cube).
     """
     dims = as_dims(dims)
-    check_class(cls)
-    if cls in (CSSC, TSSC):
+    if check_class(cls):
         n = _symmetric_count(even_cube_r(dims, f"the {cls} class"))
         return n * n if cls == CSSC else n
 
@@ -194,8 +193,7 @@ def seed(dims: Sequence[int], cls: str = SC) -> Ideal:
 def _seed(dims: tuple[int, ...], cls: str) -> tuple[ChainProduct, int]:
     """The poset and the seed's mask.  The shape is checked first: the
     poset's masks grow with its volume, even when the class is empty."""
-    check_class(cls)
-    if cls == SC:
+    if not check_class(cls):
         axis = _even_axes(dims)[0]
         p = ChainProduct(dims)
         return p, _halfspace(p, axis)
@@ -306,6 +304,8 @@ def _check_guard(dims: tuple[int, ...], cls: str, force: bool) -> None:
     try:
         count = count_closed(dims, cls)
     except ShapeError:
+        if check_class(cls):
+            raise  # a symmetric class has a closed form on every legal shape
         volume = math.prod(dims)
         if volume > DEFAULT_VOLUME_GUARD:
             raise EnumerationGuardError(

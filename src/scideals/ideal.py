@@ -5,7 +5,7 @@ poset's rank order.  The mask is the data: an enumerated class is a
 tuple of masks, and `validate_mask` checks one mask without wrapping
 it.  `Ideal` is a view of one mask, for printing, records and heights
 matrices; the flip kernels and the metrics work on masks directly.
-The three symmetry classes build on each other:
+The three classes nest, and `GROUPS` holds each one's coordinate group:
 
 * ``sc``    self-complementary: ``a`` is a member iff its dual is not,
             so the mask's bit reversal equals its complement and the
@@ -23,6 +23,7 @@ record round-trips.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,11 @@ from .poset import (
 SC = "sc"
 CSSC = "cssc"
 TSSC = "tssc"
-CLASSES = (SC, CSSC, TSSC)
+#: class tag -> the axis orders ``g`` of the cube that fix its members,
+#: identity first; ``g`` maps point ``a`` to ``tuple(a[i] for i in g)``
+GROUPS = {SC: (), CSSC: ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+          TSSC: tuple(itertools.permutations(range(3)))}
+CLASSES = tuple(GROUPS)
 
 HeightsMatrix = tuple[tuple[int, ...], ...]
 
@@ -46,10 +51,11 @@ class SymmetryError(ValueError):
     """A member set violates the requested symmetry class."""
 
 
-def check_class(cls: str) -> None:
-    """Refuse a class tag that is not one of `CLASSES`."""
+def check_class(cls: str) -> tuple[tuple[int, ...], ...]:
+    """The group of ``cls`` in `GROUPS`; refuse a tag not in `CLASSES`."""
     if cls not in CLASSES:
         raise ValueError(f"unknown ideal class {cls!r}")
+    return GROUPS[cls]
 
 
 @dataclass(frozen=True)
@@ -151,27 +157,24 @@ def validate_mask(
 
     ``None`` checks closure only.  The classes nest, so a tssc mask
     validates for cssc and sc as well.  Cube symmetry is read off the
-    bit cube, bit ``x l^2 + y l + z`` at ``(x, y, z)``, whose transposes
-    rotate and swap the coordinates: no flip-kernel orbit table is read,
+    bit cube, bit ``x l^2 + y l + z`` at ``(x, y, z)``, equal to its
+    transpose by each axis order in `GROUPS`: no orbit table is read,
     so the scan oracle's filter is independent of the kernels.
     """
     if not p.is_downward_closed(mask):
         return False
     if cls is None:
         return True
-    check_class(cls)
+    group = check_class(cls)
     if p.reverse_mask(mask) != p.full_mask & ~mask:
         return False
-    if cls == SC:
+    if not group:
         return True
     l = 2 * even_cube_r(p.dims, f"the {cls} class")
     V = p.volume
     raw = np.frombuffer(mask.to_bytes((V + 7) // 8, "little"), np.uint8)
     cube = np.unpackbits(raw, count=V, bitorder="little").reshape(l, l, l)
-    if (cube.transpose(1, 2, 0) != cube).any():
-        return False
-    # full S3 invariance = cyclic invariance + one transposition
-    return cls == CSSC or bool((cube.transpose(0, 2, 1) == cube).all())
+    return all((cube.transpose(g) == cube).all() for g in group[1:])
 
 
 # ----------------------------------------------------------------------

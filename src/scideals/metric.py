@@ -88,7 +88,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .ideal import CSSC, SC, TSSC, Ideal, check_class
+from .ideal import GROUPS, SC, TSSC, Ideal, check_class
 from .poset import ChainProduct, ShapeError, even_cube_r, ranks
 
 if TYPE_CHECKING:
@@ -123,9 +123,9 @@ class FlipTable(NamedTuple):
     cover, an element the flip removes).  One rank stands for each
     orbit: its top (largest) rank in ``forward`` and its rep (least)
     rank in ``backward``.  ``group`` holds one triple ``(c_x, c_y,
-    c_z)`` per group element, the identity ``(l^2, l, 1)`` first: the
-    image of ``(x, y, z)`` (zero-based) has rank ``x c_x + y c_y + z
-    c_z``; it is None for sc.
+    c_z)`` per axis order in `ideal.GROUPS`, the identity ``(l^2, l,
+    1)`` first: the image of ``(x, y, z)`` (zero-based) has rank ``x c_x
+    + y c_y + z c_z``; it is None for sc.
 
     ``xors[b]`` is the XOR that flips rank ``b - 1``: that rank and its
     dual ``V - b`` for sc, the orbit whose top is rank ``b - 1`` and its
@@ -156,10 +156,9 @@ def flip_table(
     masks are O(l^2) runs of ranks (`_orbit_table`), not one mask per
     orbit.
     """
-    check_class(cls)
     V = p.volume
     group = None
-    if cls == SC:
+    if not check_class(cls):
         stuck = 1 << (V // 2) if V % 2 else 0
         for s, m in p.cover_axes:
             t = V - 1 - s
@@ -183,7 +182,7 @@ def _orbit_table(
     """The rep mask and the top mask of the movable orbits of the even
     cube ``p`` under the group of ``cls`` (S3 for tssc, the rotations Z3
     for cssc), one bit at the least, resp. largest, rank of each orbit, and
-    the `FlipTable` ``group`` of ``cls``.
+    the `FlipTable` ``group`` of ``cls``, read off `ideal.GROUPS`.
 
     With zero-based coordinates the rank of ``(x, y, z)`` is
     ``x l^2 + y l + z``, so an orbit's least rank belongs to its
@@ -211,10 +210,7 @@ def _orbit_table(
             reps |= ((1 << (l - z)) - 1) << (x * ll + y * l + z)
     tops = p.reverse_mask(reps)
     order = (ll, l, 1)
-    if cls == CSSC:
-        group = tuple(order[i:] + order[:i] for i in range(3))
-    else:
-        group = tuple(itertools.permutations(order))
+    group = tuple(tuple(order[i] for i in g) for g in GROUPS[cls])
     v1 = p.volume - 1
     s = (3 * m - 1) // 2  # exact: l is even
     corners = 0
@@ -344,10 +340,11 @@ orbit_flip_masks = _flip_kernel("orbit_flip_masks", _orbit_swap)
 
 def distance(i: Ideal, j: Ideal, cls: str = SC) -> int:
     """Geodesic flip distance between two ideals of the same class."""
-    check_class(cls)
+    group = check_class(cls)
     diff = i.difference_size(j)
-    if cls == SC:
+    if not group:
         return diff
+    even_cube_r(i.poset.dims, f"the {cls} class")
     if diff % 3:
         raise ValueError(
             "difference size not divisible by 3; "
@@ -727,11 +724,12 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     if cls is None:
         raise ValueError("metric_report needs a class-filtered enumeration")
     p = enum.poset
-    if cls in (CSSC, TSSC):
+    group = check_class(cls)
+    if group:
         even_cube_r(p.dims, f"the {cls} class")
     if not enum.masks:
         return MetricReport(p.dims, cls, (), 0, 0, (), ())
-    if cls in (CSSC, TSSC):
+    if group:
         packed = _check_orbit_closed(p, _pack_masks(enum.masks, p.volume))
     else:
         # packing only the low halves: packing full masks and cutting
@@ -771,7 +769,7 @@ def distances_from(enum: EnumerationResult, ideal: Ideal) -> list[int]:
     m = ideal.mask
     size = m.bit_count()
     row = [size - (m & o).bit_count() for o in enum.masks]
-    if enum.symmetry not in (CSSC, TSSC):
+    if not check_class(enum.symmetry):
         return row
     if any(d % 3 for d in row):
         raise ValueError("difference size not divisible by orbit size")

@@ -9,16 +9,19 @@ import oracles
 from scideals.constructions import core_shell
 from scideals.enumeration import count_closed, enumerate_ideals
 from scideals.ideal import (
+    CLASSES,
     CSSC,
+    GROUPS,
     SC,
     TSSC,
     Ideal,
     SymmetryError,
+    check_class,
     from_heights,
     validate_mask,
 )
 from scideals.metric import flip_table, orbit_flip_masks, sc_flip_masks
-from scideals.poset import ChainProduct, ShapeError
+from scideals.poset import ChainProduct, ShapeError, even_cube
 
 from reference_data import (
     CSSC_R2_HEIGHTS,
@@ -177,6 +180,53 @@ def test_symmetry_group_names():
         )
     with pytest.raises(ValueError):
         flips("nope")
+
+
+def test_groups_table_has_one_entry_per_class():
+    assert tuple(GROUPS) == CLASSES
+    assert GROUPS[SC] == ()
+
+
+@pytest.mark.parametrize("cls, order", [(CSSC, 3), (TSSC, 6)])
+def test_each_symmetric_group_is_a_group_with_the_identity_first(cls, order):
+    group = GROUPS[cls]
+    assert group[0] == (0, 1, 2)
+    assert len(group) == len(set(group)) == order
+    # g after h maps point a to tuple(a[h[j]] for j in g)
+    for g in group:
+        for h in group:
+            assert tuple(h[j] for j in g) in group
+
+
+@pytest.mark.parametrize("cls", [CSSC, TSSC])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_group_images_of_each_rep_are_the_oracle_orbits(cls, r):
+    p = even_cube(r)
+    want = oracles.orbits(p, oracles.GROUPS[cls])
+    got = []
+    for orbit in want:
+        a = p.unrank(orbit[0])
+        got.append(tuple(sorted(
+            {p.rank(tuple(a[i] for i in g)) for g in GROUPS[cls]}
+        )))
+    assert got == want
+
+
+def test_flip_table_groups_keep_their_triples_in_order():
+    p = even_cube(2)
+    assert flip_table(p, CSSC).group == ((16, 4, 1), (4, 1, 16), (1, 16, 4))
+    assert flip_table(p, TSSC).group == (
+        (16, 4, 1), (16, 1, 4), (4, 16, 1),
+        (4, 1, 16), (1, 16, 4), (1, 4, 16),
+    )
+
+
+@pytest.mark.parametrize("bad", ["dihedral", None, ["sc"]],
+                         ids=["dihedral", "None", "list"])
+def test_check_class_refuses_a_tag_outside_the_table(bad):
+    with pytest.raises(ValueError) as info:
+        check_class(bad)
+    assert str(info.value) == f"unknown ideal class {bad!r}"
 
 
 def test_dual_image_complements_sc_ideals():

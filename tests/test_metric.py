@@ -170,8 +170,8 @@ def test_a_source_outside_the_graph_is_refused():
 
 
 def test_an_unknown_class_tag_is_refused():
-    # metric_report and distances_from read any tag but cssc and tssc
-    # as sc, so a tag outside CLASSES would be answered as sc
+    # every door reads the class's group from ideal.GROUPS through
+    # check_class, so a tag outside CLASSES is refused, never read as sc
     masks = enumerate_ideals((2, 3, 4), SC).masks
     with pytest.raises(ValueError, match="unknown ideal class 'dihedral'"):
         EnumerationResult(ChainProduct((2, 3, 4)), "dihedral", masks, "hand")
@@ -188,6 +188,14 @@ def test_an_unknown_class_tag_is_refused():
         with pytest.raises(ValueError) as info:
             refuse()
         assert str(info.value) == "unknown ideal class 'dihedral'"
+
+
+@pytest.mark.parametrize("cls", [CSSC, TSSC])
+def test_distance_refuses_a_symmetric_class_off_an_even_cube(cls):
+    i = seed((2, 3, 4), SC)
+    assert distance(i, i, SC) == 0
+    with pytest.raises(ShapeError, match="needs an even cube"):
+        distance(i, i, cls)
 
 
 @pytest.mark.parametrize("cls", [CSSC, TSSC])
