@@ -57,7 +57,8 @@ kernels' tables (the movable ranks split by the seed, the cuts of the
 forward ranks, the list of flip XORs); they are built once per
 closure, as one `metric.flip_table` from the fresh poset.
 
-An `EnumerationResult` holds the class as its sorted member masks.
+An `EnumerationResult` holds one class as its sorted member masks; its
+constructor alone checks the tag and, for cssc and tssc, the even cube.
 Everything computed over a class (the vertex index, the metric report,
 the flip graph, the exports) reads the masks; ``vertices`` builds an
 `Ideal` view only for the index that is read.
@@ -68,10 +69,10 @@ the closure yield each of them once, and when their number equals the
 closed-form count they are the whole class.  The tests check the rule
 (the closure repeats no member, and each member has one parent) against
 a two-way search over all flips on small shapes, and the verification
-suites check the count at scale.  ``oracle_enumerate`` is the slow
+suites check the count at scale.  ``oracle_ideal_masks`` is the slow
 reference: a depth-first scan over all downward-closed sets (in rank
 order, each element may join only when its lower covers already
-have), optionally filtered by class.
+have), and ``oracle_enumerate`` filters it by class.
 """
 
 from __future__ import annotations
@@ -266,17 +267,18 @@ class EnumerationResult:
 
     The member masks are the data; ``vertices`` is indexable by vertex
     id like ``masks``, and wraps only the masks it is asked for as
-    `Ideal` views.  The class tag is None or one of `CLASSES`.
+    `Ideal` views.  The class tag must be one of `CLASSES`, and a cssc
+    or tssc result must lie on an even cube ``[2r]^3``.
     """
 
     poset: ChainProduct
-    symmetry: str | None
+    symmetry: str
     masks: tuple[int, ...]
     method: str
 
     def __post_init__(self) -> None:
-        if self.symmetry is not None:
-            check_class(self.symmetry)
+        if check_class(self.symmetry):
+            even_cube_r(self.poset.dims, f"the {self.symmetry} class")
 
     @property
     def vertices(self) -> Sequence[Ideal]:
@@ -324,22 +326,27 @@ def _check_guard(dims: tuple[int, ...], cls: str, force: bool) -> None:
 _BATCH = 4096
 
 
-def _closure(p: ChainProduct, cls: str, start: int) -> Iterator[list[int]]:
+def _closure(
+    p: ChainProduct, cls: str, start: int, cap: int | None = None
+) -> Iterator[list[int]]:
     """The class reached from ``start``, each member once, in batches of
-    at most `_BATCH` masks.  One kernel call expands a popped batch in
-    place, and the children landing within its first `_BATCH` masks;
-    that prefix is yielded and the tail pushed back in `_BATCH` slices.
-    The kernels make only the reverse-search children, each vertex by
-    its one parent, so any order of expansion is complete."""
+    at most ``width`` masks: `_BATCH`, or ``cap + 1`` if that is fewer.
+    One kernel call expands a popped batch in place, and the children
+    landing within its first ``width`` masks; that prefix is yielded and
+    the tail pushed back in ``width`` slices, so the first batch is the
+    first ``width`` members, or the whole class if it is smaller.  The
+    kernels make only the reverse-search children, each vertex by its
+    one parent, so any order of expansion is complete."""
+    width = _BATCH if cap is None else min(_BATCH, cap + 1)
     table = metric.flip_table(p, cls, start)
     kernel = metric.sc_flip_masks if cls == SC else metric.orbit_flip_masks
     stack = [[start]]
     while stack:
-        batch = kernel(table, stack.pop(), _BATCH)
-        if len(batch) > _BATCH:
-            stack.extend(batch[i:i + _BATCH]
-                         for i in range(_BATCH, len(batch), _BATCH))
-            del batch[_BATCH:]
+        batch = kernel(table, stack.pop(), width)
+        if len(batch) > width:
+            stack.extend(batch[i:i + width]
+                         for i in range(width, len(batch), width))
+            del batch[width:]
         yield batch
 
 
@@ -351,9 +358,10 @@ def enumerate_ideals(
 ) -> EnumerationResult:
     """Flip closure of the class seed, canonically sorted.
 
-    ``cap`` is checked after each batch, so the error reports the
-    vertices of every batch reached so far; a ``cap`` that is not a
-    non-negative integer is refused before any work.
+    ``cap`` is checked after each batch, and a cap below `_BATCH`
+    narrows the batches to ``cap + 1`` masks, so a larger class stops
+    at ``cap + 1`` vertices.  A ``cap`` that is not a non-negative
+    integer is refused before any work.
     """
     if cap is not None:
         cap = as_index(cap, "cap")
@@ -363,7 +371,7 @@ def enumerate_ideals(
     _check_guard(dims, cls, force)
     p, start = _seed(dims, cls)
     masks: list[int] = []
-    for batch in _closure(p, cls, start):
+    for batch in _closure(p, cls, start, cap):
         masks.extend(batch)
         if cap is not None and len(masks) > cap:
             raise PartialEnumerationError(len(masks), cap)
@@ -387,8 +395,16 @@ def enumerate_count(
 # brute-force oracle
 
 
-def oracle_ideal_masks(p: ChainProduct) -> list[int]:
-    """All downward-closed member masks, by depth-first rank scan."""
+def oracle_ideal_masks(dims: Sequence[int], force: bool = False) -> list[int]:
+    """Every ideal of the poset as a sorted mask, by depth-first rank
+    scan.  Guarded by volume, since the scan touches every ideal."""
+    p = ChainProduct(dims)
+    if not force and p.volume > ORACLE_VOLUME_GUARD:
+        raise EnumerationGuardError(
+            f"oracle scan of {p.dims} (volume {p.volume}) exceeds the "
+            f"default guard of {ORACLE_VOLUME_GUARD} elements; "
+            "pass force=True to insist"
+        )
     V = p.volume
     lower = [0] * V
     for s, up in p.cover_axes:
@@ -407,29 +423,16 @@ def oracle_ideal_masks(p: ChainProduct) -> list[int]:
             stack.append((r + 1, mask | (1 << r)))
             r += 1
         out.append(mask)
+    out.sort()
     return out
 
 
 def oracle_enumerate(
-    dims: Sequence[int],
-    cls: str | None = None,
-    force: bool = False,
+    dims: Sequence[int], cls: str, force: bool = False
 ) -> EnumerationResult:
-    """Reference enumeration by scanning every ideal of the poset.
-
-    With ``cls`` given, keeps only the ideals validating for that
-    class.  Guarded by volume: the scan touches every ideal whether or
-    not it is retained.
-    """
-    dims = as_dims(dims)
+    """Reference enumeration of a class: the ideals of the scan
+    (`oracle_ideal_masks`, with its guard) that validate for ``cls``."""
     p = ChainProduct(dims)
-    if not force and p.volume > ORACLE_VOLUME_GUARD:
-        raise EnumerationGuardError(
-            f"oracle scan of {dims} (volume {p.volume}) exceeds the "
-            f"default guard of {ORACLE_VOLUME_GUARD} elements; "
-            "pass force=True to insist"
-        )
-    masks = sorted(oracle_ideal_masks(p))
-    if cls is not None:
-        masks = [m for m in masks if validate_mask(p, m, cls)]
-    return EnumerationResult(p, cls, tuple(masks), ORACLE_DFS)
+    masks = oracle_ideal_masks(p.dims, force)
+    members = tuple(m for m in masks if validate_mask(p, m, cls))
+    return EnumerationResult(p, cls, members, ORACLE_DFS)

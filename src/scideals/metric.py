@@ -1,6 +1,8 @@
 """Flip graphs on the symmetric ideal classes, and their exact metrics.
 
-Vertices are the ideals of one class on one poset.  Edges:
+Vertices are the ideals of one class on one poset, an `EnumerationResult`,
+which has checked its tag and shape for `build_graph`, `metric_report`
+and `distances_from`.  Edges:
 
 * ``sc``    swap one maximal member ``a`` for its dual (weight 1);
 * ``cssc``  swap a full cyclic orbit (three elements, never a diagonal
@@ -340,14 +342,18 @@ orbit_flip_masks = _flip_kernel("orbit_flip_masks", _orbit_swap)
 
 def distance(i: Ideal, j: Ideal, cls: str = SC) -> int:
     """Geodesic flip distance between two ideals of the same class."""
-    group = check_class(cls)
     diff = i.difference_size(j)
-    if not group:
+    if not check_class(cls):
         return diff
     even_cube_r(i.poset.dims, f"the {cls} class")
+    return _orbit_distance(diff)
+
+
+def _orbit_distance(diff: int) -> int:
+    """``|I \\ J| / 3``, the distance of two cssc or tssc members."""
     if diff % 3:
         raise ValueError(
-            "difference size not divisible by 3; "
+            "difference size not divisible by orbit size; "
             "are both ideals in the symmetric class?"
         )
     return diff // 3
@@ -402,8 +408,6 @@ def build_graph(enum: EnumerationResult) -> FlipGraph:
     1) - s`` has the other parity).
     """
     cls = enum.symmetry
-    if cls is None:
-        raise ValueError("build_graph needs a class-filtered enumeration")
     table = flip_table(enum.poset, cls)
     idx = enum.index
     fwd: list[tuple[int, int, int]] = []
@@ -516,7 +520,7 @@ class MetricReport:
     """
 
     dims: tuple[int, ...]
-    symmetry: str | None
+    symmetry: str
     eccentricities: tuple[int, ...]
     diameter: int
     radius: int
@@ -600,7 +604,7 @@ def _check_orbit_closed(p: ChainProduct, arr: np.ndarray) -> np.ndarray:
     row: no bit is gathered but the witnesses.
     """
     V = p.volume
-    l = p.dims[0]  # an even cube, as `metric_report` checks
+    l = p.dims[0]  # an even cube, as `EnumerationResult` checks
     diag = slice(None, None, l * l + l + 1)
     columns = _witnesses(p)
     limbs = (len(columns) + 63) // 64
@@ -721,15 +725,10 @@ def metric_report(enum: EnumerationResult) -> MetricReport:
     counts every row of every block.
     """
     cls = enum.symmetry
-    if cls is None:
-        raise ValueError("metric_report needs a class-filtered enumeration")
     p = enum.poset
-    group = check_class(cls)
-    if group:
-        even_cube_r(p.dims, f"the {cls} class")
     if not enum.masks:
         return MetricReport(p.dims, cls, (), 0, 0, (), ())
-    if group:
+    if GROUPS[cls]:
         packed = _check_orbit_closed(p, _pack_masks(enum.masks, p.volume))
     else:
         # packing only the low halves: packing full masks and cutting
@@ -762,18 +761,14 @@ def distances_from(enum: EnumerationResult, ideal: Ideal) -> list[int]:
     ``|I \\ J|``, a distance between ideals of one size as in a class,
     is taken as ``|I| - |I & J|``: no mask is complemented.
     """
-    if enum.symmetry is None:
-        raise ValueError("distances_from needs a class-filtered enumeration")
     if ideal.poset.dims != enum.poset.dims:
         raise ShapeError("ideals live on different posets")
     m = ideal.mask
     size = m.bit_count()
     row = [size - (m & o).bit_count() for o in enum.masks]
-    if not check_class(enum.symmetry):
-        return row
-    if any(d % 3 for d in row):
-        raise ValueError("difference size not divisible by orbit size")
-    return [d // 3 for d in row]
+    if GROUPS[enum.symmetry]:
+        return [_orbit_distance(d) for d in row]
+    return row
 
 
 # ----------------------------------------------------------------------

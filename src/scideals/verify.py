@@ -68,6 +68,7 @@ from .enumeration import (
     enumerate_count,
     enumerate_ideals,
     oracle_enumerate,
+    oracle_ideal_masks,
 )
 from .ideal import CSSC, SC, TSSC, validate_mask
 from .metric import (
@@ -311,8 +312,8 @@ def _suite_counts(s: SuiteReport, run: _Run) -> None:
             )
     # brute-force cross-checks: the scan sees every ideal, so class
     # filters of it are an enumeration oracle independent of flips
-    s.equal("ideals of [3]^2", len(oracle_enumerate((3, 3))), 20)
-    s.equal("ideals of [2]^3", len(oracle_enumerate((2, 2, 2))), 20)
+    s.equal("ideals of [3]^2", len(oracle_ideal_masks((3, 3))), 20)
+    s.equal("ideals of [2]^3", len(oracle_ideal_masks((2, 2, 2))), 20)
     s.equal(
         "sc filter of the scan = flip closure on (2,3)",
         oracle_enumerate((2, 3), SC).masks,
@@ -341,7 +342,7 @@ def _suite_counts(s: SuiteReport, run: _Run) -> None:
 def _suite_ideal_bound(s: SuiteReport, run: _Run) -> None:
     """Total ideal counts of [n]^d stay under 4^(n^(d-1)), d >= 2."""
     for n, d in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)):
-        total = len(oracle_enumerate((n,) * d))
+        total = len(oracle_ideal_masks((n,) * d))
         bound = 4 ** (n ** (d - 1))
         s.check(
             f"[{n}]^{d}: {total} ideals <= 4^({n}^{d - 1})",
@@ -355,7 +356,7 @@ def _suite_correlation(s: SuiteReport, run: _Run) -> None:
     """Intersection density dominates the product, plus sc sharpenings."""
     for dims in ((3, 3), (2, 2, 2)):
         vol = math.prod(dims)
-        masks = oracle_enumerate(dims).masks
+        masks = oracle_ideal_masks(dims)
         bad = sum(
             1
             for a, b in itertools.combinations_with_replacement(masks, 2)
@@ -659,7 +660,7 @@ def _suite_cssc(s: SuiteReport, run: _Run) -> None:
             full = (1 << math.prod(rect)) - 1
             bad = 0
             eq = []
-            for m in oracle_enumerate(rect).masks:
+            for m in oracle_ideal_masks(rect):
                 sym = (c.mask ^ m).bit_count()
                 if sym > limit:
                     bad += 1

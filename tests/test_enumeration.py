@@ -17,6 +17,7 @@ from scideals.enumeration import (
     enumerate_count,
     enumerate_ideals,
     oracle_enumerate,
+    oracle_ideal_masks,
     seed,
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal
@@ -156,9 +157,10 @@ def test_flip_closure_matches_oracle_scan():
 
 
 def test_oracle_counts_all_ideals():
-    # unfiltered: all downward-closed sets, a classical lattice count
-    assert len(oracle_enumerate((3, 3))) == 20
-    assert len(oracle_enumerate((2, 2, 2))) == 20
+    # all downward-closed sets, a classical lattice count, sorted
+    for dims in ((3, 3), (2, 2, 2)):
+        masks = oracle_ideal_masks(dims)
+        assert len(masks) == 20 and masks == sorted(masks)
 
 
 @pytest.mark.parametrize("force", [False, True])
@@ -213,11 +215,12 @@ def test_vertex_guard_and_force():
 
 
 def test_oracle_volume_guard():
-    # one guard, filtered or not: an unfiltered scan at volume 36 runs
-    assert len(oracle_enumerate((2, 2, 3, 3))) == 8790
-    for cls in (None, CSSC):
+    # one guard, filtered by a class or not: a scan at volume 36 runs
+    assert len(oracle_ideal_masks((2, 2, 3, 3))) == 8790
+    for scan in (oracle_ideal_masks,
+                 lambda dims: oracle_enumerate(dims, CSSC)):
         with pytest.raises(EnumerationGuardError, match="guard of 36"):
-            oracle_enumerate((4, 4, 4), cls)
+            scan((4, 4, 4))
 
 
 def test_negative_cap_is_refused_before_any_work(monkeypatch):
@@ -243,12 +246,14 @@ def test_non_integer_cap_is_refused_before_any_work(monkeypatch, bad):
 
 
 def test_partial_enumeration_cap(capsys):
-    # the cap is checked after each batch, so the error reports more
-    # vertices than the cap
-    with pytest.raises(PartialEnumerationError) as info:
-        enumerate_ideals((2, 3, 4), SC, cap=5)
-    assert info.value.cap == 5
-    assert info.value.visited > info.value.cap
+    # a cap narrows the closure's batches to cap + 1 masks, so a class
+    # larger than the cap stops there: sc (4,4,4) has 400 members and
+    # sc (2,2,6,10) 3 836 752
+    for dims, cap, force in (((2, 3, 4), 5, False), ((4, 4, 4), 5, False),
+                             ((2, 2, 6, 10), 10, True)):
+        with pytest.raises(PartialEnumerationError) as info:
+            enumerate_ideals(dims, SC, cap=cap, force=force)
+        assert (info.value.cap, info.value.visited) == (cap, cap + 1)
     assert enumerate_ideals((2, 3, 4), SC, cap=18).masks == (
         enumerate_ideals((2, 3, 4), SC).masks
     )
@@ -257,8 +262,7 @@ def test_partial_enumeration_cap(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        f"scideals: error: enumeration exceeded cap=5 "
-        f"({info.value.visited} vertices reached)\n"
+        "scideals: error: enumeration exceeded cap=5 (6 vertices reached)\n"
     )
 
 

@@ -1,12 +1,14 @@
-"""Every module-level import of the package is used in its module."""
+"""Every module-level import of the package and of its tests is used
+in its module."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scideals"
-MODULES = sorted(SRC.glob("*.py"))
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "scideals"
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def _module_imports(body):
@@ -49,7 +51,8 @@ def test_the_check_finds_an_unused_import():
         "    return sys.maxsize\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: Sequence"]
-    assert SRC / "poset.py" in MODULES  # the glob found the package
+    # the globs found the package and the tests
+    assert {SRC / "poset.py", TESTS / "conftest.py"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

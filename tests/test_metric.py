@@ -14,6 +14,7 @@ from scideals.enumeration import (
     count_closed,
     enumerate_ideals,
     oracle_enumerate,
+    oracle_ideal_masks,
     seed,
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights, validate_mask
@@ -199,13 +200,22 @@ def test_distance_refuses_a_symmetric_class_off_an_even_cube(cls):
 
 
 @pytest.mark.parametrize("cls", [CSSC, TSSC])
+def test_a_symmetric_result_off_an_even_cube_is_refused(cls):
+    # the result checks its shape, so no reader of it, distances_from
+    # included, answers a cssc or tssc class on (2,3,4)
+    masks = enumerate_ideals((2, 3, 4), SC).masks
+    for part in (masks[:1], masks):
+        with pytest.raises(ShapeError,
+                           match=f"the {cls} class needs an even cube"):
+            EnumerationResult(ChainProduct((2, 3, 4)), cls, part, "hand")
+
+
+@pytest.mark.parametrize("cls", [CSSC, TSSC])
 def test_an_empty_symmetric_result_off_an_even_cube_is_refused(cls):
-    # the shape is checked before the empty class is answered, as it is
-    # for a non-empty one
+    # the shape is checked whether or not the class is empty
     for dims in [(3, 3, 3), (2, 4)]:
-        empty = EnumerationResult(ChainProduct(dims), cls, (), "hand")
         with pytest.raises(ShapeError, match=rf"the {cls} class needs"):
-            metric_report(empty)
+            EnumerationResult(ChainProduct(dims), cls, (), "hand")
     assert metric_report(EnumerationResult(even_cube(2), cls, (), "hand")) == (
         MetricReport((4, 4, 4), cls, (), 0, 0, (), ())
     )
@@ -339,9 +349,18 @@ def test_distances_from_refuses_an_ideal_of_another_poset():
 
 
 def test_distances_from_checks_divisibility(tssc_and_foreign_sc):
-    enum, _a, bad = tssc_and_foreign_sc
+    enum, a, bad = tssc_and_foreign_sc
     with pytest.raises(ValueError, match="not divisible by orbit size"):
         distances_from(enum, bad)
+    # one rule and one message for a row and for a pair
+    for refuse in (lambda: distances_from(enum, bad),
+                   lambda: distance(a, bad, TSSC)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == (
+            "difference size not divisible by orbit size; "
+            "are both ideals in the symmetric class?"
+        )
 
 
 def test_metric_report_center_and_perimeter_partition():
@@ -550,16 +569,14 @@ def test_symmetric_masks_must_be_sc():
         metric_report(enum)
 
 
-def test_metric_report_needs_a_class():
-    # unfiltered ideals differ in size, so |I \ J| is no distance there
-    enum = oracle_enumerate((2, 3, 4))
-    for needs_a_class in (
-        metric_report,
-        build_graph,
-        lambda enum: distances_from(enum, enum.vertices[0]),
-    ):
-        with pytest.raises(ValueError, match="class-filtered"):
-            needs_a_class(enum)
+def test_a_result_without_a_class_is_refused():
+    # ideals outside one class differ in size, so |I \ J| is no distance
+    # there: a result always has a class, for metric_report, build_graph
+    # and distances_from alike
+    masks = tuple(oracle_ideal_masks((2, 3, 4)))
+    with pytest.raises(ValueError) as info:
+        EnumerationResult(ChainProduct((2, 3, 4)), None, masks, "hand")
+    assert str(info.value) == "unknown ideal class None"
 
 
 def test_metric_report_of_an_empty_class():

@@ -21,10 +21,11 @@ from scideals.enumeration import (
     enumerate_count,
     enumerate_ideals,
     oracle_enumerate,
+    oracle_ideal_masks,
     seed,
 )
 from scideals.ideal import CSSC, SC, TSSC, Ideal, from_heights, validate_mask
-from scideals.metric import flip_table, metric_report
+from scideals.metric import flip_table
 from scideals.poset import (
     ChainProduct,
     ElementError,
@@ -187,7 +188,8 @@ SHAPE_DOORS = {
     "count_closed": count_closed,
     "enumerate_count": enumerate_count,
     "enumerate_ideals": enumerate_ideals,
-    "oracle_enumerate": oracle_enumerate,
+    "oracle_enumerate": lambda dims: oracle_enumerate(dims, SC),
+    "oracle_ideal_masks": oracle_ideal_masks,
     "sc_diameter_value": sc_diameter_value,
     "sc_radius_bound": sc_radius_bound,
     "sc_diameter_pair": sc_diameter_pair,
@@ -211,8 +213,8 @@ def test_even_cube_r_accepts_only_even_cubes():
         with pytest.raises(ShapeError, match="it needs an even cube"):
             even_cube_r(dims, "it")
     assert even_cube(3) == cube(6)
-    # the callers: closed form, seed, class check, metric report and
-    # core/shell split (the flip table's is in test_shape_errors)
+    # the callers: closed form, seed, class check, enumeration result
+    # and core/shell split (the flip table's is in test_shape_errors)
     with pytest.raises(ShapeError, match="the cssc class needs"):
         count_closed((3, 3, 3), CSSC)
     with pytest.raises(ShapeError, match="the tssc class needs"):
@@ -220,7 +222,7 @@ def test_even_cube_r_accepts_only_even_cubes():
     with pytest.raises(ShapeError, match="the cssc class needs"):
         validate_mask(ChainProduct((2, 2)), 0b0011, CSSC)
     with pytest.raises(ShapeError, match="the tssc class needs"):
-        metric_report(EnumerationResult(cube(3), TSSC, (0,), "hand"))
+        EnumerationResult(cube(3), TSSC, (0,), "hand")
     with pytest.raises(ShapeError, match="core/shell split needs"):
         core_shell(Ideal(cube(3), 0))
 

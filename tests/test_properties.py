@@ -122,7 +122,7 @@ def test_all_ideal_count_upper_bound(nd):
     n, d = nd
     if n ** d > 16:
         return  # keep the oracle scan instant
-    count = len(oracle_ideal_masks(ChainProduct((n,) * d)))
+    count = len(oracle_ideal_masks((n,) * d))
     assert count <= 4 ** (n ** (d - 1))
 
 
